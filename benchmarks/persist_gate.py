@@ -7,7 +7,7 @@ Four clauses, run against one shared ``--cache-dir``:
    the persistent store and spend at least ``--speedup``x less wall
    time inside ``evaluate_matrix`` than the cold run that filled it.
    Fresh processes matter: an in-process rerun would be served by the
-   ``ShardedMap`` memory tier and prove nothing about the disk.
+   engine's in-memory tier and prove nothing about the disk.
 2. **byte identity** -- the warm run's rendered matrix (grid, summary,
    outcomes; everything except the run-shape ``cache:`` stats line)
    must be byte-identical to the cold run's.  A cache that changes

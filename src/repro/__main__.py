@@ -48,9 +48,9 @@ artifacts:
   ``/snapshot`` over HTTP;
 * ``feam watch`` -- live fleet dashboard: attach to a running ``feam
   serve`` (``--attach URL``) or drive a matrix run, re-rendering
-  cells/sec, queue depth, per-shard cache hit rates, breaker states
-  and a rolling latency histogram in place (plain one-line summaries
-  when stdout is not a TTY);
+  cells/sec, per-layer cache hit rates, breaker states and a rolling
+  latency histogram in place (plain one-line summaries when stdout is
+  not a TTY);
 * ``feam query`` -- filter/aggregate a wide-event JSONL file written
   by ``feam matrix --wide-out`` (``--where outcome=unknown --by site
   --top 20``, percentile aggregations like ``--agg p95:wall_seconds``);
@@ -161,11 +161,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "--extended", action="store_true",
         help="also run source phases and evaluate in extended mode")
     matrix.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool size for the work-stealing matrix planner "
-             "(default: the matrix_workers config key, or "
-             "min(32, 4 x cpu) when that is 0)")
-    matrix.add_argument(
         "--verbose", action="store_true",
         help="also print per-cell cache provenance and non-pass "
              "determinants")
@@ -208,10 +203,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
     chaos.add_argument(
         "--extended", action="store_true",
         help="also run source phases and evaluate in extended mode")
-    chaos.add_argument(
-        "--workers", type=int, default=1,
-        help="thread-pool size (default: 1 -- single-threaded keeps "
-             "same-seed runs and their journals byte-identical)")
     chaos.add_argument(
         "--verbose", action="store_true",
         help="also print per-cell cache and failure provenance")
@@ -271,9 +262,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
     stats.add_argument(
         "--extended", action="store_true",
         help="also run source phases and evaluate in extended mode")
-    stats.add_argument(
-        "--workers", type=int, default=None,
-        help="thread-pool size for the per-site planner")
     stats.add_argument(
         "--sites", default="paper", metavar="SPEC",
         help="site set: 'paper' or a generator spec like "
@@ -351,8 +339,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
                               help="test binaries to compile (default: 4)")
         live_arg.add_argument("--extended", action="store_true",
                               help="also run source phases")
-        live_arg.add_argument("--workers", type=int, default=None,
-                              help="thread-pool size")
 
     serve = sub.add_parser(
         "serve",
@@ -380,8 +366,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
                        help="test binaries to compile (default: 4)")
     serve.add_argument("--extended", action="store_true",
                        help="also run source phases")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="thread-pool size")
     serve.add_argument(
         "--ledger", metavar="DIR", default=None,
         help="run-ledger directory for the /runs endpoint (default: "
@@ -391,8 +375,8 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "watch",
         help="live fleet dashboard: attach to a running feam serve "
              "(--attach URL) or drive a matrix run, re-rendering "
-             "cells/sec, queue depth, shard hit rates, breaker states "
-             "and a rolling latency histogram in place")
+             "cells/sec, cache hit rates, breaker states and a "
+             "rolling latency histogram in place")
     watch.add_argument(
         "--attach", metavar="URL", default=None,
         help="poll this feam serve base URL's /snapshot endpoint "
@@ -414,8 +398,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
              "'fleet:n=1000,seed=7' (default: paper)")
     watch.add_argument("--extended", action="store_true",
                        help="also run source phases")
-    watch.add_argument("--workers", type=int, default=None,
-                       help="thread-pool size")
 
     query = sub.add_parser(
         "query",
@@ -578,8 +560,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
              "'fleet:n=100,seed=7' (default: paper)")
     alerts.add_argument("--extended", action="store_true",
                         help="also run source phases")
-    alerts.add_argument("--workers", type=int, default=None,
-                        help="thread-pool size")
 
     cache = sub.add_parser(
         "cache",
@@ -854,7 +834,7 @@ def _record_matrix_run(ledger, args, engine, result, collector,
     ledger output goes to stderr -- the chaos determinism gate compares
     stdout byte-for-byte, and run ids carry wall timestamps.
     """
-    from repro.core.engine import default_matrix_workers, run_rollup
+    from repro.core.engine import run_rollup
     from repro.util.hashing import stable_digest
 
     if ledger is None:
@@ -867,9 +847,10 @@ def _record_matrix_run(ledger, args, engine, result, collector,
         "seed": args.seed,
         "sites_spec": getattr(args, "sites", None) or "paper",
         "binaries": args.binaries,
-        "workers": (engine.max_workers or engine.config.matrix_workers
-                    or default_matrix_workers()),
-        "cache_shards": engine.config.cache_shards,
+        # Schema-1 manifest fields: the engine is one serial worker
+        # over unsharded caches.
+        "workers": 1,
+        "cache_shards": 1,
         "config_fingerprint": stable_digest(engine.config.render())[:16],
         "fault_profile": fault_profile,
     }
@@ -909,8 +890,7 @@ def _build_matrix_inputs(args):
         return None
     if store is not None:
         print(f"persistent cache: {store.directory}", file=sys.stderr)
-    engine = EvaluationEngine(config=config, max_workers=args.workers,
-                              persist=store)
+    engine = EvaluationEngine(config=config, persist=store)
     feam = Feam(engine=engine)
     binaries: list[EngineBinary] = []
     bundles = {}

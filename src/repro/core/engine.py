@@ -1,4 +1,4 @@
-"""The batch evaluation engine: content-addressed, cached, parallel.
+"""The batch evaluation engine: content-addressed, cached, serial.
 
 The paper evaluates one (binary, site) pair at a time; a production
 deployment evaluates a *matrix* -- many binaries against many sites,
@@ -12,12 +12,9 @@ that cheap:
   identical environments never re-discovered.
 * **Memoisation.**  Three cache layers -- description per binary,
   discovery per site, full evaluation per (site fingerprint, binary,
-  bundle, staging tag) cell -- each with hit/miss counters
+  bundle, staging tag) cell -- each a plain dict with hit/miss counters
   (:class:`CacheStats`), surfaced per cell via
-  :class:`~repro.core.evaluation.CellCacheInfo` in the report.  Every
-  layer is striped over N independently locked shards
-  (:class:`repro.core.sharding.ShardedMap`), so fleet-scale worker pools
-  do not serialise on one global lock.
+  :class:`~repro.core.evaluation.CellCacheInfo` in the report.
 * **Content-group sharing.**  Generated fleet sites carry a
   ``content_key`` (:func:`repro.sites.generator.content_key`) naming
   their evaluation-equivalence class.  The engine discovers one member
@@ -26,13 +23,13 @@ that cheap:
   site -- the literal reading of "identical environments never
   re-discovered" at fleet scale.  Hand-built sites have no content key
   and keep the fully per-site path.
-* **Work-stealing planning.**  :meth:`EvaluationEngine.evaluate_matrix`
+* **Serial by design.**  :meth:`EvaluationEngine.evaluate_matrix`
   groups cells into per-site (per content-group, for fleets) work units
-  spread over a bounded worker pool (default ``min(32, 4 x cpu)``); an
-  idle worker steals whole units from the tail of the busiest queue.
-  Sites are independent simulated machines and each unit is processed by
-  one worker at a time, so per-site serialisation -- and with it
-  deterministic results -- survives the stealing.
+  and runs them one after another on the calling thread.  The
+  evaluation is pure Python under the GIL: a thread pool never beat
+  the serial loop by a margin worth its locks, and it made the order in
+  which cells reach the journal, the wide-event stream and the
+  persistent store vary from run to run.
 
 Invalidation: :meth:`EvaluationEngine.refresh_site` re-discovers a site
 and, when the environment fingerprint changed, drops that site's cached
@@ -51,12 +48,9 @@ re-evaluating only the missing cells.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import os
 import posixpath
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional, Sequence, Union
 
 from repro import obs
@@ -90,7 +84,6 @@ from repro.core.resilience import (
     provenance_from,
     with_retries,
 )
-from repro.core.sharding import HitMissCounter, ShardedMap
 from repro.obs import ledger as ledger_mod
 from repro.obs import wide as wide_mod
 from repro.sysmodel import faults
@@ -98,11 +91,6 @@ from repro.util.hashing import content_digest, stable_digest
 
 #: Where the engine stages binaries it migrates to a site itself.
 _MIGRATION_ROOT = "/home/user/migrated"
-
-
-def default_matrix_workers() -> int:
-    """The bounded pool default: ``min(32, 4 x cpu_count)``."""
-    return min(32, 4 * (os.cpu_count() or 1))
 
 
 @dataclasses.dataclass
@@ -193,8 +181,7 @@ def cell_from_record(record: dict) -> "MatrixCell":
                       site_name=record["site"], report=report)
 
 
-def wide_record(cell: "MatrixCell", *, worker: str = "worker-0",
-                steals: int = 0, resumed: bool = False,
+def wide_record(cell: "MatrixCell", *, resumed: bool = False,
                 wall_seconds: Optional[float] = None,
                 content_group: Optional[str] = None,
                 sample=None) -> dict:
@@ -203,9 +190,10 @@ def wide_record(cell: "MatrixCell", *, worker: str = "worker-0",
     This is the engine half of the wide-event layer: ``repro.obs`` is a
     strictly lower layer and cannot know what a matrix cell is, so the
     flattening lives here, next to :func:`cell_record`.  Unlike the
-    journal record, wide events deliberately carry wall-clock and
-    scheduling facts (worker, steals) -- they are telemetry, not resume
-    state, and are never replayed into cells.
+    journal record, wide events deliberately carry wall-clock facts --
+    they are telemetry, not resume state, and are never replayed into
+    cells.  ``worker`` and ``steals`` are schema-1 fields kept as
+    constants: the serial engine is one worker that never steals.
     """
     report = cell.report
     failure = report.failure
@@ -220,8 +208,8 @@ def wide_record(cell: "MatrixCell", *, worker: str = "worker-0",
         "sim_seconds": round(report.feam_seconds, 6),
         "wall_seconds": (round(wall_seconds, 6)
                          if wall_seconds is not None else None),
-        "worker": worker,
-        "steals": steals,
+        "worker": "worker-0",
+        "steals": 0,
         "resumed": resumed,
         "description_hit": report.cache.description_hit,
         "discovery_hit": report.cache.discovery_hit,
@@ -540,9 +528,13 @@ class EvaluationEngine:
 
     One engine owns one TEC per site (discovery runs once per site), a
     content-addressed description cache shared across sites, and a
-    per-cell evaluation cache.  All caches are thread-safe; the matrix
-    planner parallelises across sites only, so each simulated site is
-    always driven from a single thread.
+    per-cell evaluation cache.  The caches are plain dicts: an engine
+    is driven from one thread at a time.
+
+    A cache hit is counted at lookup; a miss only once the value has
+    been computed and stored, so a cell that degrades never inflates
+    the miss counters.  *max_workers* remains for existing callers and
+    must be None or 1.
     """
 
     def __init__(self, config: Optional[FeamConfig] = None,
@@ -551,37 +543,33 @@ class EvaluationEngine:
                  resilience: Optional[ResiliencePolicy] = None,
                  persist: Optional[persist_mod.PersistentStore] = None,
                  ) -> None:
+        if max_workers not in (None, 1):
+            raise ValueError(
+                f"max_workers={max_workers!r}: the engine evaluates "
+                "serially; pass None or 1")
         self.config = config or FeamConfig()
         self.registry = registry
-        self.max_workers = max_workers
         self.resilience = resilience or ResiliencePolicy.from_config(
             self.config)
         #: Optional on-disk tier under the in-memory caches; a disk hit
-        #: back-fills the shard (`put` + `note_hit`) so layer hit rates
-        #: count it, a clean fresh computation writes behind.
+        #: back-fills the dict and counts as a hit, a clean fresh
+        #: computation writes behind.
         self.persist = persist
-        shards = max(1, self.config.cache_shards)
-        self._tecs: ShardedMap = ShardedMap(shards)
-        self._fingerprints: ShardedMap = ShardedMap(shards)
-        self._breakers: ShardedMap = ShardedMap(shards)
+        self._stats = CacheStats()
+        self._tecs: dict[str, TargetEvaluationComponent] = {}
+        self._fingerprints: dict[str, str] = {}
+        self._breakers: dict[str, CircuitBreaker] = {}
         #: (image digest, described path) -> description
-        self._descriptions: ShardedMap = ShardedMap(shards)
+        self._descriptions: dict[tuple, BinaryDescription] = {}
         #: cell key -> report
-        self._reports: ShardedMap = ShardedMap(shards)
+        self._reports: dict[tuple, TargetReport] = {}
         #: content key -> shared environment description (fleet sites)
-        self._content_environments: ShardedMap = ShardedMap(shards)
-        self._discovery_counter = HitMissCounter()
+        self._content_environments: dict[str, EnvironmentDescription] = {}
 
     @property
     def stats(self) -> CacheStats:
-        """Aggregated hit/miss counters over all cache shards."""
-        return CacheStats(
-            description_hits=self._descriptions.hits,
-            description_misses=self._descriptions.misses,
-            discovery_hits=self._discovery_counter.hits,
-            discovery_misses=self._discovery_counter.misses,
-            evaluation_hits=self._reports.hits,
-            evaluation_misses=self._reports.misses)
+        """A snapshot of the hit/miss counters of all three layers."""
+        return self._stats.snapshot()
 
     def close(self) -> None:
         """Flush the persistent tier (compacting if over cap), if any.
@@ -595,15 +583,19 @@ class EvaluationEngine:
 
     def tec_for(self, site) -> TargetEvaluationComponent:
         """The (cached) TEC for a site."""
-        return self._tecs.get_or_create(
-            site.name,
-            lambda: TargetEvaluationComponent(
-                site, self.config, registry=self.registry))
+        tec = self._tecs.get(site.name)
+        if tec is None:
+            tec = self._tecs[site.name] = TargetEvaluationComponent(
+                site, self.config, registry=self.registry)
+        return tec
 
     def breaker_for(self, site_name: str) -> CircuitBreaker:
         """The (cached) per-site circuit breaker."""
-        return self._breakers.get_or_create(
-            site_name, lambda: self.resilience.breaker_for(site_name))
+        breaker = self._breakers.get(site_name)
+        if breaker is None:
+            breaker = self._breakers[site_name] = \
+                self.resilience.breaker_for(site_name)
+        return breaker
 
     def site_health(self) -> dict[str, str]:
         """Breaker state per site the engine has touched."""
@@ -631,7 +623,7 @@ class EvaluationEngine:
             # Content-group sharing: another member of this site's
             # evaluation-equivalence class already discovered; adopt its
             # description, re-homed to this hostname.
-            shared = self._content_environments.peek(content)
+            shared = self._content_environments.get(content)
             if shared is not None:
                 tec.adopt_environment(dataclasses.replace(
                     shared, hostname=site.name))
@@ -646,7 +638,7 @@ class EvaluationEngine:
                 tec.adopt_environment(dataclasses.replace(
                     environment, hostname=site.name))
                 if content is not None:
-                    self._content_environments.put(content, environment)
+                    self._content_environments[content] = environment
                 hit = disk_hit = True
         retry_seconds = 0.0
         with obs.span("engine.discover", site=site.name, hit=hit):
@@ -659,7 +651,7 @@ class EvaluationEngine:
                     tec.environment, operation="discover", site=site.name,
                     deadline_seconds=self.resilience.cell_deadline_seconds)
                 if content is not None:
-                    self._content_environments.put(content, environment)
+                    self._content_environments[content] = environment
                 if self.persist is not None:
                     # Write-behind: the environment itself is
                     # deterministic even when discovery needed retries.
@@ -671,14 +663,14 @@ class EvaluationEngine:
             obs.histogram("engine.discover.seconds").observe(
                 time.perf_counter() - started)
         if hit:
-            self._discovery_counter.hit(site.name)
+            self._stats.discovery_hits += 1
         else:
-            self._discovery_counter.miss(site.name)
+            self._stats.discovery_misses += 1
         if disk_hit:
             obs.counter("engine.cache.discovery.disk_hits").inc()
-        if self._fingerprints.peek(site.name) is None:
-            self._fingerprints.put(
-                site.name, environment_fingerprint(environment))
+        if site.name not in self._fingerprints:
+            self._fingerprints[site.name] = environment_fingerprint(
+                environment)
         obs.counter("engine.cache.discovery."
                     + ("hits" if hit else "misses")).inc()
         return environment, hit, retry_seconds
@@ -686,7 +678,7 @@ class EvaluationEngine:
     def fingerprint_for(self, site) -> str:
         """The content-address of the site's (cached) environment."""
         self._discover(site)
-        return self._fingerprints.peek(site.name)
+        return self._fingerprints[site.name]
 
     def refresh_site(self, site) -> bool:
         """Re-discover a site; drop its caches if the fingerprint changed.
@@ -696,17 +688,19 @@ class EvaluationEngine:
         A generated site that diverges from its content group loses its
         ``content_key`` and falls back to the fully per-site path.
         """
-        old = self._fingerprints.peek(site.name)
+        old = self._fingerprints.get(site.name)
         tec = self.tec_for(site)
         tec.invalidate_environment()
-        self._discovery_counter.miss(site.name)
+        self._stats.discovery_misses += 1
         environment = tec.environment()
         new = environment_fingerprint(environment)
-        self._fingerprints.put(site.name, new)
+        self._fingerprints[site.name] = new
         changed = old is not None and old != new
         if changed:
-            dropped = self._reports.drop_if(
-                lambda key: key[0] == site.name)
+            doomed = [key for key in self._reports if key[0] == site.name]
+            for key in doomed:
+                del self._reports[key]
+            dropped = len(doomed)
             if getattr(site, "content_key", None) is not None:
                 site.content_key = None
             obs.event("engine.site_invalidated", site=site.name,
@@ -739,8 +733,9 @@ class EvaluationEngine:
         if image is None:
             image = site.machine.fs.read(binary_path)
         key = (content_digest(image), binary_path)
-        cached = self._descriptions.lookup(key)
+        cached = self._descriptions.get(key)
         if cached is not None:
+            self._stats.description_hits += 1
             obs.counter("engine.cache.description.hits").inc()
             return cached, True
         if self.persist is not None:
@@ -749,8 +744,8 @@ class EvaluationEngine:
                 persist_mod.description_key(key[0], binary_path))
             if stored is not None:
                 description = persist_mod.description_from_payload(stored)
-                self._descriptions.put(key, description)
-                self._descriptions.note_hit(key)
+                self._descriptions[key] = description
+                self._stats.description_hits += 1
                 obs.counter("engine.cache.description.hits").inc()
                 return description, True
         with obs.span("engine.describe", site=site.name, path=binary_path,
@@ -765,7 +760,8 @@ class EvaluationEngine:
                 deadline_seconds=self.resilience.cell_deadline_seconds)
             obs.histogram("engine.describe.seconds").observe(
                 time.perf_counter() - started)
-        self._descriptions.store(key, description)
+        self._descriptions[key] = description
+        self._stats.description_misses += 1
         obs.counter("engine.cache.description.misses").inc()
         if self.persist is not None:
             self.persist.store(
@@ -848,7 +844,7 @@ class EvaluationEngine:
         incompatible, so ``ready`` stays True while all four
         determinants read UNKNOWN (the grid renders ``unknown``).  The
         provenance rides along in ``report.failure``."""
-        tec = self._tecs.peek(site.name)
+        tec = self._tecs.get(site.name)
         environment = tec._environment if tec is not None else None
         if environment is None:
             environment = _unknown_environment(site.name)
@@ -880,7 +876,7 @@ class EvaluationEngine:
 
         _environment, discovery_hit, discover_retry_seconds = \
             self._discover(site)
-        fingerprint = self._fingerprints.peek(site.name)
+        fingerprint = self._fingerprints[site.name]
 
         description_hit = False
         if binary_path is not None:
@@ -902,8 +898,9 @@ class EvaluationEngine:
             key = (f"content::{content}", digest, bdg, tag)
         else:
             key = (site.name, fingerprint, digest, bdg, tag)
-        cached = self._reports.lookup(key)
+        cached = self._reports.get(key)
         if cached is not None:
+            self._stats.evaluation_hits += 1
             obs.counter("engine.cache.evaluation.hits").inc()
             environment = cached.environment
             if environment.hostname != site.name:
@@ -931,8 +928,8 @@ class EvaluationEngine:
                 report.cache = CellCacheInfo(
                     description_hit=True, discovery_hit=True,
                     evaluation_hit=True, tier="disk")
-                self._reports.put(key, report)
-                self._reports.note_hit(key)
+                self._reports[key] = report
+                self._stats.evaluation_hits += 1
                 obs.counter("engine.cache.evaluation.hits").inc()
                 return report
 
@@ -957,7 +954,8 @@ class EvaluationEngine:
             description_hit=description_hit,
             discovery_hit=discovery_hit,
             evaluation_hit=False)
-        self._reports.store(key, report)
+        self._reports[key] = report
+        self._stats.evaluation_misses += 1
         obs.counter("engine.cache.evaluation.misses").inc()
         if (self.persist is not None
                 and not retry_seconds and not discover_retry_seconds):
@@ -978,7 +976,7 @@ class EvaluationEngine:
                         journal: Optional[MatrixJournal] = None,
                         resume: Optional[dict] = None,
                         wide_sink=None, sampler=None) -> MatrixResult:
-        """Evaluate every binary against every site, in parallel by site.
+        """Evaluate every binary against every site.
 
         *binaries* holds :class:`EngineBinary` items or anything with
         ``binary_id`` and ``image`` attributes (e.g. the corpus's
@@ -988,63 +986,49 @@ class EvaluationEngine:
         With a *journal*, every completed cell is appended (and flushed)
         as it finishes; *resume* -- a :meth:`MatrixJournal.load` mapping
         -- restores already-journalled cells without re-evaluating them.
-        A worker that dies mid-site never aborts the matrix: its
+        A site whose evaluation loop dies never aborts the matrix: its
         remaining cells degrade to UNKNOWN with provenance.
 
         Telemetry: with a *wide_sink* (:class:`repro.obs.wide.
         WideEventSink`), every cell -- evaluated, journal-restored, or
-        filled in by the worker-failure path -- emits exactly one wide
+        filled in by the site-failure path -- emits exactly one wide
         event, so the sink's count always equals the cell count.  With
         a *sampler* (:class:`repro.obs.sampling.SamplingPolicy`), span
         subtrees of cells the policy drops are pruned from the tracer
         once the matrix finishes; only degraded/faulted/slow cells and
         the seeded head sample keep their trees.
 
-        Scheduling: sites are grouped into work units -- one unit per
-        hand-built site, one unit per *content group* for generated
-        fleet sites (consecutive sites sharing a ``content_key``).  Units
-        are dealt round-robin over per-worker deques; a worker drains its
-        own queue from the head and, when empty, steals whole units from
-        the tail of the longest queue.  A unit is processed serially by
-        exactly one worker, so the cache "winner" of a content group is
-        always the group's first site and results stay deterministic.
+        Order: sites are grouped into work units -- one unit per
+        hand-built site, one unit per *content group* of generated fleet
+        sites -- taken in order of first appearance, each unit's sites
+        one after another.  A content group's first site is therefore
+        always the one that discovers and evaluates for the rest, and
+        every run writes its journal, wide events and persistent-store
+        records in the same order.
         """
         specs = [self._coerce(b, bundles) for b in binaries]
-        workers = (self.max_workers or self.config.matrix_workers
-                   or default_matrix_workers())
-        busy_seconds: list[float] = []  # one entry per site processed
         resumed = 0
         if resume:
             resumed = sum(1 for spec in specs for site in sites
                           if (spec.binary_id, site.name) in resume)
 
-        # Work units: (position, site) pairs; content groups stay whole.
-        units: list[list] = []
-        unit_index: dict[str, list] = {}
+        # Work units: site positions keyed by content group (hand-built
+        # sites by their own position), in order of first appearance.
+        units: dict[object, list[int]] = {}
         for position, site in enumerate(sites):
             content = getattr(site, "content_key", None)
-            if content is None:
-                units.append([(position, site)])
-            else:
-                unit = unit_index.get(content)
-                if unit is None:
-                    unit = []
-                    unit_index[content] = unit
-                    units.append(unit)
-                unit.append((position, site))
-        workers_effective = max(1, min(workers, len(units)))
-        steal_counts = [0] * workers_effective
+            units.setdefault(position if content is None else content,
+                             []).append(position)
         #: (binary, site) -> reason, for cells whose spans the sampler
         #: dropped; keys the post-matrix subtree prune.
         sampling_drops: dict[tuple[str, str], str] = {}
 
-        def finish_cell(cell: MatrixCell, *, wid: int, content,
-                        resumed_cell: bool,
+        def finish_cell(cell: MatrixCell, *, content, resumed_cell: bool,
                         wall: Optional[float]) -> None:
             """Per-cell telemetry: sampling decision + wide event.
 
             Called at every point a cell enters the matrix -- evaluated,
-            journal-restored, or filled in by the worker-failure path --
+            journal-restored, or filled in by the site-failure path --
             so wide-event count always equals cell count.
             """
             decision = None
@@ -1062,144 +1046,75 @@ class EvaluationEngine:
                         decision.reason
             if wide_sink is not None:
                 wide_sink.emit(wide_record(
-                    cell, worker=f"worker-{wid}",
-                    steals=steal_counts[wid], resumed=resumed_cell,
-                    wall_seconds=wall, content_group=content,
-                    sample=decision))
+                    cell, resumed=resumed_cell, wall_seconds=wall,
+                    content_group=content, sample=decision))
             obs.counter("cells.evaluated").inc()
 
-        with obs.span("engine.matrix", binaries=len(specs),
-                      sites=len(sites), workers=workers_effective,
-                      units=len(units)) as matrix_span:
-            started = time.perf_counter()
-
-            def run_site(site, wid: int) -> list[MatrixCell]:
-                worker_started = time.perf_counter()
-                content = getattr(site, "content_key", None)
-                with obs.span("engine.site", parent=matrix_span,
-                              site=site.name) as site_span:
-                    cells: list[MatrixCell] = []
-                    try:
-                        for spec in specs:
-                            restored = (resume or {}).get(
-                                (spec.binary_id, site.name))
-                            if restored is not None:
-                                cell = cell_from_record(restored)
-                                cells.append(cell)
-                                finish_cell(cell, wid=wid,
-                                            content=content,
-                                            resumed_cell=True, wall=None)
-                                continue
-                            # Content-group sites use a site-independent
-                            # staging tag so their cells share one cache
-                            # entry; hand-built sites keep per-site tags.
-                            tag = (spec.binary_id if content is not None
-                                   else f"{spec.binary_id}-{site.name}")
-                            cell_started = time.perf_counter()
-                            report = self.evaluate_cell(
-                                site, image=spec.image,
-                                binary_id=spec.binary_id,
-                                bundle=spec.bundle,
-                                staging_tag=tag.replace("/", "-"))
-                            cell_wall = time.perf_counter() - cell_started
-                            cell = MatrixCell(
-                                binary_id=spec.binary_id,
-                                site_name=site.name, report=report)
-                            if journal is not None:
-                                journal.record(cell_record(cell))
+        def run_site(site) -> list[MatrixCell]:
+            site_started = time.perf_counter()
+            content = getattr(site, "content_key", None)
+            with obs.span("engine.site", site=site.name) as site_span:
+                cells: list[MatrixCell] = []
+                try:
+                    for spec in specs:
+                        restored = (resume or {}).get(
+                            (spec.binary_id, site.name))
+                        if restored is not None:
+                            cell = cell_from_record(restored)
                             cells.append(cell)
-                            finish_cell(cell, wid=wid, content=content,
-                                        resumed_cell=False,
-                                        wall=cell_wall)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        # A dying worker must not lose the other sites'
-                        # (or its own completed) cells: fill the rest of
-                        # this column with UNKNOWN + provenance.
-                        provenance = provenance_from(
-                            exc, site=site.name, operation="worker")
-                        obs.event("resilience.worker_failed",
-                                  site=site.name, error=str(exc),
-                                  completed=len(cells))
-                        obs.counter("resilience.workers.failed").inc()
-                        for spec in specs[len(cells):]:
-                            cell = MatrixCell(
-                                binary_id=spec.binary_id,
-                                site_name=site.name,
-                                report=self.degraded_report(
-                                    site, provenance))
-                            cells.append(cell)
-                            finish_cell(cell, wid=wid, content=content,
-                                        resumed_cell=False, wall=None)
-                    site_span.set_attrs(
-                        cells=len(cells),
-                        ready=sum(c.ready for c in cells))
-                busy = time.perf_counter() - worker_started
-                busy_seconds.append(busy)
-                obs.histogram("engine.site.worker_seconds").observe(busy)
-                return cells
-
-            per_site: list = [None] * len(sites)
-
-            def run_unit(unit, wid: int) -> None:
-                for position, site in unit:
-                    per_site[position] = run_site(site, wid)
-
-            if workers_effective <= 1 or len(units) <= 1:
-                for unit in units:
-                    run_unit(unit, 0)
-            else:
-                # Per-worker deques: owner pops from the head, thieves
-                # steal from the tail of the longest victim.  Single
-                # deque operations are atomic under the GIL, so no locks.
-                deques = [collections.deque()
-                          for _ in range(workers_effective)]
-                for index, unit in enumerate(units):
-                    deques[index % workers_effective].append(unit)
-                queue_gauge = obs.gauge("engine.matrix.queue_depth")
-
-                def next_unit(wid: int):
-                    try:
-                        return deques[wid].popleft(), False
-                    except IndexError:
-                        pass
-                    victims = sorted(
-                        (v for v in range(workers_effective) if v != wid),
-                        key=lambda v: len(deques[v]), reverse=True)
-                    for victim in victims:
-                        try:
-                            return deques[victim].pop(), True
-                        except IndexError:
+                            finish_cell(cell, content=content,
+                                        resumed_cell=True, wall=None)
                             continue
-                    return None, False
+                        # Content-group sites use a site-independent
+                        # staging tag so their cells share one cache
+                        # entry; hand-built sites keep per-site tags.
+                        tag = (spec.binary_id if content is not None
+                               else f"{spec.binary_id}-{site.name}")
+                        cell_started = time.perf_counter()
+                        report = self.evaluate_cell(
+                            site, image=spec.image,
+                            binary_id=spec.binary_id, bundle=spec.bundle,
+                            staging_tag=tag.replace("/", "-"))
+                        cell_wall = time.perf_counter() - cell_started
+                        cell = MatrixCell(binary_id=spec.binary_id,
+                                          site_name=site.name,
+                                          report=report)
+                        if journal is not None:
+                            journal.record(cell_record(cell))
+                        cells.append(cell)
+                        finish_cell(cell, content=content,
+                                    resumed_cell=False, wall=cell_wall)
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except Exception as exc:
+                    # A dying site loop must not lose the other sites'
+                    # (or its own completed) cells: fill the rest of
+                    # this column with UNKNOWN + provenance.
+                    provenance = provenance_from(
+                        exc, site=site.name, operation="worker")
+                    obs.event("resilience.worker_failed", site=site.name,
+                              error=str(exc), completed=len(cells))
+                    obs.counter("resilience.workers.failed").inc()
+                    for spec in specs[len(cells):]:
+                        cell = MatrixCell(
+                            binary_id=spec.binary_id, site_name=site.name,
+                            report=self.degraded_report(site, provenance))
+                        cells.append(cell)
+                        finish_cell(cell, content=content,
+                                    resumed_cell=False, wall=None)
+                site_span.set_attrs(cells=len(cells),
+                                    ready=sum(c.ready for c in cells))
+            obs.histogram("engine.site.worker_seconds").observe(
+                time.perf_counter() - site_started)
+            return cells
 
-                def run_worker(wid: int) -> None:
-                    while True:
-                        unit, stolen = next_unit(wid)
-                        if unit is None:
-                            return
-                        if stolen:
-                            steal_counts[wid] += 1
-                            obs.counter("engine.matrix.steals").inc()
-                        queue_gauge.set(sum(len(d) for d in deques))
-                        run_unit(unit, wid)
-
-                with ThreadPoolExecutor(
-                        max_workers=workers_effective) as pool:
-                    list(pool.map(run_worker, range(workers_effective)))
-            elapsed = time.perf_counter() - started
-            # Worker utilization: busy time over the pool's capacity for
-            # the matrix's elapsed window (1.0 = every worker always busy).
-            capacity = elapsed * workers_effective
-            utilization = (sum(busy_seconds) / capacity) if capacity else 0.0
-            obs.gauge("engine.matrix.worker_utilization").set(
-                min(1.0, utilization))
-            obs.gauge("engine.matrix.steals").set(sum(steal_counts))
-            matrix_span.set_attrs(
-                utilization=round(utilization, 3),
-                cells=len(specs) * len(sites),
-                steals=sum(steal_counts))
+        with obs.span("engine.matrix", binaries=len(specs),
+                      sites=len(sites), units=len(units)) as matrix_span:
+            per_site: list = [None] * len(sites)
+            for positions in units.values():
+                for position in positions:
+                    per_site[position] = run_site(sites[position])
+            matrix_span.set_attrs(cells=len(specs) * len(sites))
         if sampling_drops:
             # Tail sampling: prune the span subtrees of every cell the
             # policy dropped.  ``engine.cell`` spans carry binary + site
@@ -1220,7 +1135,7 @@ class EvaluationEngine:
         quarantined = tuple(
             name for name, state in self.site_health().items()
             if state != BreakerState.CLOSED.value)
-        return MatrixResult(cells=cells, stats=self.stats.snapshot(),
+        return MatrixResult(cells=cells, stats=self.stats,
                             quarantined=quarantined, resumed=resumed)
 
     def _publish_matrix_metrics(self, cells: list[MatrixCell]) -> None:
@@ -1260,15 +1175,6 @@ class EvaluationEngine:
             if layer_lookups:
                 obs.gauge(f"engine.cache.{layer}.hit_rate").set(
                     layer_hits / layer_lookups)
-        for layer, cache in (("description", self._descriptions),
-                             ("evaluation", self._reports)):
-            for index, (shard_hits, shard_misses, _entries) in enumerate(
-                    cache.shard_stats()):
-                shard_lookups = shard_hits + shard_misses
-                if shard_lookups:
-                    obs.gauge(
-                        f"engine.cache.{layer}.shard.{index}.hit_rate"
-                    ).set(shard_hits / shard_lookups)
 
     @staticmethod
     def _coerce(binary, bundles: Optional[dict]) -> EngineBinary:

@@ -1,8 +1,8 @@
 """The persistent evaluation cache: crash-safe cross-run warm starts.
 
 The engine's three cache layers (description / discovery / evaluation,
-see :mod:`repro.core.engine`) are in-memory ``ShardedMap``s and die
-with the process, so every fresh ``feam matrix`` pays full cold cost.
+see :mod:`repro.core.engine`) are in-memory dicts and die with the
+process, so every fresh ``feam matrix`` pays full cold cost.
 :class:`PersistentStore` is the read-through/write-behind tier under
 them: one append-only JSONL *segment* per layer inside a cache
 directory, written through the shared :mod:`repro.util.jsonl`
@@ -298,9 +298,9 @@ class PersistentStore:
     """The schema-versioned, digest-keyed on-disk cache tier.
 
     One instance owns one cache *directory* (three JSONL segments plus
-    whatever a future schema adds).  Thread-safe: the engine's worker
-    pool reads and writes through it concurrently.  Segments are
-    loaded lazily (first access per layer) and indexed in memory;
+    whatever a future schema adds).  Thread-safe -- one lock guards the
+    segments and the LRU ticks -- although the serial engine only ever
+    drives it from one thread.  Segments are loaded lazily (first access per layer) and indexed in memory;
     appends are flushed per line so a killed run loses at most the
     in-flight record.
     """

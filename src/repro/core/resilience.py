@@ -167,8 +167,8 @@ def with_retries(policy: RetryPolicy, key: str, fn: Callable,
 class CircuitBreaker:
     """Per-site closed/open/half-open breaker with quarantine.
 
-    Thread-safe, though the matrix drives each site from one thread.
-    State transitions are published as obs events and as the gauge
+    Thread-safe, though the serial engine drives every breaker from one
+    thread.  State transitions are published as obs events and as the gauge
     ``resilience.breaker.<site>.state``.
     """
 

@@ -144,9 +144,9 @@ def capture(collector: Optional[Collector] = None):
 # -- the hot-path facade -----------------------------------------------------------
 
 
-def span(name: str, parent: Optional[Span] = None, **attrs):
+def span(name: str, **attrs):
     """Open a span on the installed tracer (no-op span by default)."""
-    return _current.tracer.span(name, parent=parent, **attrs)
+    return _current.tracer.span(name, **attrs)
 
 
 def event(name: str, **attrs) -> None:

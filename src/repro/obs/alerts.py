@@ -127,10 +127,10 @@ def alert_rules(slo_rules: Sequence[slo_mod.SloRule],
 
 #: The default alert set for live metrics snapshots and wide-event
 #: replays.  Deliberately narrower than ``slo.DEFAULT_RULES``: wall
-#: clocks, worker utilization and sampling counters are host-dependent
-#: (they would break the byte-identical-timeline guarantee), and the
-#: cache hit rate is a warm-run objective that a legitimate cold run
-#: undercuts.  What remains is deterministic per seed.
+#: clocks and sampling counters are host-dependent (they would break
+#: the byte-identical-timeline guarantee), and the cache hit rate is a
+#: warm-run objective that a legitimate cold run undercuts.  What
+#: remains is deterministic per seed.
 DEFAULT_ALERT_SLOS: tuple[slo_mod.SloRule, ...] = tuple(
     slo_mod.parse_rules("""
         matrix.unknown_cells.pct    <= 10      [critical]

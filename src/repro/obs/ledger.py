@@ -21,7 +21,8 @@ the engine-side flattener lives in
   ``ts`` (ISO-8601 UTC), ``kind`` (``matrix`` / ``chaos`` / ``bench``
   / ``fleet-bench`` / ``telemetry-gate`` / ``legacy-*``), ``schema``;
 * provenance -- ``seed``, ``sites_spec``, ``config_fingerprint``,
-  ``fault_profile``, worker/shard counts;
+  ``fault_profile``, and the schema-1 ``workers``/``cache_shards``
+  fields, always 1 since the engine evaluates serially;
 * results -- the ``rollup`` (cell/outcome/cache/retry counts,
   per-determinant outcome counts, sim/wall latency digests), the
   ``phases`` latency digests, and/or raw ``bench`` timings.

@@ -201,7 +201,6 @@ DEFAULT_RULES: tuple[SloRule, ...] = tuple(parse_rules("""
     matrix.unknown_cells.pct       <= 10           [critical]
     matrix.cells.total             >  0            [critical]
     engine.cell.wall_seconds:p95   <= 2     ?      [warn]
-    engine.matrix.worker_utilization >= 0.1  ?     [warn]
     resilience.faults.injected     <= 0     ?      [critical]
     resilience.retries.total       <= 0     ?      [warn]
     obs.sampling.dropped           >= 0     ?      [warn]

@@ -6,9 +6,9 @@ attributes, a parent link, the *real* wall-clock duration
 FEAM's scheduler-visible work, accrued from the
 :class:`~repro.core.config.FeamConfig` timing model by the
 instrumentation that owns the span).  Spans nest through a per-thread
-stack, so instrumented code never passes span objects around; code
-that crosses a thread boundary (the matrix planner's per-site workers)
-passes ``parent=`` explicitly.
+stack, so instrumented code never passes span objects around.  The
+tracer stays thread-safe: ``feam serve`` and ``feam watch`` snapshot
+it from other threads while a run is still appending spans.
 
 Two tracer implementations share the interface:
 
@@ -79,8 +79,7 @@ class NullTracer:
 
     enabled = False
 
-    def span(self, name: str, parent: Optional[Span] = None,
-             **attrs) -> _NullSpan:
+    def span(self, name: str, **attrs) -> _NullSpan:
         return NULL_SPAN
 
     def current_span(self) -> None:
@@ -96,12 +95,10 @@ class NullTracer:
 class _ActiveSpan:
     """Context manager that opens/closes one real span."""
 
-    __slots__ = ("_tracer", "_parent", "_span")
+    __slots__ = ("_tracer", "_span")
 
-    def __init__(self, tracer: "Tracer", name: str,
-                 parent: Optional[Span], attrs: dict) -> None:
+    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
         self._tracer = tracer
-        self._parent = parent
         self._span = Span(
             name=name, span_id=0, parent_id=None, attrs=attrs,
             start_wall=0.0, thread=threading.current_thread().name)
@@ -110,9 +107,7 @@ class _ActiveSpan:
         tracer = self._tracer
         span = self._span
         stack = tracer._stack()
-        if self._parent is not None:
-            span.parent_id = self._parent.span_id
-        elif stack:
+        if stack:
             span.parent_id = stack[-1].span_id
         with tracer._lock:
             tracer._next_id += 1
@@ -160,14 +155,9 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def span(self, name: str, parent: Optional[Span] = None,
-             **attrs) -> _ActiveSpan:
-        """Open a span; use as ``with tracer.span("name", k=v) as sp:``.
-
-        *parent* overrides the per-thread nesting -- required when the
-        span logically belongs under a span opened in another thread.
-        """
-        return _ActiveSpan(self, name, parent, attrs)
+    def span(self, name: str, **attrs) -> _ActiveSpan:
+        """Open a span; use as ``with tracer.span("name", k=v) as sp:``."""
+        return _ActiveSpan(self, name, attrs)
 
     def spans_named(self, name: str) -> list[Span]:
         with self._lock:

@@ -1,9 +1,9 @@
 """The live fleet dashboard behind ``feam watch``.
 
 A 1,000-site matrix takes tens of seconds; ``feam watch`` shows it
-moving: cells per second, queue depth, per-shard cache hit rates,
-breaker states and a rolling latency histogram, re-rendered in place
-every interval.  The data path is *snapshots*, not callbacks: each
+moving: cells per second, per-layer cache hit rates, breaker states
+and a rolling latency histogram, re-rendered in place every
+interval.  The data path is *snapshots*, not callbacks: each
 frame folds one :func:`sample` of a metrics registry (taken locally
 from the installed collector, or fetched from a running ``feam
 serve``'s ``/snapshot`` endpoint) against the previous one, so the
@@ -19,11 +19,10 @@ a CI log it prints one plain summary line per interval instead --
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional
 
-#: Bars for the latency histogram / shard sparklines (ASCII-safe).
+#: Bar character for the latency histogram (ASCII-safe).
 _BAR = "#"
-_SPARK_LEVELS = " .:-=+*#"
 
 
 def sample(collector) -> dict:
@@ -84,31 +83,6 @@ def _breaker_words(snap: dict) -> dict[str, int]:
     return words
 
 
-def _shard_rates(snap: dict) -> dict[str, list[float]]:
-    """Per-layer shard hit rates from the per-shard gauges, index order."""
-    layers: dict[str, dict[int, float]] = {}
-    for name, value in snap.get("metrics", {}).get("gauges", {}).items():
-        parts = name.split(".")
-        # engine.cache.<layer>.shard.<i>.hit_rate
-        if (len(parts) == 6 and parts[:2] == ["engine", "cache"]
-                and parts[3] == "shard" and parts[5] == "hit_rate"):
-            try:
-                index = int(parts[4])
-            except ValueError:
-                continue
-            layers.setdefault(parts[2], {})[index] = float(value)
-    return {layer: [rates[i] for i in sorted(rates)]
-            for layer, rates in sorted(layers.items())}
-
-
-def _sparkline(values: Sequence[float]) -> str:
-    """Rates in [0,1] as one character each (ASCII ramp)."""
-    top = len(_SPARK_LEVELS) - 1
-    return "".join(
-        _SPARK_LEVELS[max(0, min(top, int(round(v * top))))]
-        for v in values)
-
-
 def _rolling_buckets(snap: dict, before: dict,
                      name: str = "engine.cell.wall_seconds",
                      rows: int = 5) -> list[tuple[str, int]]:
@@ -156,23 +130,10 @@ def render_frame(snap: dict, before: dict, interval: float,
         f"{rate:8.1f} cells/s"
     ]
 
-    queue = _gauge(snap, "engine.matrix.queue_depth")
-    steals = _gauge(snap, "engine.matrix.steals")
-    util = _gauge(snap, "engine.matrix.worker_utilization")
-    lines.append(
-        f"pool     queue={int(queue) if queue is not None else 'n/a'}  "
-        f"steals={int(steals) if steals is not None else 'n/a'}  "
-        f"utilization={_fmt_rate(util)}")
-
     rates = {layer: _gauge(snap, f"engine.cache.{layer}.hit_rate")
              for layer in ("description", "discovery", "evaluation")}
     lines.append("cache    " + "  ".join(
         f"{layer}={_fmt_rate(rate)}" for layer, rate in rates.items()))
-    for layer, shard_rates in _shard_rates(snap).items():
-        if shard_rates:
-            lines.append(
-                f"shards   {layer:<11} [{_sparkline(shard_rates)}] "
-                f"min={min(shard_rates):.2f} max={max(shard_rates):.2f}")
 
     words = _breaker_words(snap)
     if any(words.values()):
@@ -222,14 +183,12 @@ def render_line(snap: dict, before: dict, interval: float,
     cells = _counter(snap, "cells.evaluated")
     rate = ((cells - _counter(before, "cells.evaluated")) / interval
             if interval > 0 else 0.0)
-    queue = _gauge(snap, "engine.matrix.queue_depth")
     progress = f"{int(cells)}"
     if total_cells:
         progress += f"/{total_cells}"
     words = _breaker_words(snap)
     broken = words.get("open", 0) + words.get("half-open", 0)
     return (f"t+{elapsed:.1f}s cells={progress} rate={rate:.1f}/s "
-            f"queue={int(queue) if queue is not None else 0} "
             f"breakers_open={broken} "
             f"wide={int(_counter(snap, 'obs.wide.emitted'))}")
 

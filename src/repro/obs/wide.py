@@ -7,7 +7,7 @@ need the tree.  A *wide event* collapses everything the engine knows
 about one finished cell into a single flat record: identity (site,
 binary, content group), verdict (outcome word, per-determinant
 verdicts), provenance (cache layers hit, retries, fault kind, breaker
-state, resume/steal/worker facts), and both clocks (simulated FEAM
+state, resumed flag), and both clocks (simulated FEAM
 seconds and real wall seconds).  Wide events are the always-on layer;
 full span trees are kept only for the cells the tail sampler elects
 (:mod:`repro.obs.sampling`).

@@ -41,8 +41,13 @@ class TestConfig:
     def test_parse_rejects_bad_lines(self):
         with pytest.raises(ValueError):
             FeamConfig.parse("no equals sign here")
-        with pytest.raises(ValueError):
-            FeamConfig.parse("unknown_key = 1")
+        # The worker-pool keys are gone: a config that still sets them
+        # fails loudly, naming the line, instead of being ignored.
+        for line in ("unknown_key = 1", "matrix_workers = 2",
+                     "cache_shards = 16"):
+            with pytest.raises(ValueError,
+                               match="config line 2: unknown key"):
+                FeamConfig.parse(f"serial_queue = fast\n{line}\n")
 
 
 class TestPredictionTypes:

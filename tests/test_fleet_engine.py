@@ -1,9 +1,8 @@
-"""Fleet-scale engine behaviour: sharding, stealing, content sharing.
+"""Fleet-scale engine behaviour: the serial planner, content sharing.
 
-The PR that introduced the work-stealing pool and the lock-striped
-caches must not change *what* the engine computes -- only how fast.
-The anchor is a golden file rendered by the pre-refactor engine
-(``tests/golden/matrix_paper_5x4.txt``): the refactored engine must
+Refactoring the engine must not change *what* it computes -- only how.
+The anchor is a golden file rendered by an earlier engine
+(``tests/golden/matrix_paper_5x4.txt``): the current engine must
 reproduce it byte-for-byte, cache counters included.
 """
 
@@ -11,13 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import FeamConfig
-from repro.core.engine import (
-    EngineBinary,
-    EvaluationEngine,
-    default_matrix_workers,
-)
-from repro.core.sharding import HitMissCounter, ShardedMap
+from repro.core.engine import EngineBinary, EvaluationEngine
+from repro.obs.wide import WideEventSink
 from repro.sites.catalog import build_paper_sites
 from repro.sites.generator import resolve_sites
 from repro.toolchain.compilers import Language
@@ -58,42 +52,35 @@ class TestGoldenMatrix:
         result = engine.evaluate_matrix(binaries, sites)
         assert result.render(verbose=False) == _GOLDEN.read_text()
 
-    def test_parallel_grid_matches_serial(self):
-        sites, binaries = _paper_inputs()
-        serial = EvaluationEngine(max_workers=1).evaluate_matrix(
+
+class TestSerialEngine:
+    def test_max_workers_accepts_only_one(self):
+        # The serial engine keeps the constructor argument for existing
+        # callers: None and 1 evaluate, anything else is refused.
+        sites, binaries = _fleet_inputs(spec="fleet:n=2,seed=4", count=1)
+        result = EvaluationEngine(max_workers=1).evaluate_matrix(
             binaries, sites)
-        parallel = EvaluationEngine(max_workers=8).evaluate_matrix(
-            binaries, sites)
-        assert ([(c.binary_id, c.site_name, c.outcome_word)
-                 for c in serial.cells]
-                == [(c.binary_id, c.site_name, c.outcome_word)
-                    for c in parallel.cells])
+        assert len(result.cells) == len(sites)
+        with pytest.raises(ValueError, match="max_workers=2"):
+            EvaluationEngine(max_workers=2)
 
-
-class TestWorkerPool:
-    def test_default_pool_is_bounded(self):
-        assert 4 <= default_matrix_workers() <= 32
-
-    def test_config_drives_the_pool_size(self):
-        # matrix_workers from the config file is the default; an
-        # explicit max_workers constructor argument still wins.
-        config = FeamConfig.parse("matrix_workers = 2\n")
-        assert config.matrix_workers == 2
-        engine = EvaluationEngine(config=config)
-        assert engine.max_workers is None
-        sites, binaries = _fleet_inputs()
-        result = engine.evaluate_matrix(binaries, sites)
-        assert len(result.cells) == len(binaries) * len(sites)
-
-    def test_fleet_grid_deterministic_across_worker_counts(self):
-        sites, binaries = _fleet_inputs()
-        grids = []
-        for workers in (1, 4):
-            result = EvaluationEngine(
-                max_workers=workers).evaluate_matrix(binaries, sites)
-            grids.append([(c.binary_id, c.site_name, c.outcome_word)
-                          for c in result.cells])
-        assert grids[0] == grids[1]
+    def test_content_groups_run_whole_in_first_appearance_order(self):
+        # Cells are produced unit by unit -- every member of a content
+        # group right after the group's first site -- so the wide-event
+        # stream has one order on every run.  This fleet interleaves
+        # its groups, so unit order differs from site order.
+        sites, binaries = _fleet_inputs(spec="fleet:n=12,seed=2")
+        sink = WideEventSink()
+        result = EvaluationEngine().evaluate_matrix(
+            binaries, sites, wide_sink=sink)
+        order = list(dict.fromkeys(e["site"] for e in sink.events()))
+        groups = list(dict.fromkeys(s.content_key for s in sites))
+        assert order == [s.name for g in groups for s in sites
+                         if s.content_key == g]
+        assert order != [s.name for s in sites]
+        # The grid itself stays binary-major in the given site order.
+        assert [c.site_name for c in result.cells[:len(sites)]] == \
+            [s.name for s in sites]
 
 
 class TestContentSharing:
@@ -128,61 +115,3 @@ class TestContentSharing:
         site.machine.env["_LMFILES_"] = "/ghost"
         assert engine.refresh_site(site) is True
         assert site.content_key is None
-
-
-class TestShardedMap:
-    def test_lookup_counts_hits_store_counts_misses(self):
-        cache = ShardedMap(4)
-        assert cache.lookup("a") is None
-        assert cache.hits == 0 and cache.misses == 0  # absent != miss
-        cache.store("a", 1)
-        assert cache.misses == 1
-        assert cache.lookup("a") == 1
-        assert cache.hits == 1
-
-    def test_peek_and_put_do_not_count(self):
-        cache = ShardedMap(4)
-        cache.put("a", 1)
-        assert cache.peek("a") == 1
-        assert cache.peek("b") is None
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_get_or_create_creates_once(self):
-        cache = ShardedMap(2)
-        calls = []
-        for _ in range(3):
-            cache.get_or_create("k", lambda: calls.append(1) or "v")
-        assert calls == [1]
-
-    def test_drop_if_filters_by_key(self):
-        cache = ShardedMap(8)
-        for i in range(20):
-            cache.put(("site-a" if i % 2 else "site-b", i), i)
-        assert cache.drop_if(lambda key: key[0] == "site-a") == 10
-        assert len(cache) == 10
-
-    def test_shard_stats_cover_all_lookups(self):
-        cache = ShardedMap(4)
-        for i in range(16):
-            cache.store(i, i)
-            cache.lookup(i)
-        totals = cache.shard_stats()
-        assert sum(h for h, _, _ in totals) == 16
-        assert sum(m for _, m, _ in totals) == 16
-        assert sum(n for _, _, n in totals) == 16
-
-    def test_single_shard_still_works(self):
-        cache = ShardedMap(1)
-        cache.store("x", 1)
-        assert cache.lookup("x") == 1
-
-
-class TestHitMissCounter:
-    def test_counts_accumulate(self):
-        counter = HitMissCounter(stripes=4)
-        for name in ("a", "b", "c"):
-            counter.hit(name)
-            counter.miss(name)
-            counter.miss(name)
-        assert counter.hits == 3
-        assert counter.misses == 6

@@ -1,9 +1,9 @@
-"""Engine instrumentation under concurrency: spans, parenting, metrics.
+"""Engine instrumentation: spans, parenting, metrics.
 
-The matrix planner runs one worker thread per site; the trace must
-still come out whole -- every cell span parented under its site span,
-every site span under the single matrix span, and the live metrics
-counters in exact agreement with the engine's own ``CacheStats``.
+The trace of a matrix run must come out whole -- every cell span
+parented under its site span, every site span under the single matrix
+span, and the live metrics counters in exact agreement with the
+engine's own ``CacheStats``.
 """
 
 import pytest
@@ -25,7 +25,7 @@ def traced_matrix():
         name = f"obs-{site_name}"
         linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
         binaries.append(EngineBinary(binary_id=name, image=linked.image))
-    engine = EvaluationEngine(max_workers=4)
+    engine = EvaluationEngine()
     with obs.capture() as collector:
         result = engine.evaluate_matrix(binaries, sites)
     return sites, binaries, engine, collector, result
@@ -84,14 +84,6 @@ class TestParenting:
             assert ancestor_cell(det) is not None
             assert "outcome" in det.attrs
 
-    def test_site_spans_ran_on_worker_threads(self, traced_matrix):
-        _, _, _, collector, _ = traced_matrix
-        (matrix,) = collector.tracer.spans_named("engine.matrix")
-        threads = {s.thread for s in collector.tracer.spans_named(
-            "engine.site")}
-        assert len(threads) > 1  # genuinely parallel run
-        assert matrix.thread not in threads
-
 
 class TestMetricsAgreement:
     def test_counters_equal_engine_cache_stats(self, traced_matrix):
@@ -122,9 +114,6 @@ class TestMetricsAgreement:
         summary = collector.metrics.histogram(
             "engine.cell.wall_seconds").summary()
         assert summary["count"] == len(result.cells)
-        utilization = collector.metrics.gauge(
-            "engine.matrix.worker_utilization").value
-        assert utilization is not None and utilization > 0
         (matrix,) = collector.tracer.spans_named("engine.matrix")
         assert matrix.attrs["cells"] == len(result.cells)
 

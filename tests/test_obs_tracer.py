@@ -46,24 +46,9 @@ class TestTracer:
         assert "boom" in span.attrs["error"]
         assert tracer.current_span() is None  # stack unwound
 
-    def test_explicit_parent_crosses_threads(self):
-        tracer = Tracer()
-        with tracer.span("planner") as planner:
-            def worker():
-                with tracer.span("site-work", parent=planner):
-                    with tracer.span("cell"):
-                        pass
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        cell = tracer.spans_named("cell")[0]
-        site_work = tracer.spans_named("site-work")[0]
-        assert site_work.parent_id == planner.span_id
-        # Implicit nesting still works inside the worker thread.
-        assert cell.parent_id == site_work.span_id
-        assert site_work.thread != planner.thread
-
     def test_span_ids_are_unique_under_concurrency(self):
+        # The engine is serial, but feam serve and feam watch share
+        # the tracer across threads, so span ids must stay atomic.
         tracer = Tracer()
 
         def burst():

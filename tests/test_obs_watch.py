@@ -14,8 +14,6 @@ from repro.obs.watch import (
     WatchState,
     _breaker_words,
     _rolling_buckets,
-    _shard_rates,
-    _sparkline,
     render_frame,
     render_line,
     sample,
@@ -27,10 +25,7 @@ def _snap(cells=100, buckets=None, gauges=None, counters=None,
     metrics = {
         "counters": {"cells.evaluated": cells, "obs.wide.emitted": cells,
                      **(counters or {})},
-        "gauges": {"engine.matrix.queue_depth": 12,
-                   "engine.matrix.steals": 3,
-                   "engine.matrix.worker_utilization": 0.85,
-                   **(gauges or {})},
+        "gauges": dict(gauges or {}),
         "histograms": histograms or {},
     }
     return {"metrics": metrics, "buckets": buckets or {},
@@ -83,24 +78,6 @@ class TestHelpers:
         assert _breaker_words(snap) == \
             {"closed": 1, "half-open": 1, "open": 2}
 
-    def test_shard_rates_groups_by_layer_in_index_order(self):
-        snap = _snap(gauges={
-            "engine.cache.description.shard.10.hit_rate": 0.10,
-            "engine.cache.description.shard.2.hit_rate": 0.95,
-            "engine.cache.evaluation.shard.0.hit_rate": 0.5,
-            "engine.cache.description.hit_rate": 0.9,  # aggregate: skip
-        })
-        rates = _shard_rates(snap)
-        assert list(rates) == ["description", "evaluation"]
-        assert rates["description"] == [0.95, 0.10]  # index 2 before 10
-        assert rates["evaluation"] == [0.5]
-
-    def test_sparkline_maps_rates_to_the_ascii_ramp(self):
-        assert _sparkline([0.0, 1.0]) == " #"
-        assert len(_sparkline([0.3] * 16)) == 16
-        assert _sparkline([2.0]) == "#"   # clamped
-        assert _sparkline([-1.0]) == " "  # clamped
-
     def test_rolling_buckets_de_cumulates_against_before(self):
         before = _snap(buckets={"engine.cell.wall_seconds": [
             [0.001, 5], [0.01, 10], [None, 10]]})
@@ -133,7 +110,6 @@ class TestRenderFrame:
         snap = _snap(
             cells=100,
             gauges={"engine.cache.description.hit_rate": 0.91,
-                    "engine.cache.description.shard.0.hit_rate": 0.8,
                     "resilience.breaker.site-a.state": 2},
             counters={"obs.sampling.kept": 4,
                       "obs.sampling.dropped": 96},
@@ -143,10 +119,7 @@ class TestRenderFrame:
                              total_cells=400)
         assert frame.startswith("feam watch  t+  10.0s   cells 100/400")
         assert "30.0 cells/s" in frame       # (100-40)/2.0
-        assert "queue=12" in frame
-        assert "utilization=0.85" in frame
         assert "description=0.91" in frame
-        assert "shards   description" in frame
         assert "open=1" in frame
         assert "wide=100" in frame and "kept=4" in frame
         assert "p50=2.0ms" in frame and "max=1.20s" in frame
@@ -156,7 +129,6 @@ class TestRenderFrame:
         frame = render_frame(_snap(), {}, interval=1.0, elapsed=0.0)
         assert "breakers" not in frame
         assert "latency" not in frame
-        assert "shards" not in frame
         assert "alerts" not in frame         # no alert gauges yet
 
     def test_alerts_panel_shows_firing_and_pending(self):
@@ -182,7 +154,7 @@ class TestRenderLine:
             "resilience.breaker.site-b.state": 1})
         line = render_line(snap, before, interval=1.0, elapsed=3.0,
                            total_cells=200)
-        assert line == ("t+3.0s cells=50/200 rate=50.0/s queue=12 "
+        assert line == ("t+3.0s cells=50/200 rate=50.0/s "
                         "breakers_open=2 wide=50")
         assert "\x1b" not in line
         assert "\n" not in line

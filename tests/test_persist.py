@@ -404,6 +404,35 @@ class TestEngineWarmStart:
         assert warm.fingerprint_for(twin) == after
         warm.close()
 
+    def test_cold_fleet_runs_write_byte_identical_stores(self, tmp_path):
+        # Two cold runs, each with a fresh default engine and its own
+        # store, must append the same records in the same order.
+        from repro.sites.generator import resolve_sites
+
+        layers = ("description", "discovery", "evaluation")
+        written = []
+        for run in ("first", "second"):
+            sites = resolve_sites("fleet:n=10,seed=4")
+            binaries = []
+            for index in range(2):
+                site = sites[index]
+                stack = site.stacks[index % len(site.stacks)]
+                name = f"app-{site.name}-{stack.spec.slug}-{index}"
+                linked = site.compile_mpi_program(
+                    name, Language.FORTRAN, stack)
+                binaries.append(
+                    EngineBinary(binary_id=name, image=linked.image))
+            directory = tmp_path / run
+            engine = EvaluationEngine(
+                persist=PersistentStore(str(directory)))
+            engine.evaluate_matrix(binaries, sites)
+            engine.close()
+            written.append({layer: (directory / f"{layer}.jsonl")
+                            .read_bytes() for layer in layers})
+        assert all(written[0].values())
+        for layer in layers:
+            assert written[0][layer] == written[1][layer], layer
+
 
 # -- the matrix-journal identity guard (regression) -------------------------------
 

@@ -2,10 +2,10 @@
 
 The contract under test is the one the ``telemetry-gate`` CI job
 enforces at scale: every cell -- evaluated, journal-restored, or
-filled in by the worker-failure path -- emits exactly one wide event;
-span trees survive only for the cells the tail policy elects; the
-``/metrics`` shard family is one labeled name, not 48; and ``feam
-query`` reproduces the matrix's own outcome counts.
+filled in by the site-failure path -- emits exactly one wide event;
+span trees survive only for the cells the tail policy elects; cache
+hit rates export as plain per-layer gauges; and ``feam query``
+reproduces the matrix's own outcome counts.
 """
 
 import json
@@ -44,7 +44,7 @@ def telemetry_run(make_site, tmp_path):
     path = str(tmp_path / "wide.jsonl")
     sink = WideEventSink(path=path)
     with obs.capture() as collector:
-        result = EvaluationEngine(max_workers=2).evaluate_matrix(
+        result = EvaluationEngine().evaluate_matrix(
             binaries, sites, wide_sink=sink, sampler=policy)
     sink.close()
     return sites, binaries, policy, path, sink, collector, result
@@ -68,7 +68,9 @@ class TestEngineWideEvents:
         for event in read_jsonl(path):
             # Every core field present, flat, in one record.
             assert set(CORE_FIELDS) <= set(event)
-            assert re.fullmatch(r"worker-\d+", event["worker"])
+            # Schema-1 scheduling fields: one serial worker, no steals.
+            assert event["worker"] == "worker-0"
+            assert event["steals"] == 0
             # Cache provenance, retry and breaker context ride along.
             for field in ("description_hit", "discovery_hit",
                           "evaluation_hit", "attempts", "retry_seconds",
@@ -148,43 +150,14 @@ class TestResumedCells:
 
 
 class TestShardExpositionFamily:
-    @staticmethod
-    def _registry():
-        registry = MetricsRegistry()
-        for layer in ("description", "evaluation"):
-            for shard in range(3):
-                registry.gauge(
-                    f"engine.cache.{layer}.shard.{shard}.hit_rate"
-                ).set(0.5 + shard / 10)
-            registry.gauge(f"engine.cache.{layer}.hit_rate").set(0.9)
-        return registry
-
-    def test_one_labeled_family_replaces_per_shard_names(self):
-        text = render_prometheus(self._registry())
-        # Six samples, one metric name, labels carrying the dimensions.
-        samples = re.findall(
-            r'^feam_engine_cache_shard_hit_rate\{(.+)\} ([0-9.]+)$',
-            text, flags=re.MULTILINE)
-        assert len(samples) == 6
-        labels = [dict(re.findall(r'(\w+)="([^"]*)"', label))
-                  for label, _value in samples]
-        assert {frozenset(d.items()) for d in labels} == {
-            frozenset({"layer": layer, "shard": str(shard)}.items())
-            for layer in ("description", "evaluation")
-            for shard in range(3)}
-        assert text.count("# TYPE feam_engine_cache_shard_hit_rate") == 1
-
-    def test_no_unlabeled_shard_names_leak(self):
-        text = render_prometheus(self._registry())
-        for line in text.splitlines():
-            if line.startswith("#"):
-                continue
-            name = line.split("{")[0].split(" ")[0]
-            if "shard" in name:
-                assert name == "feam_engine_cache_shard_hit_rate", line
+    """Cache hit rates export as plain per-layer gauges: the engine's
+    caches are unsharded, so there is no per-shard family."""
 
     def test_per_layer_aggregates_stay_plain_gauges(self):
-        text = render_prometheus(self._registry())
+        registry = MetricsRegistry()
+        for layer in ("description", "evaluation"):
+            registry.gauge(f"engine.cache.{layer}.hit_rate").set(0.9)
+        text = render_prometheus(registry)
         assert "feam_engine_cache_description_hit_rate 0.9" in text
         assert "feam_engine_cache_evaluation_hit_rate 0.9" in text
 
@@ -196,10 +169,13 @@ class TestShardExpositionFamily:
         gauges = collector.metrics.to_dict()["gauges"]
         for layer in ("description", "discovery", "evaluation"):
             assert f"engine.cache.{layer}.hit_rate" in gauges
-        # Only the sharded caches publish per-shard gauges.
-        for layer in ("description", "evaluation"):
-            assert any(name.startswith(f"engine.cache.{layer}.shard.")
-                       for name in gauges)
+        # One hit-rate gauge per layer; the caches are not sharded.
+        assert sorted(name for name in gauges
+                      if name.startswith("engine.cache.")) == [
+            "engine.cache.description.hit_rate",
+            "engine.cache.discovery.hit_rate",
+            "engine.cache.evaluation.hit_rate",
+            "engine.cache.hit_rate"]
 
 
 class TestSnapshotEndpoint:
