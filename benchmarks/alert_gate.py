@@ -46,7 +46,7 @@ from repro.core.engine import (
 )
 from repro.obs import alerts as alerts_mod
 from repro.obs import anomaly as anomaly_mod
-from repro.obs.wide import WideEventSink
+from repro.obs.wide import SCHEMA_VERSION, WideEventSink
 from repro.sites.generator import resolve_sites
 from repro.sysmodel import faults as faults_mod
 from repro.toolchain.compilers import Language
@@ -132,7 +132,7 @@ def _synthetic_fleet_events(sites: int = 1000,
                                   binary_index)
             faulted = draw < 0.05
             events.append({
-                "schema": 1,
+                "schema": SCHEMA_VERSION,
                 "site": f"fleet-{site_index:04d}",
                 "binary": f"app-{binary_index}",
                 "content_group": group,
@@ -140,7 +140,6 @@ def _synthetic_fleet_events(sites: int = 1000,
                 "ready": False,
                 "faulted": faulted,
                 "sim_seconds": round(20.0 + 30.0 * draw, 6),
-                "worker": 0,
                 "attempts": 2 if faulted else 1,
                 "retry_seconds": round(draw, 6) if faulted else 0.0,
                 "fault_kind": "read-error" if faulted else None,

@@ -1,21 +1,16 @@
-"""The CI telemetry gate: prove the wide-event/sampling contract.
+"""The CI telemetry gate: prove the wide-event contract.
 
 Runs a generated fleet matrix twice -- once bare (the reference), once
-under the full telemetry overlay (observability collector, wide-event
-sink, tail-based span sampler) -- and asserts the overlay's contract:
+under the full telemetry overlay (observability collector with whole
+span trees, wide-event sink) -- and asserts the overlay's contract:
 
 1. **completeness** -- exactly one wide event per matrix cell (the
-   evaluated, journal-restored and worker-failure paths all emit);
-2. **sampling budget** -- span trees survive only for the cells the
-   policy elects; the kept count must equal a from-scratch replay of
-   the deterministic policy over the emitted events AND stay within
-   ``--span-budget``, and the counters must add up
-   (``kept + dropped == cells``);
-3. **overhead** -- the telemetry run's wall time stays within
+   evaluated and worker-failure paths both emit);
+2. **overhead** -- the telemetry run's wall time stays within
    ``--overhead-tolerance`` of the bare reference;
-4. **consistency** -- a ``feam query``-equivalent aggregation over the
+3. **consistency** -- a ``feam query``-equivalent aggregation over the
    wide events reproduces the matrix's own per-outcome cell counts;
-5. **ledger overhead** -- recording the run manifest into the run
+4. **ledger overhead** -- recording the run manifest into the run
    ledger (which every ``feam matrix`` now does) must cost less than
    ``--ledger-budget-seconds``: the durable history may not tax the
    hot path.
@@ -38,7 +33,6 @@ import time
 from repro import obs
 from repro.core.engine import EngineBinary, EvaluationEngine, run_rollup
 from repro.obs import ledger as ledger_mod
-from repro.obs.sampling import SamplingPolicy
 from repro.obs.store import Aggregation, WhereClause, run_query
 from repro.obs.wide import WideEventSink, read_jsonl
 from repro.sites.generator import resolve_sites
@@ -49,10 +43,6 @@ SEED = 20130101
 EXIT_OK = 0
 EXIT_FAILURE = 1      # telemetry contract violated
 EXIT_REGRESSION = 3   # overhead tolerance blown
-
-#: The sampler's latency-SLO clause reads the wall clock; the gate pins
-#: it unreachably high so the kept set stays fully deterministic.
-_NO_SLO = 1e9
 
 
 def _compile_binaries(sites, count: int):
@@ -67,9 +57,8 @@ def _compile_binaries(sites, count: int):
     return binaries
 
 
-def run_gate(spec: str, binaries_count: int, head_n: int,
+def run_gate(spec: str, binaries_count: int,
              wide_out: str, report_out: str,
-             span_budget: int | None,
              overhead_tolerance: float,
              ledger_budget_seconds: float = 0.25) -> int:
     sites = resolve_sites(spec, default_seed=SEED)
@@ -87,16 +76,14 @@ def run_gate(spec: str, binaries_count: int, head_n: int,
     reference = time.perf_counter() - start
 
     # Telemetry run: fresh engine under the full overlay.  The sink
-    # appends (journal semantics); the gate wants this run only.
+    # appends to an existing file; the gate wants this run only.
     if os.path.exists(wide_out):
         os.unlink(wide_out)
-    policy = SamplingPolicy(seed=SEED, head_n=head_n,
-                            latency_slo_seconds=_NO_SLO)
     sink = WideEventSink(path=wide_out)
     with obs.capture() as collector:
         start = time.perf_counter()
         result = EvaluationEngine().evaluate_matrix(
-            binaries, sites, wide_sink=sink, sampler=policy)
+            binaries, sites, wide_sink=sink)
         telemetry = time.perf_counter() - start
     sink.close()
 
@@ -112,32 +99,7 @@ def run_gate(spec: str, binaries_count: int, head_n: int,
         failures.append(f"completeness: obs.wide.emitted = "
                         f"{counters.get('obs.wide.emitted')} != {cells}")
 
-    # 2. Sampling budget: counters add up, the kept set matches a
-    # deterministic replay of the policy, and spans survive only for
-    # kept cells.
-    kept = counters.get("obs.sampling.kept", 0)
-    dropped = counters.get("obs.sampling.dropped", 0)
-    if kept + dropped != cells:
-        failures.append(f"sampling: kept {kept} + dropped {dropped} "
-                        f"!= {cells} cells")
-    expected_kept = sum(
-        1 for event in events
-        if policy.decide(event["site"], event["binary"],
-                         event["outcome"], event["faulted"]).keep)
-    if kept != expected_kept:
-        failures.append(f"sampling: kept {kept} != policy replay "
-                        f"{expected_kept}")
-    cell_spans = sum(1 for span in collector.spans
-                     if span.name == "engine.cell")
-    if cell_spans != kept:
-        failures.append(f"sampling: {cell_spans} engine.cell span(s) "
-                        f"survived for {kept} kept cell(s)")
-    budget = span_budget if span_budget is not None \
-        else max(1, cells // 5)
-    if kept > budget:
-        failures.append(f"sampling: kept {kept} > span budget {budget}")
-
-    # 4. Consistency: the store's aggregation over the wide events must
+    # 3. Consistency: the store's aggregation over the wide events must
     # reproduce the matrix's own per-outcome counts (the renderer and
     # the query path must never disagree about how many cells degraded).
     by_outcome = run_query(events, by="outcome",
@@ -154,11 +116,11 @@ def run_gate(spec: str, binaries_count: int, head_n: int,
         events, where=[WhereClause("outcome", "=", "unknown")],
         by="site", aggs=[Aggregation(fn="count")], top=20)
 
-    # 3. Overhead (checked last so contract failures surface first).
+    # 2. Overhead (checked last so contract failures surface first).
     overhead = (telemetry / reference - 1.0) if reference > 0 else 0.0
     blown = overhead > overhead_tolerance
 
-    # 5. Ledger write overhead: distilling the rollup and appending the
+    # 4. Ledger write overhead: distilling the rollup and appending the
     # manifest is what every `feam matrix` run now pays; it must stay a
     # rounding error next to the matrix itself.
     directory = (os.environ.get("FEAM_LEDGER_DIR")
@@ -192,14 +154,6 @@ def run_gate(spec: str, binaries_count: int, head_n: int,
         "binaries": len(binaries),
         "cells": cells,
         "wide_events": len(events),
-        "sampling": {
-            "head_n": head_n,
-            "kept": kept,
-            "dropped": dropped,
-            "expected_kept": expected_kept,
-            "span_budget": budget,
-            "surviving_cell_spans": cell_spans,
-        },
         "reference_seconds": round(reference, 4),
         "telemetry_seconds": round(telemetry, 4),
         "overhead": round(overhead, 4),
@@ -221,7 +175,6 @@ def run_gate(spec: str, binaries_count: int, head_n: int,
     ledger_note = (f"{ledger_write:.3f}s" if ledger_write is not None
                    else "failed")
     print(f"telemetry gate: {cells} cells, {len(events)} wide events, "
-          f"kept {kept}/{cells} span tree(s) (budget {budget}), "
           f"overhead {overhead:+.1%} (tolerance "
           f"{overhead_tolerance:.0%}), ledger write {ledger_note}"
           f"  -> {report_out}")
@@ -239,21 +192,16 @@ def run_gate(spec: str, binaries_count: int, head_n: int,
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Gate the wide-event/sampling telemetry contract.")
+        description="Gate the wide-event telemetry contract.")
     parser.add_argument("--fleet", default="fleet:n=250,seed=7",
                         metavar="SPEC",
                         help="fleet spec (default: fleet:n=250,seed=7)")
     parser.add_argument("--binaries", type=int, default=4,
                         help="test binaries to compile (default: 4)")
-    parser.add_argument("--head-n", type=int, default=25,
-                        help="keep a seeded 1-in-N head sample "
-                             "(default: 25)")
     parser.add_argument("--wide-out", default="wide_events.jsonl",
                         help="wide-event artifact path")
     parser.add_argument("--report-out", default="telemetry_gate.json",
                         help="gate report artifact path")
-    parser.add_argument("--span-budget", type=int, default=None,
-                        help="max kept span trees (default: cells / 5)")
     parser.add_argument("--overhead-tolerance", type=float, default=0.5,
                         help="max telemetry overhead vs the bare "
                              "reference run (default: 0.5 = +50%%)")
@@ -263,8 +211,8 @@ def main(argv: list[str] | None = None) -> int:
                              "recording the run-ledger manifest "
                              "(default: 0.25)")
     args = parser.parse_args(argv)
-    return run_gate(args.fleet, args.binaries, args.head_n,
-                    args.wide_out, args.report_out, args.span_budget,
+    return run_gate(args.fleet, args.binaries,
+                    args.wide_out, args.report_out,
                     args.overhead_tolerance,
                     args.ledger_budget_seconds)
 

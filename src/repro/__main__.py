@@ -23,9 +23,8 @@ artifacts:
   printing the readiness grid and cache statistics (``--sites`` picks
   the paper's five sites or a generated fleet such as
   ``fleet:n=1000,seed=7``, ``--verbose`` adds per-cell cache
-  provenance, ``--trace-out`` writes the run's trace as JSONL,
-  ``--journal`` checkpoints completed cells as JSONL and ``--resume``
-  restores them, re-evaluating only the rest);
+  provenance, ``--trace-out`` writes the run's trace as JSONL; a
+  killed run resumes by rerunning it with the same ``--cache-dir``);
 * ``feam chaos`` -- run the same matrix under a fault-injection
   profile (:mod:`repro.sysmodel.faults`): injected faults degrade
   cells to UNKNOWN with failure provenance instead of crashing the
@@ -167,15 +166,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
     matrix.add_argument(
         "--trace-out", metavar="FILE.jsonl", default=None,
         help="write the run's observability trace as JSONL")
-    matrix.add_argument(
-        "--journal", metavar="FILE.jsonl", default=None,
-        help="append each completed cell to this JSONL checkpoint "
-             "as it finishes")
-    matrix.add_argument(
-        "--resume", metavar="JOURNAL", default=None,
-        help="restore completed cells from this journal and "
-             "evaluate only the rest; new cells are appended back "
-             "to it unless --journal names another file")
     _add_telemetry_args(matrix)
     _add_ledger_args(matrix)
     _add_cache_args(matrix)
@@ -206,13 +196,6 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
     chaos.add_argument(
         "--verbose", action="store_true",
         help="also print per-cell cache and failure provenance")
-    chaos.add_argument(
-        "--journal", metavar="FILE.jsonl", default=None,
-        help="append each completed cell to this JSONL checkpoint")
-    chaos.add_argument(
-        "--resume", metavar="JOURNAL", default=None,
-        help="restore completed cells from this journal and evaluate "
-             "only the rest")
     chaos.add_argument(
         "--summary-out", metavar="FILE.json", default=None,
         help="also write the fault/retry/breaker summary as JSON")
@@ -615,9 +598,9 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
 
 
 def _add_telemetry_args(parser) -> None:
-    """The shared ``feam matrix`` / ``feam chaos`` telemetry flags.
+    """The shared ``feam matrix`` / ``feam chaos`` telemetry flag.
 
-    Both default OFF: the chaos determinism gate depends on same-seed
+    It defaults OFF: the chaos determinism gate depends on same-seed
     reruns staying byte-identical, and telemetry must be a pure
     opt-in overlay.
     """
@@ -627,58 +610,31 @@ def _add_telemetry_args(parser) -> None:
              "per-determinant outcomes, cache/retry/breaker "
              "provenance, sim + wall clocks) to this JSONL file; "
              "query it afterwards with 'feam query'")
-    parser.add_argument(
-        "--sample-spans", type=int, default=None, metavar="N",
-        help="tail-based span sampling: keep full span trees only for "
-             "degraded/faulted/SLO-breaching cells plus a seeded "
-             "1-in-N head sample; everything else keeps just its wide "
-             "event (0 disables the head sample; pair with "
-             "--trace-out to see the effect)")
-    parser.add_argument(
-        "--sample-slo", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget above which a sampled cell's spans "
-             "are always kept (default: the "
-             "sampling_latency_slo_seconds config key)")
 
 
-def _telemetry_from_args(args, config):
-    """``(wide_sink, sampler)`` from the telemetry flags, or None."""
-    from repro.obs.sampling import SamplingPolicy
+def _wide_sink_from_args(args, config):
+    """``(ok, wide_sink)``: the --wide-out sink (None when the flag is
+    unset); ``ok`` is False when the file cannot be opened."""
     from repro.obs.wide import WideEventSink
 
-    wide_sink = None
-    if getattr(args, "wide_out", None):
-        try:
-            wide_sink = WideEventSink(ring_size=config.wide_ring_size,
-                                      path=args.wide_out)
-        except OSError as exc:
-            print(f"cannot open wide-event file {args.wide_out!r}: "
-                  f"{exc}", file=sys.stderr)
-            return None
-    sampler = None
-    if getattr(args, "sample_spans", None) is not None:
-        slo_seconds = (args.sample_slo if args.sample_slo is not None
-                       else config.sampling_latency_slo_seconds)
-        sampler = SamplingPolicy(seed=args.seed,
-                                 head_n=args.sample_spans,
-                                 latency_slo_seconds=slo_seconds)
-    return wide_sink, sampler
+    if not getattr(args, "wide_out", None):
+        return True, None
+    try:
+        return True, WideEventSink(ring_size=config.wide_ring_size,
+                                   path=args.wide_out)
+    except OSError as exc:
+        print(f"cannot open wide-event file {args.wide_out!r}: "
+              f"{exc}", file=sys.stderr)
+        return False, None
 
 
-def _report_telemetry(wide_sink, collector=None) -> None:
+def _report_telemetry(wide_sink) -> None:
     """The post-run stderr summary of the telemetry overlay."""
     if wide_sink is not None:
         dropped = (f" ({wide_sink.dropped} evicted from the ring)"
                    if wide_sink.dropped else "")
         print(f"wide events: {wide_sink.emitted} written to "
               f"{wide_sink.path}{dropped}", file=sys.stderr)
-    if collector is not None:
-        counters = collector.metrics.to_dict()["counters"]
-        kept = counters.get("obs.sampling.kept", 0)
-        dropped = counters.get("obs.sampling.dropped", 0)
-        if kept or dropped:
-            print(f"span sampling: kept {kept} cell tree(s), dropped "
-                  f"{dropped}", file=sys.stderr)
 
 
 def _add_ledger_args(parser) -> None:
@@ -835,7 +791,6 @@ def _record_matrix_run(ledger, args, engine, result, collector,
     stdout byte-for-byte, and run ids carry wall timestamps.
     """
     from repro.core.engine import run_rollup
-    from repro.util.hashing import stable_digest
 
     if ledger is None:
         return
@@ -847,11 +802,7 @@ def _record_matrix_run(ledger, args, engine, result, collector,
         "seed": args.seed,
         "sites_spec": getattr(args, "sites", None) or "paper",
         "binaries": args.binaries,
-        # Schema-1 manifest fields: the engine is one serial worker
-        # over unsharded caches.
-        "workers": 1,
-        "cache_shards": 1,
-        "config_fingerprint": stable_digest(engine.config.render())[:16],
+        "config_fingerprint": engine.config_fingerprint,
         "fault_profile": fault_profile,
     }
     manifest.update(run_rollup(result, snapshot=snapshot,
@@ -911,76 +862,16 @@ def _build_matrix_inputs(args):
     return sites, engine, binaries, bundles
 
 
-def _journal_identity(args) -> dict:
-    """The run-identity header stamped into (and checked against) a
-    matrix journal: resuming cells computed under a different config,
-    world seed or site set would silently corrupt the matrix."""
-    from repro.core.config import FeamConfig
-    from repro.util.hashing import stable_digest
-
-    return {
-        "config_fingerprint": stable_digest(
-            FeamConfig().render())[:16],
-        "sites_spec": getattr(args, "sites", None) or "paper",
-        "seed": args.seed,
-    }
-
-
-def _open_checkpoint(args):
-    """``(journal, resume)`` from --journal/--resume, or None on error.
-
-    With --resume but no --journal, new cells are appended back to the
-    resume file itself, so repeated resumes converge on one journal.
-    A journal whose identity header contradicts this run's config
-    fingerprint, seed or sites spec is refused (exit 1), not silently
-    restored.
-    """
-    from repro.core.resilience import MatrixJournal
-
-    identity = _journal_identity(args)
-    resume = None
-    if getattr(args, "resume", None):
-        try:
-            resume = MatrixJournal.load(args.resume, expect=identity)
-        except OSError as exc:
-            print(f"cannot read journal {args.resume!r}: {exc}",
-                  file=sys.stderr)
-            return None
-        except ValueError as exc:
-            print(f"cannot resume: {exc}", file=sys.stderr)
-            return None
-        print(f"resuming: {len(resume)} cell(s) already journaled in "
-              f"{args.resume}", file=sys.stderr)
-    journal = None
-    journal_path = getattr(args, "journal", None) \
-        or getattr(args, "resume", None)
-    if journal_path:
-        try:
-            journal = MatrixJournal(journal_path, header=identity)
-        except OSError as exc:
-            print(f"cannot open journal {journal_path!r}: {exc}",
-                  file=sys.stderr)
-            return None
-    return journal, resume
-
-
 def _feam_matrix(args) -> int:
     from repro import obs
 
-    checkpoint = _open_checkpoint(args)
-    if checkpoint is None:
-        return EXIT_FAILURE
-    journal, resume = checkpoint
     inputs = _build_matrix_inputs(args)
     if inputs is None:
         return EXIT_FAILURE
     sites, engine, binaries, bundles = inputs
-    telemetry = _telemetry_from_args(args, engine.config)
-    if telemetry is None:
-        if journal is not None:
-            journal.close()
+    ok, wide_sink = _wide_sink_from_args(args, engine.config)
+    if not ok:
         return EXIT_FAILURE
-    wide_sink, sampler = telemetry
     ledger = _ledger_from_args(args, engine.config)
     print(f"evaluating {len(binaries)} binaries x {len(sites)} sites...",
           file=sys.stderr)
@@ -991,23 +882,17 @@ def _feam_matrix(args) -> int:
         with obs.capture() as collector:
             result = engine.evaluate_matrix(
                 binaries, sites, bundles=bundles or None,
-                journal=journal, resume=resume,
-                wide_sink=wide_sink, sampler=sampler)
+                wide_sink=wide_sink)
         if args.trace_out:
             obs.export.write_jsonl(args.trace_out, collector)
             print(f"trace written to {args.trace_out} "
                   f"({len(collector.spans)} spans)", file=sys.stderr)
     finally:
         engine.close()
-        if journal is not None:
-            journal.close()
         if wide_sink is not None:
             wide_sink.close()
     print(result.render(verbose=args.verbose))
-    if journal is not None:
-        print(f"journal: {journal.written} cell(s) appended to "
-              f"{journal.path}", file=sys.stderr)
-    _report_telemetry(wide_sink, collector)
+    _report_telemetry(wide_sink)
     _record_matrix_run(ledger, args, engine, result, collector,
                        wide_sink, kind="matrix")
     return 0
@@ -1045,7 +930,6 @@ def _chaos_summary(plan, engine, result, counters: dict) -> dict:
         "matrix": {
             "cells": len(cells),
             "faulted_cells": sum(1 for cell in cells if cell.faulted),
-            "resumed": result.resumed,
             "quarantined_sites": sorted(result.quarantined),
         },
         "retries": counters.get("resilience.retries.total", 0),
@@ -1068,8 +952,7 @@ def _render_chaos_summary(summary: dict) -> str:
         lines.append(f"  {kind:<20} {count:>4}")
     lines.append(
         f"cells: {matrix['cells']} evaluated, "
-        f"{matrix['faulted_cells']} degraded to unknown, "
-        f"{matrix['resumed']} resumed from the journal")
+        f"{matrix['faulted_cells']} degraded to unknown")
     lines.append(f"retries: {summary['retries']}")
     lines.append(f"quarantine skips: {summary['quarantine_skips']}")
     if summary["rollbacks"]:
@@ -1122,20 +1005,13 @@ def _feam_chaos(args) -> int:
     plan = _resolve_fault_plan(args.profile, args.seed)
     if plan is None:
         return EXIT_FAILURE
-    checkpoint = _open_checkpoint(args)
-    if checkpoint is None:
-        return EXIT_FAILURE
-    journal, resume = checkpoint
     inputs = _build_matrix_inputs(args)
     if inputs is None:
         return EXIT_FAILURE
     sites, engine, binaries, bundles = inputs
-    telemetry = _telemetry_from_args(args, engine.config)
-    if telemetry is None:
-        if journal is not None:
-            journal.close()
+    ok, wide_sink = _wide_sink_from_args(args, engine.config)
+    if not ok:
         return EXIT_FAILURE
-    wide_sink, sampler = telemetry
     ledger = _ledger_from_args(args, engine.config)
     print(f"injecting fault profile {plan.name!r} "
           f"({len(plan.specs)} spec(s), seed {plan.seed}); evaluating "
@@ -1154,13 +1030,10 @@ def _feam_chaos(args) -> int:
             with faults_mod.injecting(plan):
                 result = engine.evaluate_matrix(
                     binaries, sites, bundles=bundles or None,
-                    journal=journal, resume=resume,
-                    wide_sink=alert_feed, sampler=sampler)
+                    wide_sink=alert_feed)
     finally:
         faults_mod.FaultPlan.disarm(sites)
         engine.close()
-        if journal is not None:
-            journal.close()
         if wide_sink is not None:
             wide_sink.close()
     print(result.render(verbose=args.verbose))
@@ -1170,10 +1043,7 @@ def _feam_chaos(args) -> int:
     print(_render_chaos_summary(summary))
     if _chaos_alerts(args, alert_feed) is None:
         return EXIT_FAILURE
-    if journal is not None:
-        print(f"journal: {journal.written} cell(s) appended to "
-              f"{journal.path}", file=sys.stderr)
-    _report_telemetry(wide_sink, collector)
+    _report_telemetry(wide_sink)
     _record_matrix_run(ledger, args, engine, result, collector,
                        wide_sink, kind="chaos", fault_profile=plan.name)
     if args.summary_out:

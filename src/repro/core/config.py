@@ -68,12 +68,6 @@ class FeamConfig:
     #: Telemetry: wide-event ring-buffer capacity (oldest records are
     #: evicted -- and counted -- once a run emits more than this).
     wide_ring_size: int = 65536
-    #: Telemetry: tail sampling keeps a seeded 1-in-N head sample of
-    #: clean cells' span trees; 0 keeps none beyond degraded/slow cells.
-    sampling_head_n: int = 100
-    #: Telemetry: span trees of cells slower than this (wall seconds)
-    #: are always kept (matches the default cell-latency p95 SLO).
-    sampling_latency_slo_seconds: float = 2.0
     #: Run ledger: warehouse directory (``FEAM_LEDGER_DIR`` and the
     #: ``--ledger`` flag override it; ``--no-ledger`` disables writes).
     ledger_dir: str = ".feam/runs"
@@ -103,16 +97,16 @@ class FeamConfig:
         ``feam_seconds_per_dependency``, ``stack_assessment_seconds``,
         ``library_check_seconds``, ``resolution_seconds_per_library``,
         ``hello_retest_seconds``), the resilience keys (``retry_*``,
-        ``breaker_*``, ``cell_deadline_seconds``), the telemetry keys
-        (``wide_ring_size``, ``sampling_head_n``,
-        ``sampling_latency_slo_seconds``), the run-ledger keys
-        (``ledger_dir``, ``ledger_max_runs``), the persistent-cache
-        keys (``cache_dir``, ``cache_max_bytes``, ``persist``), and
+        ``breaker_*``, ``cell_deadline_seconds``), the telemetry key
+        ``wide_ring_size``, the run-ledger keys (``ledger_dir``,
+        ``ledger_max_runs``), the persistent-cache keys
+        (``cache_dir``, ``cache_max_bytes``, ``persist``), and
         ``mpiexec.<MPI type>`` overrides.  Any other key raises
-        ``ValueError`` naming its line.  There are no worker-pool or
-        cache-shard keys: the engine evaluates serially over plain
-        dicts, so a config file that still sets them is rejected
-        rather than silently ignored.
+        ``ValueError`` naming its line.  There are no worker-pool,
+        cache-shard or span-sampling keys: the engine evaluates
+        serially over plain dicts and keeps every span, so a config
+        file that still sets them is rejected rather than silently
+        ignored.
         """
         kwargs: dict = {}
         overrides: dict[str, str] = {}
@@ -133,8 +127,7 @@ class FeamConfig:
             elif key in ("hello_nprocs", "max_resolution_depth",
                          "retry_max_attempts", "breaker_failure_threshold",
                          "breaker_probe_after", "wide_ring_size",
-                         "sampling_head_n", "ledger_max_runs",
-                         "cache_max_bytes"):
+                         "ledger_max_runs", "cache_max_bytes"):
                 kwargs[key] = int(value)
             elif key == "persist":
                 if value.lower() not in ("true", "false"):
@@ -148,8 +141,7 @@ class FeamConfig:
                          "hello_retest_seconds", "retry_base_seconds",
                          "retry_backoff_multiplier",
                          "retry_max_delay_seconds", "retry_jitter",
-                         "cell_deadline_seconds",
-                         "sampling_latency_slo_seconds"):
+                         "cell_deadline_seconds"):
                 kwargs[key] = float(value)
             else:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
@@ -182,9 +174,6 @@ class FeamConfig:
             f"breaker_probe_after = {self.breaker_probe_after}",
             f"cell_deadline_seconds = {self.cell_deadline_seconds}",
             f"wide_ring_size = {self.wide_ring_size}",
-            f"sampling_head_n = {self.sampling_head_n}",
-            f"sampling_latency_slo_seconds = "
-            f"{self.sampling_latency_slo_seconds}",
             f"ledger_dir = {self.ledger_dir}",
             f"ledger_max_runs = {self.ledger_max_runs}",
             f"cache_dir = {self.cache_dir}",

@@ -28,8 +28,8 @@ that cheap:
   and runs them one after another on the calling thread.  The
   evaluation is pure Python under the GIL: a thread pool never beat
   the serial loop by a margin worth its locks, and it made the order in
-  which cells reach the journal, the wide-event stream and the
-  persistent store vary from run to run.
+  which cells reach the wide-event stream and the persistent store
+  vary from run to run.
 
 Invalidation: :meth:`EvaluationEngine.refresh_site` re-discovers a site
 and, when the environment fingerprint changed, drops that site's cached
@@ -41,9 +41,12 @@ cell evaluation run under a retry policy; a per-site circuit breaker
 quarantines sites whose cells keep failing; anything that still escapes
 degrades the cell to an UNKNOWN report carrying
 :class:`~repro.core.resilience.FailureProvenance` instead of aborting
-the matrix.  :meth:`EvaluationEngine.evaluate_matrix` optionally
-journals completed cells (JSONL) and resumes from a prior journal,
-re-evaluating only the missing cells.
+the matrix.
+
+Resume: the persistent store (:mod:`repro.core.persist`) is the only
+per-cell resume state.  A killed run resumes by rerunning it against
+the same store; every stored cell is served from disk and only the
+rest are evaluated.
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
     FailureProvenance,
-    MatrixJournal,
     ResiliencePolicy,
     provenance_from,
     with_retries,
@@ -133,67 +135,15 @@ def _unknown_environment(hostname: str) -> EnvironmentDescription:
         libc_via=None, stacks=(), env_tool=None)
 
 
-def cell_record(cell: "MatrixCell") -> dict:
-    """The journal (JSONL) record of one completed cell.
-
-    Wall-clock-free by design: two runs of a deterministic matrix must
-    journal byte-identically (the resume/determinism gate).
-    """
-    report = cell.report
-    return {
-        "binary": cell.binary_id,
-        "site": cell.site_name,
-        "outcome": cell.outcome_word,
-        "ready": report.ready,
-        "determinants": {r.key: r.outcome.value
-                         for r in report.prediction.determinants},
-        "reasons": list(report.prediction.reasons),
-        "feam_seconds": round(report.feam_seconds, 6),
-        "fault": (report.failure.to_dict()
-                  if report.failure is not None else None),
-    }
-
-
-def cell_from_record(record: dict) -> "MatrixCell":
-    """Rebuild a (summary-grade) cell from its journal record.
-
-    The restored report carries the verdict, determinant outcomes,
-    reasons and failure provenance -- everything the matrix grid and the
-    summary tables read -- but not the full evaluation artefacts
-    (resolution plan, run environment)."""
-    determinants = tuple(
-        DeterminantResult(key, Outcome(value))
-        for key, value in sorted(record.get("determinants", {}).items()))
-    fault = record.get("fault")
-    report = TargetReport(
-        prediction=Prediction(
-            ready=bool(record.get("ready", True)),
-            mode=PredictionMode.BASIC,
-            determinants=determinants,
-            reasons=tuple(record.get("reasons", ()))),
-        environment=_unknown_environment(record["site"]),
-        feam_seconds=float(record.get("feam_seconds", 0.0)),
-        cache=CellCacheInfo(description_hit=True, discovery_hit=True,
-                            evaluation_hit=True, tier="journal"),
-        failure=(FailureProvenance.from_dict(fault)
-                 if fault is not None else None))
-    return MatrixCell(binary_id=record["binary"],
-                      site_name=record["site"], report=report)
-
-
-def wide_record(cell: "MatrixCell", *, resumed: bool = False,
+def wide_record(cell: "MatrixCell", *,
                 wall_seconds: Optional[float] = None,
-                content_group: Optional[str] = None,
-                sample=None) -> dict:
+                content_group: Optional[str] = None) -> dict:
     """One cell flattened into a wide event (:mod:`repro.obs.wide`).
 
     This is the engine half of the wide-event layer: ``repro.obs`` is a
     strictly lower layer and cannot know what a matrix cell is, so the
-    flattening lives here, next to :func:`cell_record`.  Unlike the
-    journal record, wide events deliberately carry wall-clock facts --
-    they are telemetry, not resume state, and are never replayed into
-    cells.  ``worker`` and ``steals`` are schema-1 fields kept as
-    constants: the serial engine is one worker that never steals.
+    flattening lives here.  Wide events carry wall-clock facts -- they
+    are telemetry, not resume state, and are never replayed into cells.
     """
     report = cell.report
     failure = report.failure
@@ -208,9 +158,6 @@ def wide_record(cell: "MatrixCell", *, resumed: bool = False,
         "sim_seconds": round(report.feam_seconds, 6),
         "wall_seconds": (round(wall_seconds, 6)
                          if wall_seconds is not None else None),
-        "worker": "worker-0",
-        "steals": 0,
-        "resumed": resumed,
         "description_hit": report.cache.description_hit,
         "discovery_hit": report.cache.discovery_hit,
         "evaluation_hit": report.cache.evaluation_hit,
@@ -225,9 +172,6 @@ def wide_record(cell: "MatrixCell", *, resumed: bool = False,
     }
     for result in report.prediction.determinants:
         record[f"det_{result.key}"] = result.outcome.value
-    if sample is not None:
-        record["spans_kept"] = bool(sample.keep)
-        record["sample_reason"] = sample.reason
     return record
 
 
@@ -298,8 +242,8 @@ def run_rollup(result: "MatrixResult",
         word = cell.outcome_word
         outcomes[word] = outcomes.get(word, 0) + 1
 
-    # Wall seconds per cell come from the wide events (the journal
-    # record is wall-free by design); sim seconds from the cells.
+    # Wall seconds per cell come from the wide events; sim seconds
+    # from the cells.
     wall_by_cell: dict[str, float] = {}
     for event in wide_events or ():
         wall = event.get("wall_seconds")
@@ -349,7 +293,6 @@ def run_rollup(result: "MatrixResult",
         "cells": len(cells),
         "outcomes": outcomes,
         "faulted": sum(1 for cell in cells if cell.faulted),
-        "resumed": result.resumed,
         "quarantined": len(result.quarantined),
         "retries": counters.get("resilience.retries.total", 0),
         "faults_injected": counters.get("resilience.faults.injected", 0),
@@ -410,8 +353,6 @@ class MatrixResult:
     stats: CacheStats
     #: Sites whose circuit breaker was not closed when the matrix ended.
     quarantined: tuple[str, ...] = ()
-    #: Cells restored from a resume journal instead of re-evaluated.
-    resumed: int = 0
 
     def cell(self, binary_id: str, site_name: str) -> Optional[MatrixCell]:
         for cell in self.cells:
@@ -453,9 +394,6 @@ class MatrixResult:
         if self.quarantined:
             lines.append("quarantined sites (circuit breaker open): "
                          + ", ".join(self.quarantined))
-        if self.resumed:
-            lines.append(f"resumed: {self.resumed} cell(s) restored from "
-                         "the journal")
         lines.append(f"cache: {self.stats.render()}")
         if verbose:
             lines.append("")
@@ -548,6 +486,9 @@ class EvaluationEngine:
                 f"max_workers={max_workers!r}: the engine evaluates "
                 "serially; pass None or 1")
         self.config = config or FeamConfig()
+        #: Binds this engine's persisted evaluations to its config.
+        self.config_fingerprint = persist_mod.config_fingerprint(
+            self.config)
         self.registry = registry
         self.resilience = resilience or ResiliencePolicy.from_config(
             self.config)
@@ -917,7 +858,8 @@ class EvaluationEngine:
             # non-content key already folds in the site fingerprint;
             # the record's binding is the belt-and-braces check.
             stored = self.persist.load(
-                "evaluation", persist_mod.evaluation_key(key),
+                "evaluation",
+                persist_mod.evaluation_key(key, self.config_fingerprint),
                 fingerprint=(None if content is not None
                              else fingerprint))
             if stored is not None:
@@ -963,7 +905,8 @@ class EvaluationEngine:
             # needed retries carries fault-inflated simulated seconds;
             # persisting it would poison a later clean warm run.
             self.persist.store(
-                "evaluation", persist_mod.evaluation_key(key),
+                "evaluation",
+                persist_mod.evaluation_key(key, self.config_fingerprint),
                 persist_mod.report_to_payload(report),
                 fingerprint=(None if content is not None
                              else fingerprint))
@@ -973,9 +916,7 @@ class EvaluationEngine:
 
     def evaluate_matrix(self, binaries: Sequence, sites: Sequence,
                         bundles: Optional[dict] = None,
-                        journal: Optional[MatrixJournal] = None,
-                        resume: Optional[dict] = None,
-                        wide_sink=None, sampler=None) -> MatrixResult:
+                        wide_sink=None) -> MatrixResult:
         """Evaluate every binary against every site.
 
         *binaries* holds :class:`EngineBinary` items or anything with
@@ -983,34 +924,25 @@ class EvaluationEngine:
         ``CompiledBinary``); *bundles* optionally maps binary ids to
         source-phase bundles for extended-mode cells.
 
-        With a *journal*, every completed cell is appended (and flushed)
-        as it finishes; *resume* -- a :meth:`MatrixJournal.load` mapping
-        -- restores already-journalled cells without re-evaluating them.
         A site whose evaluation loop dies never aborts the matrix: its
-        remaining cells degrade to UNKNOWN with provenance.
+        remaining cells degrade to UNKNOWN with provenance.  With a
+        persistent store, a rerun of a killed matrix serves every cell
+        the store holds from disk and evaluates only the rest.
 
         Telemetry: with a *wide_sink* (:class:`repro.obs.wide.
-        WideEventSink`), every cell -- evaluated, journal-restored, or
-        filled in by the site-failure path -- emits exactly one wide
-        event, so the sink's count always equals the cell count.  With
-        a *sampler* (:class:`repro.obs.sampling.SamplingPolicy`), span
-        subtrees of cells the policy drops are pruned from the tracer
-        once the matrix finishes; only degraded/faulted/slow cells and
-        the seeded head sample keep their trees.
+        WideEventSink`), every cell -- evaluated or filled in by the
+        site-failure path -- emits exactly one wide event, so the
+        sink's count always equals the cell count.
 
         Order: sites are grouped into work units -- one unit per
         hand-built site, one unit per *content group* of generated fleet
         sites -- taken in order of first appearance, each unit's sites
         one after another.  A content group's first site is therefore
         always the one that discovers and evaluates for the rest, and
-        every run writes its journal, wide events and persistent-store
-        records in the same order.
+        every run writes its wide events and persistent-store records
+        in the same order.
         """
         specs = [self._coerce(b, bundles) for b in binaries]
-        resumed = 0
-        if resume:
-            resumed = sum(1 for spec in specs for site in sites
-                          if (spec.binary_id, site.name) in resume)
 
         # Work units: site positions keyed by content group (hand-built
         # sites by their own position), in order of first appearance.
@@ -1019,35 +951,14 @@ class EvaluationEngine:
             content = getattr(site, "content_key", None)
             units.setdefault(position if content is None else content,
                              []).append(position)
-        #: (binary, site) -> reason, for cells whose spans the sampler
-        #: dropped; keys the post-matrix subtree prune.
-        sampling_drops: dict[tuple[str, str], str] = {}
 
-        def finish_cell(cell: MatrixCell, *, content, resumed_cell: bool,
+        def finish_cell(cell: MatrixCell, *, content,
                         wall: Optional[float]) -> None:
-            """Per-cell telemetry: sampling decision + wide event.
-
-            Called at every point a cell enters the matrix -- evaluated,
-            journal-restored, or filled in by the site-failure path --
-            so wide-event count always equals cell count.
-            """
-            decision = None
-            if sampler is not None:
-                decision = sampler.decide(
-                    cell.site_name, cell.binary_id, cell.outcome_word,
-                    cell.faulted, wall_seconds=wall)
-                if decision.keep:
-                    obs.counter("obs.sampling.kept").inc()
-                    obs.counter(
-                        f"obs.sampling.kept.{decision.reason}").inc()
-                else:
-                    obs.counter("obs.sampling.dropped").inc()
-                    sampling_drops[(cell.binary_id, cell.site_name)] = \
-                        decision.reason
+            """Per-cell telemetry: one wide event per cell, at every
+            point a cell enters the matrix."""
             if wide_sink is not None:
                 wide_sink.emit(wide_record(
-                    cell, resumed=resumed_cell, wall_seconds=wall,
-                    content_group=content, sample=decision))
+                    cell, wall_seconds=wall, content_group=content))
             obs.counter("cells.evaluated").inc()
 
         def run_site(site) -> list[MatrixCell]:
@@ -1057,14 +968,6 @@ class EvaluationEngine:
                 cells: list[MatrixCell] = []
                 try:
                     for spec in specs:
-                        restored = (resume or {}).get(
-                            (spec.binary_id, site.name))
-                        if restored is not None:
-                            cell = cell_from_record(restored)
-                            cells.append(cell)
-                            finish_cell(cell, content=content,
-                                        resumed_cell=True, wall=None)
-                            continue
                         # Content-group sites use a site-independent
                         # staging tag so their cells share one cache
                         # entry; hand-built sites keep per-site tags.
@@ -1079,11 +982,8 @@ class EvaluationEngine:
                         cell = MatrixCell(binary_id=spec.binary_id,
                                           site_name=site.name,
                                           report=report)
-                        if journal is not None:
-                            journal.record(cell_record(cell))
                         cells.append(cell)
-                        finish_cell(cell, content=content,
-                                    resumed_cell=False, wall=cell_wall)
+                        finish_cell(cell, content=content, wall=cell_wall)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
@@ -1100,8 +1000,7 @@ class EvaluationEngine:
                             binary_id=spec.binary_id, site_name=site.name,
                             report=self.degraded_report(site, provenance))
                         cells.append(cell)
-                        finish_cell(cell, content=content,
-                                    resumed_cell=False, wall=None)
+                        finish_cell(cell, content=content, wall=None)
                 site_span.set_attrs(cells=len(cells),
                                     ready=sum(c.ready for c in cells))
             obs.histogram("engine.site.worker_seconds").observe(
@@ -1115,19 +1014,6 @@ class EvaluationEngine:
                 for position in positions:
                     per_site[position] = run_site(sites[position])
             matrix_span.set_attrs(cells=len(specs) * len(sites))
-        if sampling_drops:
-            # Tail sampling: prune the span subtrees of every cell the
-            # policy dropped.  ``engine.cell`` spans carry binary + site
-            # attrs, and spans finish children-before-parents, so one
-            # reverse pass drops each subtree (quarantined cells open no
-            # cell span, but the policy always keeps faulted cells).
-            removed = obs.current().tracer.discard_subtrees(
-                lambda span: (
-                    span.name == "engine.cell"
-                    and (span.attrs.get("binary"),
-                         span.attrs.get("site")) in sampling_drops))
-            if removed:
-                obs.counter("obs.sampling.spans_dropped").inc(removed)
         # Deterministic assembly: binary-major, site order as given.
         cells = [per_site[s][b]
                  for b in range(len(specs)) for s in range(len(sites))]
@@ -1136,7 +1022,7 @@ class EvaluationEngine:
             name for name, state in self.site_health().items()
             if state != BreakerState.CLOSED.value)
         return MatrixResult(cells=cells, stats=self.stats,
-                            quarantined=quarantined, resumed=resumed)
+                            quarantined=quarantined)
 
     def _publish_matrix_metrics(self, cells: list[MatrixCell]) -> None:
         """Matrix-level gauges for the SLO layer and ``/metrics``.

@@ -95,9 +95,9 @@ class CellCacheInfo:
     discovery_hit: bool = False
     evaluation_hit: bool = False
     #: Which tier served the evaluation layer: ``"memory"`` (the
-    #: engine's in-process dict), ``"disk"`` (the persistent store),
-    #: ``"journal"`` (resume restore), or None for a freshly computed
-    #: cell.  Wide events surface this as ``cache_tier``; :meth:`render`
+    #: engine's in-process dict), ``"disk"`` (the persistent store,
+    #: including a rerun that resumes a killed run), or None for a
+    #: freshly computed cell.  Wide events surface this as ``cache_tier``; :meth:`render`
     #: does not (the verbose grid stays byte-stable across tiers by
     #: design).
     tier: Optional[str] = None

@@ -28,6 +28,11 @@ never a crash:
   records are bound to the site's ``environment_fingerprint``; a
   record whose binding no longer matches is dropped as stale, never
   served.
+* **Config binding.**  Evaluation keys fold in the engine's
+  :func:`config_fingerprint`, so a record computed under one
+  :class:`~repro.core.config.FeamConfig` is never served to an engine
+  built with another.  Descriptions and discoveries do not read the
+  config and stay unbound.
 * **LRU/size eviction + compaction.**  Segments are append-only (a
   newer record for a key supersedes older lines); :meth:`compact`
   rewrites each segment keeping the newest valid record per key,
@@ -45,6 +50,12 @@ Quarantine provenance: every skipped record bumps
 ``persist.cache.quarantined`` (plus a per-reason counter) and emits a
 ``persist.quarantine`` event; the default SLO rules treat a non-zero
 quarantine count as ``[critical]``.
+
+The store is also the only resume state: a killed ``feam matrix``
+resumes by rerunning it against the same cache directory.  Every
+record is flushed as it is written, so the rerun serves each stored
+cell from disk and computes the rest.  Degraded and retry-inflated
+cells are never stored, so a rerun re-evaluates exactly those.
 
 ``feam cache`` (stats / verify / compact / clear) is the operator
 surface; :meth:`verify` is the fsck pass it exposes.
@@ -105,9 +116,19 @@ def discovery_key(scope: str, site_key: str) -> str:
     return stable_digest("persist", "discovery", scope, site_key)
 
 
-def evaluation_key(cell_key: tuple) -> str:
-    """The disk key of one evaluation cell (the engine's cache tuple)."""
-    return stable_digest("persist", "evaluation",
+def config_fingerprint(config) -> str:
+    """The 16-hex digest of a :class:`~repro.core.config.FeamConfig`.
+
+    Evaluation keys fold it in (:func:`evaluation_key`); run-ledger
+    manifests record it as ``config_fingerprint``.
+    """
+    return stable_digest(config.render())[:16]
+
+
+def evaluation_key(cell_key: tuple, config_digest: str) -> str:
+    """The disk key of one evaluation cell: the engine's cache tuple,
+    bound to the :func:`config_fingerprint` it was computed under."""
+    return stable_digest("persist", "evaluation", config_digest,
                          *(str(part) for part in cell_key))
 
 
@@ -122,11 +143,10 @@ def record_checksum(layer: str, key: str, fingerprint: Optional[str],
 #
 # Payloads are plain JSON dicts.  Descriptions and environments
 # round-trip completely; evaluation reports round-trip *summary-grade*
-# (verdict, ordered determinants, reasons, environment, timing) -- the
-# same discipline the matrix journal uses -- so a disk-served cell
-# renders byte-identically to a cold one without persisting staging
-# artefacts (resolution plans, run environments) that are cheap to
-# rebuild and expensive to validate.
+# (verdict, ordered determinants, reasons, environment, timing), so a
+# disk-served cell renders byte-identically to a cold one without
+# persisting staging artefacts (resolution plans, run environments)
+# that are cheap to rebuild and expensive to validate.
 
 
 def description_to_payload(description: BinaryDescription) -> dict:

@@ -1,4 +1,4 @@
-"""Resilience: retries, circuit breakers, deadlines, checkpoints.
+"""Resilience: retries, circuit breakers, deadlines.
 
 The engine's answer to unreliable sites (see
 :mod:`repro.sysmodel.faults` for how unreliability is injected):
@@ -14,10 +14,10 @@ The engine's answer to unreliable sites (see
   (half-open) and its outcome closes or re-opens the breaker.
 * :class:`FailureProvenance` -- what a degraded (UNKNOWN) cell carries:
   the fault kind, attempts, simulated retry delay, breaker state.
-* :class:`MatrixJournal` -- an append-only JSONL checkpoint of completed
-  matrix cells; a killed run resumes with ``feam matrix --resume``,
-  re-evaluating only the cells the journal does not hold.  Records hold
-  no wall-clock data, so two deterministic runs journal identically.
+
+Checkpointing is not this module's job: a killed matrix run resumes by
+rerunning it against the same persistent cache directory
+(:mod:`repro.core.persist`).
 
 Breaker state is published as the gauge
 ``resilience.breaker.<site>.state`` using :data:`BREAKER_STATE_CODES`
@@ -35,7 +35,6 @@ from typing import Callable, Optional
 from repro import obs
 from repro.core.config import FeamConfig
 from repro.util.hashing import stable_uniform
-from repro.util.jsonl import JsonlAppender, read_jsonl
 
 
 class BreakerState(enum.Enum):
@@ -105,15 +104,6 @@ class FailureProvenance:
         if self.deadline_hit:
             parts.append("deadline exhausted")
         return " | ".join(parts)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(payload: dict) -> "FailureProvenance":
-        fields = {f.name for f in dataclasses.fields(FailureProvenance)}
-        return FailureProvenance(
-            **{k: v for k, v in payload.items() if k in fields})
 
 
 class RetriesExhausted(RuntimeError):
@@ -272,64 +262,3 @@ def provenance_from(exc: BaseException, site: str,
         operation=operation, attempts=attempts, retry_seconds=slept,
         breaker_state=breaker_state, deadline_hit=deadline_hit)
 
-
-class MatrixJournal(JsonlAppender):
-    """Append-only JSONL checkpoint of completed matrix cells.
-
-    One line per completed cell, written (and flushed) as the cell
-    finishes, so a killed run loses at most the in-flight cells.
-    Records are wall-clock-free: two runs of a deterministic matrix
-    produce byte-identical journals.  The write/read discipline is the
-    shared :mod:`repro.util.jsonl` one.
-
-    A *header* dict stamps run identity (config fingerprint, sites
-    spec, seed) as the journal's first line -- written only when the
-    file is empty, so appending to an existing journal never re-stamps
-    it.  :meth:`load` refuses to resume from a journal whose header
-    contradicts the *expect* identity: silently restoring cells that
-    were computed under a different config or world is a correctness
-    bug, not a convenience.  Headerless journals from older runs still
-    load (no identity to contradict).
-    """
-
-    def __init__(self, path: str,
-                 header: Optional[dict] = None) -> None:
-        super().__init__(path)
-        if header and self._handle.tell() == 0:
-            self.append({"journal_header": 1, **header})
-            # ``written`` keeps counting cells only; the header is
-            # identity metadata, not a checkpointed cell.
-            self.written = 0
-
-    def record(self, payload: dict) -> None:
-        self.append(payload)
-
-    def __enter__(self) -> "MatrixJournal":
-        return self
-
-    @staticmethod
-    def load(path: str,
-             expect: Optional[dict] = None) -> dict[tuple[str, str], dict]:
-        """(binary_id, site) -> cell record.  Tolerates a torn final
-        line (the kill may have landed mid-write).
-
-        With *expect* (identity keys as passed to the constructor's
-        *header*), a journal whose header disagrees on any expected
-        key raises ``ValueError`` naming the mismatch.
-        """
-        completed: dict[tuple[str, str], dict] = {}
-        for record in read_jsonl(path):
-            if "journal_header" in record:
-                for key, value in (expect or {}).items():
-                    found = record.get(key)
-                    if found != value:
-                        raise ValueError(
-                            f"journal {path} was written for {key}="
-                            f"{found!r}, this run has {key}={value!r}; "
-                            "refusing to resume from a different "
-                            "run's journal")
-                continue
-            key = (record.get("binary"), record.get("site"))
-            if None not in key:
-                completed[key] = record
-        return completed

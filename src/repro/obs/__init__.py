@@ -54,7 +54,6 @@ __all__ = [
     "install",
     "is_active",
     "metrics",
-    "sampling",
     "serve",
     "slo",
     "span",
@@ -179,7 +178,6 @@ from repro.obs import analyze  # noqa: E402,F401
 from repro.obs import anomaly  # noqa: E402,F401
 from repro.obs import compare  # noqa: E402,F401
 from repro.obs import ledger  # noqa: E402,F401
-from repro.obs import sampling  # noqa: E402,F401
 from repro.obs import slo  # noqa: E402,F401
 from repro.obs import serve  # noqa: E402,F401
 from repro.obs import store  # noqa: E402,F401

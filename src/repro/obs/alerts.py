@@ -127,8 +127,8 @@ def alert_rules(slo_rules: Sequence[slo_mod.SloRule],
 
 #: The default alert set for live metrics snapshots and wide-event
 #: replays.  Deliberately narrower than ``slo.DEFAULT_RULES``: wall
-#: clocks and sampling counters are host-dependent (they would break
-#: the byte-identical-timeline guarantee), and the cache hit rate is a
+#: clocks are host-dependent (they would break the
+#: byte-identical-timeline guarantee), and the cache hit rate is a
 #: warm-run objective that a legitimate cold run undercuts.  What
 #: remains is deterministic per seed.
 DEFAULT_ALERT_SLOS: tuple[slo_mod.SloRule, ...] = tuple(

@@ -20,9 +20,8 @@ the engine-side flattener lives in
 * identity -- ``run_id`` (UTC timestamp + content digest suffix),
   ``ts`` (ISO-8601 UTC), ``kind`` (``matrix`` / ``chaos`` / ``bench``
   / ``fleet-bench`` / ``telemetry-gate`` / ``legacy-*``), ``schema``;
-* provenance -- ``seed``, ``sites_spec``, ``config_fingerprint``,
-  ``fault_profile``, and the schema-1 ``workers``/``cache_shards``
-  fields, always 1 since the engine evaluates serially;
+* provenance -- ``seed``, ``sites_spec``, ``config_fingerprint`` and
+  ``fault_profile``;
 * results -- the ``rollup`` (cell/outcome/cache/retry counts,
   per-determinant outcome counts, sim/wall latency digests), the
   ``phases`` latency digests, and/or raw ``bench`` timings.
@@ -42,8 +41,10 @@ from repro.util.hashing import stable_digest
 from repro.util.jsonl import JsonlAppender, cap_jsonl, read_jsonl
 
 #: Version of the manifest layout.  Bump when a field changes meaning
-#: or disappears; adding fields is backwards-compatible.
-SCHEMA_VERSION = 1
+#: or disappears; adding fields is backwards-compatible.  Schema 2
+#: dropped schema 1's constant ``workers``/``cache_shards`` fields and
+#: the rollup's ``resumed`` count; schema-1 manifests still read.
+SCHEMA_VERSION = 2
 
 #: Default warehouse location, relative to the working directory.
 DEFAULT_DIR = os.path.join(".feam", "runs")

@@ -187,11 +187,7 @@ def parse_rules(text: str) -> list[SloRule]:
 #: The default service objectives for a warm batch-evaluation run.
 #: The resilience rules are optional: their counters only exist once
 #: the retry/fault plumbing ran, and a clean (no-fault) run must show
-#: zero injections and zero retries.  ``obs.sampling.dropped`` is an
-#: informational rule (trivially satisfiable, optional): it surfaces
-#: the tail sampler's drop count in every SLO report so a run whose
-#: sampling silently stopped dropping -- span memory ballooning -- is
-#: visible where operators already look.
+#: zero injections and zero retries.
 #: Severity tags make the lines burn-rate-ready: the alert engine
 #: (:mod:`repro.obs.alerts`) derives its default alert set from these
 #: same rules, so a rule that fails in ``feam slo`` and one that fires
@@ -203,7 +199,6 @@ DEFAULT_RULES: tuple[SloRule, ...] = tuple(parse_rules("""
     engine.cell.wall_seconds:p95   <= 2     ?      [warn]
     resilience.faults.injected     <= 0     ?      [critical]
     resilience.retries.total       <= 0     ?      [warn]
-    obs.sampling.dropped           >= 0     ?      [warn]
     persist.cache.quarantined      <= 0     ?      [critical]
 """))
 

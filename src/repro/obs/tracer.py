@@ -88,9 +88,6 @@ class NullTracer:
     def snapshot(self) -> list:
         return []
 
-    def discard_subtrees(self, is_root) -> int:
-        return 0
-
 
 class _ActiveSpan:
     """Context manager that opens/closes one real span."""
@@ -168,27 +165,3 @@ class Tracer:
         instrumented code is still appending from other threads)."""
         with self._lock:
             return list(self.spans)
-
-    def discard_subtrees(self, is_root) -> int:
-        """Drop every finished span for which *is_root* is true, plus
-        all of its finished descendants; returns how many were removed.
-
-        The tail sampler's eviction path: spans finish children-first,
-        so one reverse pass sees every parent before its children and
-        membership propagates transitively.  In-flight spans are
-        untouched (they are not in the list yet); call this only once
-        the subtrees being dropped have fully finished.
-        """
-        with self._lock:
-            dropped_ids: set[int] = set()
-            kept: list[Span] = []
-            for span in reversed(self.spans):
-                if is_root(span) or span.parent_id in dropped_ids:
-                    dropped_ids.add(span.span_id)
-                else:
-                    kept.append(span)
-            removed = len(self.spans) - len(kept)
-            if removed:
-                kept.reverse()
-                self.spans[:] = kept
-            return removed

@@ -151,13 +151,9 @@ def render_frame(snap: dict, before: dict, interval: float,
             f"alerts   firing={int(firing or 0)} "
             f"({int(critical)} critical)  pending={int(pending or 0)}")
 
-    sampling_kept = _counter(snap, "obs.sampling.kept")
-    sampling_dropped = _counter(snap, "obs.sampling.dropped")
     wide = _counter(snap, "obs.wide.emitted")
-    if wide or sampling_kept or sampling_dropped:
-        lines.append(
-            f"telemetry wide={int(wide)}  spans kept={int(sampling_kept)}"
-            f"  dropped={int(sampling_dropped)}")
+    if wide:
+        lines.append(f"telemetry wide={int(wide)}")
 
     summary = (snap.get("metrics", {}).get("histograms", {})
                .get("engine.cell.wall_seconds"))

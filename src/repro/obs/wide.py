@@ -6,24 +6,25 @@ At paper scale a span tree per cell is affordable; at fleet scale
 need the tree.  A *wide event* collapses everything the engine knows
 about one finished cell into a single flat record: identity (site,
 binary, content group), verdict (outcome word, per-determinant
-verdicts), provenance (cache layers hit, retries, fault kind, breaker
-state, resumed flag), and both clocks (simulated FEAM
-seconds and real wall seconds).  Wide events are the always-on layer;
-full span trees are kept only for the cells the tail sampler elects
-(:mod:`repro.obs.sampling`).
+verdicts), provenance (cache layers hit, cache tier, retries, fault
+kind, breaker state), and both clocks (simulated FEAM seconds and real
+wall seconds).  The wide event is the only per-cell telemetry record;
+span trees are kept whole for drilling into one run (``--trace-out``,
+``feam trace``).
 
 The :class:`WideEventSink` buffers records in a bounded ring (oldest
 records drop once the ring is full, counted in ``obs.wide.dropped``)
 and optionally streams each record to a JSONL file as it is emitted,
-flushed per line like :class:`~repro.core.resilience.MatrixJournal`,
-so a killed run loses at most the in-flight cell.  :func:`parse_jsonl`
-/ :func:`read_jsonl` tolerate a torn final line the same way the
-journal loader does.
+flushed per line (:mod:`repro.util.jsonl`), so a killed run loses at
+most the in-flight cell.  :func:`parse_jsonl` / :func:`read_jsonl`
+tolerate a torn final line the same way.
 
 The record layout is versioned: every record carries ``"schema":
 SCHEMA_VERSION``.  Consumers (``feam query``, the telemetry gate)
 should ignore unknown fields and refuse records from a *newer* schema
-rather than misread them.
+rather than misread them.  Schema 2 dropped schema 1's constant
+scheduling fields and its resume and span-sampling flags; schema-1
+records still read.
 
 This module is part of the strictly-lower ``repro.obs`` layer: it
 never imports from ``repro.core``.  The engine side that knows how to
@@ -41,13 +42,13 @@ from repro.util import jsonl as _jsonl
 
 #: Version of the wide-event record layout.  Bump when a field changes
 #: meaning or disappears; adding fields is backwards-compatible.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-#: Fields every schema-1 record carries (pinned by tests so producers
-#: and consumers cannot silently drift apart).
+#: Fields every record carries (pinned by tests so producers and
+#: consumers cannot silently drift apart).
 CORE_FIELDS = (
     "schema", "site", "binary", "outcome", "ready", "faulted",
-    "sim_seconds", "wall_seconds", "worker",
+    "sim_seconds", "wall_seconds",
 )
 
 
@@ -149,10 +150,10 @@ def _refuse_newer_schema(lineno: int, record: dict) -> None:
 def parse_jsonl(text: str, strict: bool = False) -> list[dict]:
     """Decode wide-event JSONL back into records.
 
-    Undecodable lines are skipped (the torn tail of a killed run,
-    mirroring ``MatrixJournal.load``) unless *strict*; records from a
-    newer schema than this module understands raise ``ValueError``
-    either way -- misreading them would be worse than failing.
+    Undecodable lines are skipped (the torn tail of a killed run)
+    unless *strict*; records from a newer schema than this module
+    understands raise ``ValueError`` either way -- misreading them
+    would be worse than failing.
     """
     return _jsonl.parse_jsonl(text, strict=strict,
                               check=_refuse_newer_schema,

@@ -1,8 +1,8 @@
 """Shared JSONL plumbing: torn-tail-tolerant reads, flushed appends.
 
-Three subsystems grew the same idiom independently -- the matrix
-journal (:class:`repro.core.resilience.MatrixJournal`), the wide-event
-sink (:class:`repro.obs.wide.WideEventSink`) and now the run ledger
+Three subsystems share the same idiom -- the persistent evaluation
+cache (:mod:`repro.core.persist`), the wide-event sink
+(:class:`repro.obs.wide.WideEventSink`) and the run ledger
 (:mod:`repro.obs.ledger`): append one JSON object per line, flush per
 line so a killed process loses at most the in-flight record, and on
 read tolerate a torn final line (the kill may have landed mid-write).

@@ -1,9 +1,11 @@
-"""``feam chaos`` and ``feam matrix --journal/--resume`` end to end.
+"""``feam chaos`` end to end, and the checkpoint flags that are gone.
 
 These run the real CLI entry points (paper sites, real matrix) -- the
 contract CI's chaos-gate job relies on: exit 0 under injected faults,
-a fault/retry/breaker summary, byte-identical same-seed reruns, and a
-resume path that only re-evaluates what the journal is missing.
+a fault/retry/breaker summary, and byte-identical same-seed reruns.
+Resuming a killed run is a rerun against the same ``--cache-dir``
+(tests/test_persist.py), so ``--journal``/``--resume`` are usage
+errors.
 """
 
 import json
@@ -65,23 +67,6 @@ class TestChaosVerb:
         assert code == EXIT_OK
         assert "faults injected: 0" in out
 
-    def test_journal_then_resume_restores_cells(self, capsys, tmp_path):
-        journal = tmp_path / "chaos.jsonl"
-        code, out_full, _ = run_chaos(capsys, "--journal", str(journal))
-        assert code == EXIT_OK
-        lines = journal.read_text().splitlines()
-        assert len(lines) == 6  # identity header + 5 cells
-        assert "journal_header" in lines[0]
-        code, out_resumed, err = run_chaos(capsys, "--resume",
-                                           str(journal))
-        assert code == EXIT_OK
-        assert "resuming: 5 cell(s)" in err
-        assert "5 resumed from the journal" in out_resumed
-        # The restored grid tells the same story.
-        grid = lambda text: [l for l in text.splitlines()
-                             if l.startswith("app-")]
-        assert grid(out_resumed) == grid(out_full)
-
 
 class TestChaosFailureModes:
     def test_unknown_profile_is_operational_failure(self, capsys):
@@ -96,32 +81,19 @@ class TestChaosFailureModes:
             == EXIT_FAILURE
         assert "bad fault profile" in capsys.readouterr().err
 
-    def test_missing_resume_journal_is_operational_failure(
-            self, capsys, tmp_path):
-        assert feam_main(["chaos", "--resume",
-                          str(tmp_path / "no.jsonl")]) == EXIT_FAILURE
-        assert "cannot read journal" in capsys.readouterr().err
-
 
 class TestMatrixCheckpointFlags:
-    def test_matrix_journal_and_resume(self, capsys, tmp_path):
-        journal = tmp_path / "m.jsonl"
-        assert feam_main(["matrix", "--binaries", "1",
-                          "--journal", str(journal)]) == EXIT_OK
-        full = capsys.readouterr().out
-        lines = journal.read_text().splitlines()
-        assert len(lines) == 6  # identity header + 5 cells
-        assert "journal_header" in lines[0]
-        assert feam_main(["matrix", "--binaries", "1",
-                          "--resume", str(journal)]) == EXIT_OK
-        resumed = capsys.readouterr().out
-        assert "resumed: 5 cell(s) restored from the journal" in resumed
-        grid = lambda text: [l for l in text.splitlines()
-                             if l.startswith("app-")]
-        assert grid(resumed) == grid(full)
-
     def test_matrix_missing_resume_journal_fails(self, capsys,
                                                  tmp_path):
-        assert feam_main(["matrix", "--resume",
-                          str(tmp_path / "no.jsonl")]) == EXIT_FAILURE
-        assert "cannot read journal" in capsys.readouterr().err
+        # The journal and span-sampling flags are gone from both verbs:
+        # argparse rejects them as usage errors (exit 2).
+        for verb in ("matrix", "chaos"):
+            for flag, value in (("--journal", str(tmp_path / "j.jsonl")),
+                                ("--resume", str(tmp_path / "no.jsonl")),
+                                ("--sample-spans", "100"),
+                                ("--sample-slo", "2.0")):
+                with pytest.raises(SystemExit) as info:
+                    feam_main([verb, flag, value])
+                assert info.value.code == 2, (verb, flag)
+                assert "unrecognized arguments" in \
+                    capsys.readouterr().err

@@ -41,10 +41,12 @@ class TestConfig:
     def test_parse_rejects_bad_lines(self):
         with pytest.raises(ValueError):
             FeamConfig.parse("no equals sign here")
-        # The worker-pool keys are gone: a config that still sets them
-        # fails loudly, naming the line, instead of being ignored.
+        # The worker-pool and span-sampling keys are gone: a config
+        # that still sets them fails loudly, naming the line, instead
+        # of being ignored.
         for line in ("unknown_key = 1", "matrix_workers = 2",
-                     "cache_shards = 16"):
+                     "cache_shards = 16", "sampling_head_n = 100",
+                     "sampling_latency_slo_seconds = 2.0"):
             with pytest.raises(ValueError,
                                match="config line 2: unknown key"):
                 FeamConfig.parse(f"serial_queue = fast\n{line}\n")

@@ -1,19 +1,23 @@
-"""Faults meet the engine: degrade, quarantine, journal, resume.
+"""Faults meet the engine: degrade, quarantine, resume.
 
-The integration contract from ISSUE 5: an injected fault never crashes
-a matrix run -- the cell degrades to UNKNOWN carrying its failure
-provenance, repeated failures open the site's circuit breaker, a
-crashed worker loses only its own unfinished column, a failed staging
-plan rolls back, and a journaled run resumes without re-evaluating
-completed cells.  Everything is seeded, so two chaos runs with one
-seed are byte-identical.
+The integration contract: an injected fault never crashes a matrix
+run -- the cell degrades to UNKNOWN carrying its failure provenance,
+repeated failures open the site's circuit breaker, a crashed worker
+loses only its own unfinished column, a failed staging plan rolls
+back, and a rerun against the same persistent store resumes without
+re-evaluating stored cells.  Everything is seeded, so two chaos runs
+with one seed are byte-identical.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.core.engine import EngineBinary, EvaluationEngine
-from repro.core.resilience import MatrixJournal
+from repro.core.evaluation import TargetEvaluationComponent
+from repro.core.persist import PersistentStore
+from repro.obs.wide import WideEventSink
 from repro.sysmodel import faults
 from repro.sysmodel.faults import FaultKind, FaultPlan, FaultSpec
 from repro.sysmodel.fs import FsError
@@ -215,87 +219,85 @@ class TestResolutionRollback:
 
 
 class TestJournalAndResume:
+    """Resume is a rerun against the same persistent store."""
+
     def test_resume_skips_completed_cells(self, make_site, compiled_app,
                                           tmp_path, monkeypatch):
-        sites = [make_site("jr-a"), make_site("jr-b")]
         binaries = _binaries(compiled_app, count=2)
-        path = str(tmp_path / "run.jsonl")
-        engine = EvaluationEngine()
-        with MatrixJournal(path) as journal:
-            full = engine.evaluate_matrix(binaries, sites,
-                                          journal=journal)
-        assert journal.written == 4
+        engine = EvaluationEngine(persist=PersistentStore(str(tmp_path)))
+        full = engine.evaluate_matrix(
+            binaries, [make_site("jr-a"), make_site("jr-b")])
+        engine.close()
 
-        # Drop the journal's last line: one cell left to evaluate.
-        lines = open(path).read().splitlines()
-        truncated = str(tmp_path / "partial.jsonl")
-        with open(truncated, "w") as handle:
-            handle.write("\n".join(lines[:3]) + "\n")
+        # Drop the segment's last record: one cell left to evaluate.
+        segment = Path(tmp_path) / "evaluation.jsonl"
+        lines = segment.read_text().splitlines()
+        assert len(lines) == 4
+        segment.write_text("\n".join(lines[:3]) + "\n")
 
-        fresh = EvaluationEngine()
         evaluated = []
-        real = EvaluationEngine._evaluate_cell
+        real = TargetEvaluationComponent.evaluate
 
-        def spying(self, site, binary_path, image, binary_id, *rest):
-            evaluated.append((binary_id, site.name))
-            return real(self, site, binary_path, image, binary_id, *rest)
+        def spying(self, *args, **kwargs):
+            evaluated.append(self.site.name)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(EvaluationEngine, "_evaluate_cell", spying)
-        resumed_sites = [make_site("jr-a"), make_site("jr-b")]
-        with MatrixJournal(truncated) as journal:
-            resumed = fresh.evaluate_matrix(
-                binaries, resumed_sites, journal=journal,
-                resume=MatrixJournal.load(truncated))
+        monkeypatch.setattr(TargetEvaluationComponent, "evaluate", spying)
+        fresh = EvaluationEngine(persist=PersistentStore(str(tmp_path)))
+        resumed = fresh.evaluate_matrix(
+            binaries, [make_site("jr-a"), make_site("jr-b")])
+        fresh.close()
         assert len(evaluated) == 1              # only the missing cell
-        assert resumed.resumed == 3
-        assert "resumed: 3 cell(s)" in resumed.render()
+        assert fresh.stats.evaluation_hits == 3
         # The resumed grid tells the same story as the full run's.
         for cell in resumed.cells:
             mate = full.cell(cell.binary_id, cell.site_name)
             assert cell.outcome_word == mate.outcome_word
             assert cell.ready == mate.ready
-        # The journal converged: the missing cell was appended back.
-        assert len(MatrixJournal.load(truncated)) == 4
+        # The store converged: the missing cell was written back.
+        assert len(segment.read_text().splitlines()) == 4
 
     def test_restored_cells_report_no_wall_time_surprises(
             self, make_site, compiled_app, tmp_path):
-        site = make_site("jr-c")
-        path = str(tmp_path / "run.jsonl")
-        engine = EvaluationEngine()
-        with MatrixJournal(path) as journal:
-            first = engine.evaluate_matrix(_binaries(compiled_app),
-                                           [site], journal=journal)
-        record = MatrixJournal.load(path)[("r-app-0", "jr-c")]
-        assert record["feam_seconds"] == round(
+        engine = EvaluationEngine(persist=PersistentStore(str(tmp_path)))
+        first = engine.evaluate_matrix(_binaries(compiled_app),
+                                       [make_site("jr-c")])
+        engine.close()
+        fresh = EvaluationEngine(persist=PersistentStore(str(tmp_path)))
+        restored = fresh.evaluate_matrix(_binaries(compiled_app),
+                                         [make_site("jr-c")])
+        fresh.close()
+        cell = restored.cells[0]
+        assert cell.report.cache.tier == "disk"
+        assert cell.report.feam_seconds == round(
             first.cells[0].report.feam_seconds, 6)
-        assert record["fault"] is None
+        assert cell.report.failure is None
 
 
 class TestChaosDeterminism:
-    def _run(self, make_site, compiled_app, tmp_path, tag):
-        """One full chaos run on fresh sites, returning (render, bytes)."""
+    def _run(self, make_site, compiled_app):
+        """One full chaos run on fresh sites: (render, events, plan)."""
         sites = [make_site("chaos-a"), make_site("chaos-b")]
         plan = FaultPlan.profile("flaky", seed=7)
         plan.arm(sites)
-        path = tmp_path / f"{tag}.jsonl"
+        sink = WideEventSink()
         engine = EvaluationEngine(max_workers=1)
         try:
             with faults.injecting(plan):
-                with MatrixJournal(str(path)) as journal:
-                    result = engine.evaluate_matrix(
-                        _binaries(compiled_app, count=2), sites,
-                        journal=journal)
+                result = engine.evaluate_matrix(
+                    _binaries(compiled_app, count=2), sites,
+                    wide_sink=sink)
         finally:
             FaultPlan.disarm(sites)
-        return result.render(verbose=True), path.read_bytes(), plan
+        events = [{key: value for key, value in event.items()
+                   if key != "wall_seconds"} for event in sink.events()]
+        return result.render(verbose=True), events, plan
 
     def test_same_seed_runs_are_byte_identical(self, make_site,
-                                               compiled_app, tmp_path):
-        render_a, journal_a, plan_a = self._run(
-            make_site, compiled_app, tmp_path, "a")
-        render_b, journal_b, plan_b = self._run(
-            make_site, compiled_app, tmp_path, "b")
+                                               compiled_app):
+        render_a, events_a, plan_a = self._run(make_site, compiled_app)
+        render_b, events_b, plan_b = self._run(make_site, compiled_app)
         assert render_a == render_b
-        assert journal_a == journal_b           # byte-identical journals
+        assert events_a == events_b             # same wide events
         assert plan_a.summary() == plan_b.summary()
         assert plan_a.injected > 0              # the runs did fault

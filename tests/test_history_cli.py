@@ -21,7 +21,7 @@ from repro.__main__ import (
     EXIT_SLO_VIOLATION,
     feam_main,
 )
-from repro.obs.ledger import RunLedger, latency_digest
+from repro.obs.ledger import SCHEMA_VERSION, RunLedger, latency_digest
 
 
 def ledger_dir():
@@ -147,7 +147,7 @@ class TestRunsImport:
         runs = RunLedger(ledger_dir()).runs()
         assert [run["kind"] for run in runs] \
             == ["legacy-bench", "legacy-fleet-bench"]
-        assert all(run["schema"] == 1 for run in runs)
+        assert all(run["schema"] == SCHEMA_VERSION for run in runs)
         assert runs[1]["sites_spec"] == "fleet:n=10"
         # Re-import: every line already present, nothing doubled.
         assert feam_main(["runs", "import", str(history)]) == EXIT_OK
@@ -196,6 +196,33 @@ class TestCompareVerb:
         assert payload["fail_above"] == 1.2
         assert payload["regressions"]
         assert payload["sim"]["ratio"] == pytest.approx(1.5)
+
+    def test_schema_1_and_schema_2_manifests_compare(self, capsys):
+        # A campaign's ledger spans the schema bump: a schema-1
+        # manifest (with its constant workers/cache_shards fields and
+        # rollup.resumed) must still compare against a schema-2 one.
+        ledger = RunLedger(ledger_dir())
+        for run_id, schema, mean in (("old", 1, 10.0), ("new", 2, 15.0)):
+            manifest = {
+                "run_id": run_id, "schema": schema, "kind": "matrix",
+                "seed": 7,
+                "rollup": {
+                    "cells": 10, "outcomes": {"ready": 10},
+                    "sim": latency_digest([mean] * 10),
+                    "cache": {"hit_rate": 0.5},
+                    "retries": 0, "faulted": 0,
+                },
+                "phases": {"cell.sim": latency_digest([mean] * 10)},
+            }
+            if schema == 1:
+                manifest.update(workers=1, cache_shards=1)
+                manifest["rollup"]["resumed"] = 0
+            ledger.record(manifest)
+        assert feam_main(["compare", "old", "new"]) == EXIT_OK
+        assert "sim overall  10s -> 15s (x1.5)" in capsys.readouterr().out
+        assert feam_main(["compare", "old", "new",
+                          "--fail-above", "1.2"]) == EXIT_REGRESSION
+        assert "REGRESSION" in capsys.readouterr().out
 
     def test_without_gate_always_ok(self, capsys):
         seeded_ledger()

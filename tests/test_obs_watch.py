@@ -111,8 +111,6 @@ class TestRenderFrame:
             cells=100,
             gauges={"engine.cache.description.hit_rate": 0.91,
                     "resilience.breaker.site-a.state": 2},
-            counters={"obs.sampling.kept": 4,
-                      "obs.sampling.dropped": 96},
             histograms={"engine.cell.wall_seconds": {
                 "count": 100, "p50": 0.002, "p95": 0.009, "max": 1.2}})
         frame = render_frame(snap, before, interval=2.0, elapsed=10.0,
@@ -121,7 +119,7 @@ class TestRenderFrame:
         assert "30.0 cells/s" in frame       # (100-40)/2.0
         assert "description=0.91" in frame
         assert "open=1" in frame
-        assert "wide=100" in frame and "kept=4" in frame
+        assert "telemetry wide=100" in frame
         assert "p50=2.0ms" in frame and "max=1.20s" in frame
         assert "\x1b" not in frame           # no control codes in frames
 

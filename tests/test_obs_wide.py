@@ -1,7 +1,7 @@
 """Wide events: the bounded ring, JSONL streaming and torn-tail reads.
 
-The sink's contract mirrors ``MatrixJournal``: every emitted record is
-flushed to disk as one JSONL line (a killed run loses at most the
+The sink's contract is the shared ``repro.util.jsonl`` one: every
+emitted record is flushed to disk as one JSONL line (a killed run loses at most the
 in-flight cell), the in-memory ring is strictly bounded (evictions are
 counted, never silent), and the reader skips a torn final line instead
 of refusing the whole file.
@@ -28,7 +28,6 @@ def _record(index=0, **extra):
         "site": f"gen-{index:04d}", "binary": "app-0",
         "outcome": "ready", "ready": True, "faulted": False,
         "sim_seconds": 35.2, "wall_seconds": 0.004,
-        "worker": "worker-0",
     }
     record.update(extra)
     return record
@@ -169,5 +168,13 @@ class TestSchemaContract:
         # and update every consumer before touching this tuple.
         assert CORE_FIELDS == (
             "schema", "site", "binary", "outcome", "ready", "faulted",
-            "sim_seconds", "wall_seconds", "worker")
-        assert SCHEMA_VERSION == 1
+            "sim_seconds", "wall_seconds")
+        assert SCHEMA_VERSION == 2
+
+    def test_schema_1_records_still_read(self):
+        # Schema 2 only dropped fields, so a schema-1 stream (with its
+        # constant worker/steals and resume/sampling flags) still reads.
+        old = _record(0, schema=1, worker="worker-0", steals=0,
+                      resumed=False, spans_kept=True,
+                      sample_reason="head-sample")
+        assert parse_jsonl(json.dumps(old) + "\n", strict=True) == [old]

@@ -3,13 +3,15 @@
 Covers the on-disk tier end to end: payload round-trips, the store's
 durability classification (torn tail vs torn write vs checksum vs
 newer schema), LRU/size compaction, engine read-through/write-behind
-across *fresh engine instances*, the matrix-journal identity guard,
-the ``feam cache`` CLI verbs, and a real SIGKILL crash-recovery run
-(subprocess) that resumes and warm-hits to a byte-identical grid.
+across *fresh engine instances*, the config binding of evaluation
+records, the ``feam cache`` CLI verbs, and a real SIGKILL
+crash-recovery run (subprocess) whose rerun against the same cache
+directory warm-hits to a byte-identical grid.
 """
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -20,9 +22,9 @@ import pytest
 
 from repro import obs
 from repro.core import persist
+from repro.core.config import FeamConfig
 from repro.core.engine import EngineBinary, EvaluationEngine
 from repro.core.persist import PersistentStore
-from repro.core.resilience import MatrixJournal
 from repro.sysmodel import faults
 from repro.toolchain.compilers import Language
 from repro.util.jsonl import dump_line
@@ -309,8 +311,9 @@ class TestCacheFaults:
 
 
 class TestEngineWarmStart:
-    def run_matrix(self, make_site, image, store, names=("wa", "wb")):
-        engine = EvaluationEngine(persist=store)
+    def run_matrix(self, make_site, image, store, names=("wa", "wb"),
+                   config=None):
+        engine = EvaluationEngine(config=config, persist=store)
         sites = [make_site(name) for name in names]
         result = engine.evaluate_matrix(
             [EngineBinary("p-app", image)], sites)
@@ -334,6 +337,36 @@ class TestEngineWarmStart:
         assert engine.stats.evaluation_misses == 0
         assert engine.stats.discovery_misses == 0
         assert grid_lines(warm.render()) == grid_lines(cold.render())
+
+    def test_records_are_bound_to_the_engine_config(
+            self, tmp_path, make_site, compiled_app):
+        # A store filled under one config must not serve evaluations to
+        # an engine built with another: the cells are recomputed under
+        # the new timing model, exactly as a cold run would.
+        _, default_cold = self.run_matrix(
+            make_site, compiled_app.image, PersistentStore(str(tmp_path)))
+        slow = FeamConfig(feam_base_seconds=99.0)
+        _, slow_cold = self.run_matrix(
+            make_site, compiled_app.image,
+            PersistentStore(str(tmp_path / "other")), config=slow)
+        engine, slow_warm = self.run_matrix(
+            make_site, compiled_app.image, PersistentStore(str(tmp_path)),
+            config=slow)
+        assert [c.report.cache.tier for c in slow_warm.cells] == \
+            [None, None]
+        assert [c.report.feam_seconds for c in slow_warm.cells] == \
+            [c.report.feam_seconds for c in slow_cold.cells]
+        assert slow_warm.cells[0].report.feam_seconds != \
+            default_cold.cells[0].report.feam_seconds
+        # Descriptions and discoveries do not read the config: still
+        # served from disk.
+        assert engine.stats.discovery_misses == 0
+        assert engine.stats.description_misses == 0
+        # The default config's records are still there for its engines.
+        _, default_warm = self.run_matrix(
+            make_site, compiled_app.image, PersistentStore(str(tmp_path)))
+        assert [c.report.cache.tier for c in default_warm.cells] == \
+            ["disk", "disk"]
 
     def test_memory_hit_outranks_disk(self, tmp_path, make_site,
                                       compiled_app):
@@ -432,64 +465,6 @@ class TestEngineWarmStart:
         assert all(written[0].values())
         for layer in layers:
             assert written[0][layer] == written[1][layer], layer
-
-
-# -- the matrix-journal identity guard (regression) -------------------------------
-
-
-class TestJournalIdentityGuard:
-    IDENTITY = {"config_fingerprint": "abc123", "sites_spec": "paper",
-                "seed": 7}
-
-    def write_journal(self, path, identity):
-        with MatrixJournal(str(path), header=identity) as journal:
-            journal.record({"binary": "b1", "site": "s1",
-                            "outcome": "ready", "ready": True})
-
-    def test_matching_identity_resumes(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        self.write_journal(path, self.IDENTITY)
-        loaded = MatrixJournal.load(str(path), expect=self.IDENTITY)
-        assert ("b1", "s1") in loaded
-
-    def test_mismatched_identity_refuses_to_resume(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        self.write_journal(path, self.IDENTITY)
-        for key, value in (("config_fingerprint", "zzz"),
-                           ("sites_spec", "fleet:n=5"), ("seed", 8)):
-            with pytest.raises(ValueError, match=key):
-                MatrixJournal.load(str(path),
-                                   expect={**self.IDENTITY, key: value})
-
-    def test_headerless_legacy_journal_still_loads(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
-        with MatrixJournal(str(path)) as journal:  # no header
-            journal.record({"binary": "b1", "site": "s1"})
-        loaded = MatrixJournal.load(str(path), expect=self.IDENTITY)
-        assert ("b1", "s1") in loaded
-
-    def test_header_written_once_and_not_counted(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        self.write_journal(path, self.IDENTITY)
-        with MatrixJournal(str(path), header=self.IDENTITY) as journal:
-            assert journal.written == 0
-            journal.record({"binary": "b2", "site": "s1"})
-            assert journal.written == 1
-        lines = path.read_text().splitlines()
-        assert sum(1 for line in lines
-                   if "journal_header" in line) == 1
-
-    def test_cli_refuses_mismatched_journal(self, capsys, tmp_path):
-        from repro.__main__ import EXIT_FAILURE, feam_main
-        journal = tmp_path / "j.jsonl"
-        assert feam_main(["matrix", "--binaries", "1", "--seed", "7",
-                          "--journal", str(journal)]) == 0
-        capsys.readouterr()
-        code = feam_main(["matrix", "--binaries", "1", "--seed", "8",
-                          "--resume", str(journal)])
-        captured = capsys.readouterr()
-        assert code == EXIT_FAILURE
-        assert "refusing to resume" in captured.err
 
 
 # -- the `feam cache` CLI ----------------------------------------------------------
@@ -601,38 +576,47 @@ class TestCrashRecovery:
     def test_sigkill_midrun_then_resume_is_byte_identical(self,
                                                           tmp_path):
         cache_dir = tmp_path / "cache"
-        journal = tmp_path / "journal.jsonl"
+        segment = cache_dir / "evaluation.jsonl"
         argv = ["matrix", "--binaries", "2", "--seed", "11",
-                "--journal", str(journal), "--cache-dir",
-                str(cache_dir), "--no-ledger"]
+                "--cache-dir", str(cache_dir), "--no-ledger"]
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         env.pop("FEAM_CACHE_DIR", None)
+
+        def stored_records() -> int:
+            """Complete, decodable lines in the evaluation segment."""
+            if not segment.exists():
+                return 0
+            complete = segment.read_text().split("\n")[:-1]
+            count = 0
+            for line in complete:
+                try:
+                    json.loads(line)
+                except ValueError:
+                    continue
+                count += 1
+            return count
+
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro", "feam", *argv],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             env=env, cwd=str(tmp_path))
-        # Kill -9 as soon as at least one cell reached the journal.
+        # Kill -9 as soon as at least one evaluation reached the store.
         deadline = time.time() + 120
         while time.time() < deadline:
-            if journal.exists() and len(
-                    journal.read_text().splitlines()) >= 2:
+            if stored_records() >= 1:
                 break
             if victim.poll() is not None:
                 break
             time.sleep(0.005)
         victim.kill() if victim.poll() is None else None
         victim.wait(timeout=30)
-        journalled = len([
-            line for line in journal.read_text().splitlines()
-            if "journal_header" not in line])
-        assert journalled >= 1, "kill landed before any cell completed"
+        stored = stored_records()
+        assert stored >= 1, "kill landed before any cell completed"
 
         # Simulate the torn final store record of a harder kill.
-        eval_segment = cache_dir / "evaluation.jsonl"
-        if eval_segment.exists():
-            with open(eval_segment, "a", encoding="utf-8") as handle:
-                handle.write('{"schema": 1, "layer": "evalu')
+        with open(segment, "a", encoding="utf-8") as handle:
+            handle.write('{"schema": 1, "layer": "evalu')
 
         # A clean reference run in a third, uncontaminated process.
         reference = run_feam(
@@ -641,17 +625,13 @@ class TestCrashRecovery:
             cwd=tmp_path)
         assert reference.returncode == 0, reference.stderr
 
-        # The survivor resumes the journal AND warm-starts from the
-        # (torn) store -- and renders the same grid.
-        survivor = run_feam(argv + ["--resume", str(journal)],
-                            cwd=tmp_path)
+        # The rerun against the same cache directory serves every
+        # stored cell from disk, computes the rest, and renders the
+        # same grid; the torn tail is tolerated, not fatal.
+        survivor = run_feam(argv, cwd=tmp_path)
         assert survivor.returncode == 0, survivor.stderr
-        assert f"resuming: {journalled} cell(s)" in survivor.stderr
-        # Normalise the run-shape lines (cache stats, resume note);
-        # every grid row, summary row and outcome must be identical.
-        normalise = lambda text: [
-            line for line in grid_lines(text)
-            if not line.startswith("resumed:")]
-        assert normalise(survivor.stdout) == normalise(reference.stdout)
-        # The torn tail was tolerated, not fatal; every cell appears.
+        hits = re.search(r"evaluation (\d+)/10 hit", survivor.stdout)
+        assert hits is not None, survivor.stdout
+        assert int(hits.group(1)) >= stored
+        assert grid_lines(survivor.stdout) == grid_lines(reference.stdout)
         assert "Traceback" not in survivor.stderr

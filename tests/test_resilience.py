@@ -1,14 +1,11 @@
-"""Retry policies, circuit breakers and the matrix journal.
+"""Retry policies, circuit breakers and failure provenance.
 
 These are the unit-level contracts the engine's resilient paths rest
 on (tests/test_engine_resilience.py covers the integration): seeded
 backoff is deterministic and bounded, ``with_retries`` converts
-eventual success and exhaustion faithfully, the breaker walks its
-state machine, and the journal round-trips cells byte-for-byte while
-tolerating a torn final line.
+eventual success and exhaustion faithfully, and the breaker walks its
+state machine.
 """
-
-import json
 
 import pytest
 
@@ -18,7 +15,6 @@ from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
     FailureProvenance,
-    MatrixJournal,
     ResiliencePolicy,
     RetriesExhausted,
     RetryPolicy,
@@ -195,14 +191,6 @@ class TestProvenance:
         assert "attempts=3" in text
         assert "retried 9.8s" in text
 
-    def test_dict_round_trip(self):
-        provenance = FailureProvenance(
-            kind="discovery-timeout", detail="d", site="fir",
-            operation="discover", attempts=2, retry_seconds=4.5,
-            breaker_state="open", transient=True, deadline_hit=True)
-        assert FailureProvenance.from_dict(provenance.to_dict()) \
-            == provenance
-
     def test_unwraps_exhausted_injected_faults(self):
         fault = InjectedFault(FaultKind.READ_ERROR, "fir", "/a",
                               transient=False, occurrence=1)
@@ -217,36 +205,6 @@ class TestProvenance:
     def test_plain_exception_uses_the_class_name(self):
         provenance = provenance_from(ValueError("bad"), site="fir")
         assert provenance.kind == "ValueError"
-
-
-class TestMatrixJournal:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with MatrixJournal(str(path)) as journal:
-            journal.record({"binary": "a", "site": "fir", "ready": True})
-            journal.record({"binary": "a", "site": "ranger",
-                            "ready": False})
-        assert journal.written == 2
-        loaded = MatrixJournal.load(str(path))
-        assert set(loaded) == {("a", "fir"), ("a", "ranger")}
-        assert loaded[("a", "fir")]["ready"] is True
-
-    def test_torn_final_line_is_skipped(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with MatrixJournal(str(path)) as journal:
-            journal.record({"binary": "a", "site": "fir"})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"binary": "a", "site": "ran')  # the kill
-        assert set(MatrixJournal.load(str(path))) == {("a", "fir")}
-
-    def test_records_are_sorted_and_newline_terminated(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with MatrixJournal(str(path)) as journal:
-            journal.record({"site": "fir", "binary": "a"})
-        line = path.read_text()
-        assert line.endswith("\n")
-        assert line == json.dumps(
-            {"binary": "a", "site": "fir"}, sort_keys=True) + "\n"
 
 
 class TestResiliencePolicy:

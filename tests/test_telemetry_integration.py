@@ -1,11 +1,10 @@
 """Fleet telemetry end to end: engine, exposition, endpoints, CLI.
 
 The contract under test is the one the ``telemetry-gate`` CI job
-enforces at scale: every cell -- evaluated, journal-restored, or
-filled in by the site-failure path -- emits exactly one wide event;
-span trees survive only for the cells the tail policy elects; cache
-hit rates export as plain per-layer gauges; and ``feam query``
-reproduces the matrix's own outcome counts.
+enforces at scale: every cell -- evaluated, served from the
+persistent store, or filled in by the site-failure path -- emits
+exactly one wide event; cache hit rates export as plain per-layer
+gauges; and ``feam query`` reproduces the matrix's own outcome counts.
 """
 
 import json
@@ -17,9 +16,8 @@ import pytest
 from repro import obs
 from repro.__main__ import EXIT_FAILURE, EXIT_OK, feam_main
 from repro.core.engine import EngineBinary, EvaluationEngine
-from repro.core.resilience import MatrixJournal
+from repro.core.persist import PersistentStore
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampling import SamplingPolicy
 from repro.obs.serve import TelemetryServer, render_prometheus
 from repro.obs.store import parse_agg, run_query
 from repro.obs.wide import CORE_FIELDS, WideEventSink, read_jsonl, \
@@ -40,19 +38,18 @@ def telemetry_run(make_site, tmp_path):
     """A 3-site x 2-binary matrix under the full telemetry overlay."""
     sites = [make_site(f"ti-{tag}") for tag in ("a", "b", "c")]
     binaries = _binaries(make_site)
-    policy = SamplingPolicy(seed=7, head_n=2, latency_slo_seconds=1e9)
     path = str(tmp_path / "wide.jsonl")
     sink = WideEventSink(path=path)
     with obs.capture() as collector:
         result = EvaluationEngine().evaluate_matrix(
-            binaries, sites, wide_sink=sink, sampler=policy)
+            binaries, sites, wide_sink=sink)
     sink.close()
-    return sites, binaries, policy, path, sink, collector, result
+    return sites, binaries, path, sink, collector, result
 
 
 class TestEngineWideEvents:
     def test_one_wide_event_per_cell(self, telemetry_run):
-        sites, binaries, _, path, sink, collector, result = telemetry_run
+        sites, binaries, path, sink, collector, result = telemetry_run
         cells = len(sites) * len(binaries)
         assert len(result.cells) == cells
         assert sink.emitted == cells
@@ -64,26 +61,29 @@ class TestEngineWideEvents:
             {(c.binary_id, c.site_name) for c in result.cells}
 
     def test_records_are_wide(self, telemetry_run):
-        _, _, _, path, _, _, result = telemetry_run
+        _, _, path, _, _, result = telemetry_run
         for event in read_jsonl(path):
             # Every core field present, flat, in one record.
             assert set(CORE_FIELDS) <= set(event)
-            # Schema-1 scheduling fields: one serial worker, no steals.
-            assert event["worker"] == "worker-0"
-            assert event["steals"] == 0
+            assert event["schema"] == 2
             # Cache provenance, retry and breaker context ride along.
             for field in ("description_hit", "discovery_hit",
-                          "evaluation_hit", "attempts", "retry_seconds",
-                          "fault_kind", "breaker_state", "steals",
-                          "resumed", "spans_kept", "sample_reason"):
+                          "evaluation_hit", "cache_tier", "attempts",
+                          "retry_seconds", "fault_kind",
+                          "breaker_state"):
                 assert field in event, f"missing {field}"
+            # Schema 2 dropped the scheduling, resume and sampling
+            # fields.
+            for field in ("worker", "steals", "resumed", "spans_kept",
+                          "sample_reason"):
+                assert field not in event, f"stale {field}"
             # Per-determinant verdicts are flattened, not nested.
             det_fields = [key for key in event if key.startswith("det_")]
             assert det_fields
             assert all(isinstance(event[key], str) for key in det_fields)
 
     def test_outcomes_match_the_matrix(self, telemetry_run):
-        _, _, _, path, _, _, result = telemetry_run
+        _, _, path, _, _, result = telemetry_run
         events = read_jsonl(path)
         queried = {group: size for group, _values, size
                    in run_query(events, by="outcome", top=10).rows}
@@ -92,61 +92,28 @@ class TestEngineWideEvents:
                            if cell.outcome_word == word)
             assert queried.get(word, 0) == expected
 
-    def test_spans_survive_only_for_elected_cells(self, telemetry_run):
-        _, _, policy, path, _, collector, _ = telemetry_run
-        events = read_jsonl(path)
-        counters = collector.metrics.to_dict()["counters"]
-        kept = counters.get("obs.sampling.kept", 0)
-        dropped = counters.get("obs.sampling.dropped", 0)
-        assert kept + dropped == len(events)
-        elected = {
-            (e["binary"], e["site"]) for e in events
-            if policy.decide(e["site"], e["binary"], e["outcome"],
-                             e["faulted"]).keep}
-        surviving = {
-            (s.attrs["binary"], s.attrs["site"])
-            for s in collector.tracer.spans_named("engine.cell")}
-        assert surviving == elected
-        assert len(elected) == kept
-        # The wide events agree about who kept a tree and why.
-        for event in events:
-            key = (event["binary"], event["site"])
-            assert event["spans_kept"] == (key in elected)
-
-    def test_site_and_matrix_spans_are_never_pruned(self, telemetry_run):
-        sites, _, _, _, _, collector, _ = telemetry_run
-        tracer = collector.tracer
-        assert len(tracer.spans_named("engine.matrix")) == 1
-        assert len(tracer.spans_named("engine.site")) == len(sites)
-
 
 class TestResumedCells:
     def test_restored_cells_still_emit_wide_events(self, make_site,
                                                    tmp_path):
-        sites = [make_site("tij-a"), make_site("tij-b")]
         binaries = _binaries(make_site)
-        journal_path = str(tmp_path / "run.jsonl")
-        with MatrixJournal(journal_path) as journal:
-            EvaluationEngine().evaluate_matrix(binaries, sites,
-                                               journal=journal)
+        cold = EvaluationEngine(persist=PersistentStore(str(tmp_path)))
+        cold.evaluate_matrix(binaries,
+                             [make_site("tij-a"), make_site("tij-b")])
+        cold.close()
 
         sink = WideEventSink()
-        policy = SamplingPolicy(seed=7, head_n=0,
-                                latency_slo_seconds=1e9)
-        with obs.capture() as collector:
-            resumed = EvaluationEngine().evaluate_matrix(
-                binaries, sites, resume=MatrixJournal.load(journal_path),
-                wide_sink=sink, sampler=policy)
-        cells = len(resumed.cells)
-        assert resumed.resumed == cells
+        warm = EvaluationEngine(persist=PersistentStore(str(tmp_path)))
+        resumed = warm.evaluate_matrix(
+            binaries, [make_site("tij-a"), make_site("tij-b")],
+            wide_sink=sink)
+        warm.close()
         events = sink.events()
-        assert len(events) == cells  # completeness includes restored cells
+        # Completeness includes disk-served cells.
+        assert len(events) == len(resumed.cells) == 4
         for event in events:
-            assert event["resumed"] is True
-            assert event["wall_seconds"] is None  # the cell never ran
-        counters = collector.metrics.to_dict()["counters"]
-        assert counters.get("obs.sampling.kept", 0) \
-            + counters.get("obs.sampling.dropped", 0) == cells
+            assert event["cache_tier"] == "disk"
+            assert event["evaluation_hit"] is True
 
 
 class TestShardExpositionFamily:
@@ -200,13 +167,12 @@ class TestCli:
         path = str(tmp_path / "wide.jsonl")
         code = feam_main([
             "matrix", "--sites", "fleet:n=4,seed=7", "--binaries", "2",
-            "--wide-out", path, "--sample-spans", "2"])
+            "--wide-out", path])
         assert code == EXIT_OK
         events = read_jsonl(path)
         assert len(events) == 8  # 4 sites x 2 binaries
         _out, err = capsys.readouterr()
         assert f"wide events: 8 written to {path}" in err
-        assert "span sampling: kept" in err
 
     def test_query_table_and_json(self, tmp_path, capsys):
         path = str(tmp_path / "events.jsonl")
