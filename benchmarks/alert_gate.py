@@ -22,6 +22,10 @@ Four clauses, mirroring ``telemetry_gate.py``'s exit-code discipline
    alert evaluation is a post-run fold, and it must stay a rounding
    error next to the matrix that produced the events.
 
+The clean and chaos runs are in-process ``feam matrix`` and ``feam
+chaos --profile chaos_flaky.txt`` invocations with ``--wide-out``; the
+gate replays their wide events.
+
 With ``--fixture`` (default: the committed
 ``benchmarks/wide_chaos_flaky.jsonl``), the gate additionally replays
 the committed stream through the ``feam alerts`` CLI and asserts the
@@ -34,22 +38,18 @@ by the ``alert-gate`` CI job.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import tempfile
 import time
 
-from repro import obs
-from repro.core.engine import (
-    EngineBinary,
-    EvaluationEngine,
-    anomaly_features,
-)
+from repro.__main__ import feam_main
+from repro.core.engine import anomaly_features
 from repro.obs import alerts as alerts_mod
 from repro.obs import anomaly as anomaly_mod
-from repro.obs.wide import SCHEMA_VERSION, WideEventSink
-from repro.sites.generator import resolve_sites
-from repro.sysmodel import faults as faults_mod
-from repro.toolchain.compilers import Language
+from repro.obs.wide import SCHEMA_VERSION, read_jsonl
 from repro.util.hashing import stable_uniform
 
 SEED = 20130101
@@ -63,45 +63,29 @@ _FIXTURE = os.path.join(os.path.dirname(__file__),
                         "wide_chaos_flaky.jsonl")
 
 
-def _compile_binaries(sites, count: int):
-    binaries = []
-    pool = sites[:max(1, min(len(sites), count))]
-    for index in range(count):
-        site = pool[index % len(pool)]
-        stack = site.stacks[index % len(site.stacks)]
-        name = f"gate-{site.name}-{stack.spec.slug}-{index}"
-        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
-        binaries.append(EngineBinary(binary_id=name, image=linked.image))
-    return binaries
+def _feam(*argv: str) -> tuple[int, str]:
+    """One in-process ``feam`` run: (exit code, stdout)."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = feam_main(list(argv))
+    return code, stdout.getvalue()
 
 
-def _matrix_wide_events(profile_path: str | None) -> list[dict]:
-    """One paper-sized matrix run's wide events, optionally faulted.
+def _matrix_wide_events(*verb: str) -> list[dict]:
+    """One paper-sized ``feam matrix``/``feam chaos`` run's wide events.
 
-    Fresh sites/engine/plan per call so two same-seed invocations are
-    fully independent -- exactly what the determinism clause needs.
+    Every call builds fresh sites, engine and fault plan, so two
+    same-seed invocations are fully independent -- exactly what the
+    determinism clause needs.
     """
-    sites = resolve_sites("paper", default_seed=SEED)
-    binaries = _compile_binaries(sites, 4)
-    sink = WideEventSink()
-    if profile_path is None:
-        with obs.capture():
-            EvaluationEngine().evaluate_matrix(binaries, sites,
-                                               wide_sink=sink)
-        return sink.events()
-    with open(profile_path, "r", encoding="utf-8") as handle:
-        plan = faults_mod.FaultPlan.parse(
-            handle.read(), seed=SEED,
-            name=os.path.basename(profile_path))
-    plan.arm(sites)
-    try:
-        with obs.capture():
-            with faults_mod.injecting(plan):
-                EvaluationEngine().evaluate_matrix(binaries, sites,
-                                                   wide_sink=sink)
-    finally:
-        faults_mod.FaultPlan.disarm(sites)
-    return sink.events()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "wide.jsonl")
+        code, _ = _feam(*verb, "--seed", str(SEED), "--wide-out", path,
+                        "--no-ledger", "--no-cache")
+        if code != EXIT_OK:
+            raise RuntimeError(f"feam {' '.join(verb)} exited {code}")
+        return read_jsonl(path)
 
 
 def _replay(events, timeline_path: str | None = None):
@@ -156,8 +140,7 @@ def run_gate(report_out: str, timeline_a: str, timeline_b: str,
     failures: list[str] = []
 
     # 1. Quiet on clean.
-    clean_engine, clean_anomalies = _replay(
-        _matrix_wide_events(None))
+    clean_engine, clean_anomalies = _replay(_matrix_wide_events("matrix"))
     if clean_engine.firing:
         failures.append(
             f"clean: {len(clean_engine.firing)} alert(s) firing on a "
@@ -171,9 +154,10 @@ def run_gate(report_out: str, timeline_a: str, timeline_b: str,
     for path in (timeline_a, timeline_b):
         if os.path.exists(path):
             os.unlink(path)
-    chaos_engine, _ = _replay(_matrix_wide_events(_PROFILE),
+    chaos = ("chaos", "--profile", _PROFILE)
+    chaos_engine, _ = _replay(_matrix_wide_events(*chaos),
                               timeline_path=timeline_a)
-    rerun_engine, _ = _replay(_matrix_wide_events(_PROFILE),
+    rerun_engine, _ = _replay(_matrix_wide_events(*chaos),
                               timeline_path=timeline_b)
     firing = chaos_engine.firing
     if not firing:
@@ -199,17 +183,11 @@ def run_gate(report_out: str, timeline_a: str, timeline_b: str,
     # 5. The committed fixture drives the CLI exit-2 contract.
     fixture_exit = None
     if fixture and os.path.exists(fixture):
-        from repro.__main__ import feam_main
-        import contextlib
-        import io
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            fixture_exit = feam_main(["alerts", "--replay", fixture])
+        fixture_exit, fixture_out = _feam("alerts", "--replay", fixture)
         if fixture_exit != 2:
             failures.append(f"fixture: feam alerts --replay {fixture} "
                             f"exited {fixture_exit}, want 2 (firing)")
-        if "faults:" not in stdout.getvalue():
+        if "faults:" not in fixture_out:
             failures.append("fixture: report shows no fault "
                             "provenance line")
     elif fixture:

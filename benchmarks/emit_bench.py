@@ -43,11 +43,10 @@ import sys
 import time
 
 from repro import obs
-from repro.core.engine import EngineBinary, EvaluationEngine
+from repro.core.engine import EvaluationEngine, compile_test_binaries
 from repro.obs import ledger as ledger_mod
 from repro.sites.catalog import build_paper_sites
 from repro.sites.generator import describe_fleet, resolve_sites
-from repro.toolchain.compilers import Language
 
 SEED = 20130101
 BINARIES = 4
@@ -55,24 +54,6 @@ BINARIES = 4
 EXIT_OK = 0
 EXIT_FAILURE = 1      # degraded cells in a no-fault run
 EXIT_REGRESSION = 3   # fleet wall-time budget blown
-
-
-def _build_inputs(seed: int = SEED, count: int = BINARIES):
-    sites = build_paper_sites(seed, cached=False)
-    binaries = _compile_binaries(sites, count)
-    return sites, binaries
-
-
-def _compile_binaries(sites, count: int):
-    binaries = []
-    pool = sites[:max(1, min(len(sites), count))]
-    for index in range(count):
-        site = pool[index % len(pool)]
-        stack = site.stacks[index % len(site.stacks)]
-        name = f"bench-{site.name}-{stack.spec.slug}-{index}"
-        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
-        binaries.append(EngineBinary(binary_id=name, image=linked.image))
-    return binaries
 
 
 def append_history(payload: dict, history_path: str) -> dict:
@@ -156,7 +137,8 @@ def run(out_path: str = "BENCH_matrix.json",
         history_path: str | None = None,
         ledger_dir: str | None = None,
         ledger: bool = True) -> dict:
-    sites, binaries = _build_inputs()
+    sites = build_paper_sites(SEED, cached=False)
+    binaries = compile_test_binaries(sites, BINARIES)
 
     engine = EvaluationEngine()
     start = time.perf_counter()
@@ -235,7 +217,7 @@ def run_fleet(spec: str, out_path: str = "BENCH_fleet.json",
     build = time.perf_counter() - start
     print(f"{describe_fleet(sites)} built in {build:.1f}s",
           file=sys.stderr)
-    binaries = _compile_binaries(sites, count)
+    binaries = compile_test_binaries(sites, count)
 
     engine = EvaluationEngine()
     # Instrumented like `feam matrix`, which always captures metrics.

@@ -19,10 +19,13 @@ Four clauses, run against one shared ``--cache-dir``:
 4. **fsck** -- ``feam cache verify`` must exit nonzero on the corrupted
    store and 0 again after ``feam cache compact`` rewrites it.
 
-Cold, warm and poisoned runs each happen in a worker subprocess (this
-script re-executes itself with ``--worker``), so every run crosses a
-real process boundary exactly like consecutive CI jobs or developer
-sessions would.
+Cold, warm and poisoned runs are each one fresh
+``python -m repro feam matrix --cache-dir DIR --no-ledger --trace-out
+FILE`` process, so every run crosses a real process boundary exactly
+like consecutive CI jobs or separate developer runs would.  The gate reads
+the grid and the ``cache:`` line from its stdout, and the
+``engine.matrix`` span's wall time and the ``persist.*`` counters from
+its trace.
 
 Exit codes: 0 ok, 1 contract violation, 3 speedup budget blown.
 Artifact: ``persist_gate.json``, uploaded by the ``persist-gate`` job.
@@ -33,10 +36,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
-import time
+
+from repro.obs.export import parse_jsonl
 
 SEED = 20130101
 
@@ -44,80 +49,55 @@ EXIT_OK = 0
 EXIT_FAILURE = 1      # persistence contract violated
 EXIT_REGRESSION = 3   # warm speedup budget blown
 
-
-# -- worker: one fresh-process matrix run ------------------------------------------
-
-
-def run_worker(cache_dir: str, out_path: str) -> int:
-    from repro import obs
-    from repro.core.engine import EngineBinary, EvaluationEngine
-    from repro.core.persist import PersistentStore
-    from repro.sites.generator import resolve_sites
-    from repro.toolchain.compilers import Language
-
-    sites = resolve_sites("paper", default_seed=SEED)
-    binaries = []
-    for index in range(4):
-        site = sites[index % len(sites)]
-        stack = site.stacks[index % len(site.stacks)]
-        name = f"gate-{site.name}-{stack.spec.slug}-{index}"
-        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
-        binaries.append(EngineBinary(binary_id=name, image=linked.image))
-
-    engine = EvaluationEngine(persist=PersistentStore(cache_dir))
-    with obs.capture() as collector:
-        started = time.perf_counter()
-        result = engine.evaluate_matrix(binaries, sites)
-        wall = time.perf_counter() - started
-        engine.close()
-    counters = collector.metrics.to_dict()["counters"]
-    payload = {
-        "wall_seconds": wall,
-        "cells": len(result.cells),
-        "rendered": result.render(),
-        "outcomes": [cell.outcome_word for cell in result.cells],
-        "stats": {
-            "evaluation_hits": engine.stats.evaluation_hits,
-            "evaluation_misses": engine.stats.evaluation_misses,
-            "discovery_hits": engine.stats.discovery_hits,
-            "description_hits": engine.stats.description_hits,
-        },
-        "counters": {key: value for key, value in counters.items()
-                     if key.startswith("persist.")},
-    }
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return 0
+_CACHE_LINE = re.compile(
+    r"^cache: description (\d+)/(\d+) hit, discovery (\d+)/(\d+) hit, "
+    r"evaluation (\d+)/(\d+) hit$", re.MULTILINE)
 
 
-# -- parent: orchestrate fresh processes -------------------------------------------
-
-
-def _spawn(kind: str, cache_dir: str, workdir: str) -> dict:
-    """Run one worker in a fresh interpreter; return its report."""
-    out_path = os.path.join(workdir, f"persist_worker_{kind}.json")
+def _feam(*argv: str, timeout: int = 120) -> subprocess.CompletedProcess:
+    """One ``feam`` verb in a fresh interpreter, $FEAM_CACHE_DIR unset."""
     env = dict(os.environ)
     env.pop("FEAM_CACHE_DIR", None)
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker",
-         "--cache-dir", cache_dir, "--worker-out", out_path],
-        env=env, capture_output=True, text=True, timeout=600)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "feam", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def _matrix_run(kind: str, cache_dir: str, workdir: str) -> dict:
+    """One fresh-process paper matrix against *cache_dir*."""
+    trace = os.path.join(workdir, f"persist_trace_{kind}.jsonl")
+    proc = _feam("matrix", "--seed", str(SEED), "--cache-dir", cache_dir,
+                 "--no-ledger", "--trace-out", trace, timeout=600)
     if proc.returncode != 0:
-        raise RuntimeError(f"{kind} worker failed "
+        raise RuntimeError(f"{kind} run failed "
                            f"(exit {proc.returncode}):\n{proc.stderr}")
-    with open(out_path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    with open(trace, "r", encoding="utf-8") as handle:
+        parsed = parse_jsonl(handle.read())
+    (matrix,) = [span for span in parsed.spans
+                 if span.name == "engine.matrix"]
+    counts = [int(n) for n in _CACHE_LINE.search(proc.stdout).groups()]
+    rows = proc.stdout.splitlines()[3:]
+    return {
+        "wall_seconds": matrix.wall_seconds,
+        "cells": matrix.attrs["cells"],
+        "rendered": proc.stdout,
+        # Grid rows run binary-major, one word per site column.
+        "outcomes": [word for row in rows[:rows.index("")]
+                     for word in row.split()[1:]],
+        "stats": {
+            "evaluation_hits": counts[4],
+            "evaluation_misses": counts[5] - counts[4],
+            "discovery_hits": counts[2],
+            "description_hits": counts[0],
+        },
+        "counters": {key: value for key, value
+                     in parsed.metrics["counters"].items()
+                     if key.startswith("persist.")},
+    }
 
 
 def _feam_cache(verb: str, cache_dir: str) -> int:
-    env = dict(os.environ)
-    env.pop("FEAM_CACHE_DIR", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "feam", "cache", verb,
-         "--cache-dir", cache_dir],
-        env=env, capture_output=True, text=True, timeout=120)
-    return proc.returncode
+    return _feam("cache", verb, "--cache-dir", cache_dir).returncode
 
 
 def _grid(rendered: str) -> list[str]:
@@ -145,8 +125,8 @@ def run_gate(cache_dir: str, report_out: str, speedup: float,
     workdir = os.path.dirname(os.path.abspath(report_out)) or "."
     shutil.rmtree(cache_dir, ignore_errors=True)
 
-    cold = _spawn("cold", cache_dir, workdir)
-    warm = _spawn("warm", cache_dir, workdir)
+    cold = _matrix_run("cold", cache_dir, workdir)
+    warm = _matrix_run("warm", cache_dir, workdir)
 
     # 1. Warm start: hit rate and wall-time speedup.
     cells = warm["cells"]
@@ -173,7 +153,7 @@ def run_gate(cache_dir: str, report_out: str, speedup: float,
         failures.append("fsck: feam cache verify exited 0 on a "
                         "corrupted store")
 
-    poisoned = _spawn("poisoned", cache_dir, workdir)
+    poisoned = _matrix_run("poisoned", cache_dir, workdir)
     quarantined = poisoned["counters"].get("persist.cache.quarantined",
                                            0)
     if quarantined < 1:
@@ -248,13 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-hit-rate", type=float, default=0.9,
                         help="required warm evaluation hit rate "
                              "(default: 0.9)")
-    parser.add_argument("--worker", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--worker-out", default="",
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.worker:
-        return run_worker(args.cache_dir, args.worker_out)
     return run_gate(args.cache_dir, args.report_out, args.speedup,
                     args.min_hit_rate)
 

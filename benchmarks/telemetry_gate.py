@@ -31,12 +31,15 @@ import os
 import time
 
 from repro import obs
-from repro.core.engine import EngineBinary, EvaluationEngine, run_rollup
+from repro.core.engine import (
+    EvaluationEngine,
+    compile_test_binaries,
+    run_rollup,
+)
 from repro.obs import ledger as ledger_mod
 from repro.obs.store import Aggregation, WhereClause, run_query
 from repro.obs.wide import WideEventSink, read_jsonl
 from repro.sites.generator import resolve_sites
-from repro.toolchain.compilers import Language
 
 SEED = 20130101
 
@@ -45,24 +48,12 @@ EXIT_FAILURE = 1      # telemetry contract violated
 EXIT_REGRESSION = 3   # overhead tolerance blown
 
 
-def _compile_binaries(sites, count: int):
-    binaries = []
-    pool = sites[:max(1, min(len(sites), count))]
-    for index in range(count):
-        site = pool[index % len(pool)]
-        stack = site.stacks[index % len(site.stacks)]
-        name = f"gate-{site.name}-{stack.spec.slug}-{index}"
-        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
-        binaries.append(EngineBinary(binary_id=name, image=linked.image))
-    return binaries
-
-
 def run_gate(spec: str, binaries_count: int,
              wide_out: str, report_out: str,
              overhead_tolerance: float,
              ledger_budget_seconds: float = 0.25) -> int:
     sites = resolve_sites(spec, default_seed=SEED)
-    binaries = _compile_binaries(sites, binaries_count)
+    binaries = compile_test_binaries(sites, binaries_count)
     failures: list[str] = []
 
     # Untimed warmup: the first matrix of the process pays one-time

@@ -1,87 +1,21 @@
 """Command-line entry point.
 
-``python -m repro <what>`` regenerates the paper's tables and figures:
+``python -m repro <what>`` regenerates the paper's tables and figures;
+``python -m repro feam <verb>`` (also installed as the ``feam`` console
+script) drives the framework itself.  ``python -m repro --help``,
+``feam --help`` and ``feam <verb> --help`` list the artifacts, verbs
+and flags.
 
-* ``table1`` .. ``table4`` -- the paper's Tables I-IV;
-* ``intext`` -- the Section VI.C in-text measurements (phase durations,
-  bundle sizes, failure breakdown);
-* ``fig1`` .. ``fig4`` -- Figures 1-4 (textual);
-* ``matrix`` -- per-site-pair migration outcomes (beyond the paper);
-* ``effort`` -- the user-effort quantification (the paper's future work);
-* ``ablation`` -- the determinant-ablation study;
-* ``all`` -- everything (one experiment run is shared).
-
-Everything past the figures requires running the full evaluation (about
-half a minute); one run is shared across all requested artifacts.
-
-``python -m repro feam <command>`` (also installed as the ``feam``
-console script) drives the framework itself rather than the paper
-artifacts:
-
-* ``feam matrix`` -- batch-evaluate a set of binaries against a site
-  set through the cached :class:`~repro.core.engine.EvaluationEngine`,
-  printing the readiness grid and cache statistics (``--sites`` picks
-  the paper's five sites or a generated fleet such as
-  ``fleet:n=1000,seed=7``, ``--verbose`` adds per-cell cache
-  provenance, ``--trace-out`` writes the run's trace as JSONL; a
-  killed run resumes by rerunning it with the same ``--cache-dir``);
-* ``feam chaos`` -- run the same matrix under a fault-injection
-  profile (:mod:`repro.sysmodel.faults`): injected faults degrade
-  cells to UNKNOWN with failure provenance instead of crashing the
-  run, and a fault/retry/breaker summary table follows the grid;
-* ``feam trace`` -- run one real evaluation under the observability
-  collector and pretty-print the span tree (every determinant check,
-  the discovery step and each resolution copy);
-* ``feam stats`` -- run a batch evaluation and dump the metrics
-  registry (counters, gauges, histogram summaries);
-* ``feam top`` -- aggregate a JSONL trace into a flame table (per
-  span name: call count, total/self wall and sim time) and optionally
-  its critical path;
-* ``feam diff-trace A B`` -- per-span-name deltas between two traces,
-  with an optional regression gate (``--fail-above``);
-* ``feam slo`` -- evaluate declarative threshold rules against a live
-  batch run (or a recorded trace's metrics snapshot) and exit non-zero
-  on violation;
-* ``feam serve`` -- run a batch evaluation while exposing ``/metrics``
-  (Prometheus text format), ``/healthz``, ``/trace``, ``/slo`` and
-  ``/snapshot`` over HTTP;
-* ``feam watch`` -- live fleet dashboard: attach to a running ``feam
-  serve`` (``--attach URL``) or drive a matrix run, re-rendering
-  cells/sec, per-layer cache hit rates, breaker states and a rolling
-  latency histogram in place (plain one-line summaries when stdout is
-  not a TTY);
-* ``feam query`` -- filter/aggregate a wide-event JSONL file written
-  by ``feam matrix --wide-out`` (``--where outcome=unknown --by site
-  --top 20``, percentile aggregations like ``--agg p95:wall_seconds``);
-* ``feam runs`` -- list/inspect the run ledger
-  (:mod:`repro.obs.ledger`): every ``feam matrix`` / ``feam chaos`` /
-  benchmark invocation records one schema-versioned manifest into
-  ``.feam/runs/`` (``--where``/``--top`` filter the listing; ``feam
-  runs show REF`` prints one manifest; ``feam runs import FILE``
-  migrates a legacy ``BENCH_history.jsonl``);
-* ``feam compare A B`` -- cross-run regression attribution between two
-  ledger manifests: outcome-flip table, per-determinant and per-phase
-  latency ratios (added/removed semantics like ``diff-trace``), cache
-  hit-rate and retry drift; ``--fail-above`` exits 3 on any ratio
-  above the gate;
-* ``feam drift`` -- the newest run against a rolling baseline of the
-  last N runs of its kind, flagging metric excursions; ``--rules``
-  additionally applies SLO rules (exit 2 on violation);
-* ``feam alerts`` -- the multi-window burn-rate alert engine
-  (:mod:`repro.obs.alerts`): drive a live matrix run (one evaluation
-  round per tick) or ``--replay`` a recorded wide-event or ledger
-  JSONL file, run the anomaly detector over the stream, and print the
-  alert states plus an incident timeline (``--timeline FILE``); exit
-  2 while anything is firing.
-
-``feam`` subcommands use distinct exit codes so CI can tell failure
-modes apart: 1 = operational error (bad input, unknown site), 2 = SLO
-violation, 3 = performance regression gate tripped.
+``feam`` verbs use distinct exit codes so CI can tell failure modes
+apart: 1 = operational error (bad input, unknown site, unwritable
+output file), 2 = SLO violation (``feam alerts``: something is
+firing), 3 = performance regression gate tripped.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Callable, Optional
@@ -135,86 +69,124 @@ EXIT_SLO_VIOLATION = 2  # one or more SLO rules failed
 EXIT_REGRESSION = 3     # performance regression gate tripped
 
 
+class CliError(Exception):
+    """An operational error: ``feam`` prints it as one stderr line and
+    exits :data:`EXIT_FAILURE`."""
+
+
 def feam_main(argv: Optional[list[str]] = None) -> int:
     """The ``feam`` tool: drive the framework (not the paper artifacts)."""
-    parser = argparse.ArgumentParser(
-        prog="feam",
-        description="Drive FEAM: batch readiness evaluation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    matrix = sub.add_parser(
-        "matrix",
-        help="batch-evaluate binaries x sites through the evaluation "
-             "engine and print the readiness grid plus cache statistics")
-    matrix.add_argument(
+    args = _feam_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except CliError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_FAILURE
+
+
+def _feam_parser() -> argparse.ArgumentParser:
+    """The ``feam`` parser; each verb's ``handler`` default runs it."""
+    # Flags several verbs share, declared once as parent parsers.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
         "--seed", type=int, default=20130101,
-        help="world seed (default: 20130101)")
-    matrix.add_argument(
+        help="world seed; chaos also seeds its fault plan and alerts "
+             "its anomaly tie-breaks with it (default: 20130101)")
+    world = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    world.add_argument(
         "--binaries", type=int, default=4,
         help="how many test binaries to compile (one per site, "
              "round-robin; default: 4)")
-    matrix.add_argument(
+    world.add_argument(
+        "--extended", action="store_true",
+        help="also run source phases and evaluate in extended mode")
+    fleet = argparse.ArgumentParser(add_help=False, parents=[world])
+    fleet.add_argument(
         "--sites", default="paper", metavar="SPEC",
         help="site set: 'paper' (the five paper sites) or a generator "
              "spec like 'fleet:n=1000,seed=7' (default: paper)")
-    matrix.add_argument(
-        "--extended", action="store_true",
-        help="also run source phases and evaluate in extended mode")
-    matrix.add_argument(
+    ledger = argparse.ArgumentParser(add_help=False)
+    ledger.add_argument(
+        "--ledger", metavar="DIR", default=None,
+        help="run-ledger directory (default: $FEAM_LEDGER_DIR, then "
+             "the ledger_dir config key, .feam/runs)")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
+        "--json", action="store_true",
+        help="emit the result as JSON instead of text")
+    timeline = argparse.ArgumentParser(add_help=False)
+    timeline.add_argument(
+        "--timeline", metavar="FILE.jsonl", default=None,
+        help="append every alert transition to this incident-timeline "
+             "JSONL file")
+    # matrix and chaos: the runs that are recorded, cached and
+    # optionally streamed as wide events.
+    recorded = argparse.ArgumentParser(add_help=False,
+                                       parents=[fleet, ledger])
+    recorded.add_argument(
         "--verbose", action="store_true",
-        help="also print per-cell cache provenance and non-pass "
-             "determinants")
+        help="also print per-cell cache provenance, non-pass "
+             "determinants and fault provenance")
+    # Telemetry defaults OFF: the chaos determinism gate depends on
+    # same-seed reruns staying byte-identical, and telemetry must be a
+    # pure opt-in overlay.
+    recorded.add_argument(
+        "--wide-out", metavar="FILE.jsonl", default=None,
+        help="stream one wide event per cell (identity, verdict, "
+             "per-determinant outcomes, cache/retry/breaker "
+             "provenance, sim + wall clocks) to this JSONL file; "
+             "query it afterwards with 'feam query'")
+    recorded.add_argument(
+        "--no-ledger", action="store_true",
+        help="do not record this run into the ledger")
+    recorded.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help="persistent evaluation cache directory: descriptions, "
+             "discoveries and evaluations persist across runs and "
+             "warm-start the next process (default: $FEAM_CACHE_DIR, "
+             "then the cache_dir config key; unset = in-memory only)")
+    recorded.add_argument(
+        "--no-cache", action="store_true",
+        help="do not read or write the persistent cache this run")
+
+    parser = argparse.ArgumentParser(
+        prog="feam",
+        description="Drive FEAM: batch readiness evaluation.")
+    verbs = parser.add_subparsers(dest="command", required=True)
+
+    def verb(name, handler, help_text, *parents):
+        sub = verbs.add_parser(name, help=help_text, parents=parents)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    matrix = verb(
+        "matrix", _feam_matrix,
+        "batch-evaluate binaries x sites through the evaluation "
+        "engine and print the readiness grid plus cache statistics",
+        recorded)
     matrix.add_argument(
         "--trace-out", metavar="FILE.jsonl", default=None,
         help="write the run's observability trace as JSONL")
-    _add_telemetry_args(matrix)
-    _add_ledger_args(matrix)
-    _add_cache_args(matrix)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the matrix under a fault-injection profile and print "
-             "the readiness grid plus a fault/retry/breaker summary")
+    chaos = verb(
+        "chaos", _feam_chaos,
+        "run the matrix under a fault-injection profile and print the "
+        "readiness grid plus a fault/retry/breaker summary",
+        recorded, timeline)
     chaos.add_argument(
         "--profile", default="flaky",
         help="built-in fault profile (none, flaky, partition, corrupt) "
              "or a profile file -- text ('read-error @ * rate=0.15 "
              "persistent' per line) or JSON (default: flaky)")
     chaos.add_argument(
-        "--seed", type=int, default=20130101,
-        help="world seed, also the fault plan's injection seed "
-             "(default: 20130101)")
-    chaos.add_argument(
-        "--binaries", type=int, default=4,
-        help="how many test binaries to compile (default: 4)")
-    chaos.add_argument(
-        "--sites", default="paper", metavar="SPEC",
-        help="site set: 'paper' or a generator spec like "
-             "'fleet:n=100,seed=7' (default: paper)")
-    chaos.add_argument(
-        "--extended", action="store_true",
-        help="also run source phases and evaluate in extended mode")
-    chaos.add_argument(
-        "--verbose", action="store_true",
-        help="also print per-cell cache and failure provenance")
-    chaos.add_argument(
         "--summary-out", metavar="FILE.json", default=None,
         help="also write the fault/retry/breaker summary as JSON")
-    chaos.add_argument(
-        "--timeline", metavar="FILE.jsonl", default=None,
-        help="append the run's alert transitions (the wide-event "
-             "stream replayed through the burn-rate alert engine) to "
-             "this incident-timeline JSONL file")
-    _add_telemetry_args(chaos)
-    _add_ledger_args(chaos)
-    _add_cache_args(chaos)
 
-    trace = sub.add_parser(
-        "trace",
-        help="run one real evaluation under the observability collector "
-             "and pretty-print the span tree")
-    trace.add_argument(
-        "--seed", type=int, default=20130101,
-        help="world seed (default: 20130101)")
+    trace = verb(
+        "trace", _feam_trace,
+        "run one real evaluation under the observability collector "
+        "and pretty-print the span tree",
+        seeded)
     trace.add_argument(
         "--build-site", default="fir",
         help="site whose toolchain builds the test binary "
@@ -233,31 +205,19 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "--trace-out", metavar="FILE.jsonl", default=None,
         help="also write the trace as JSONL")
 
-    stats = sub.add_parser(
-        "stats",
-        help="run a batch evaluation and dump the metrics registry")
-    stats.add_argument(
-        "--seed", type=int, default=20130101,
-        help="world seed (default: 20130101)")
-    stats.add_argument(
-        "--binaries", type=int, default=4,
-        help="how many test binaries to compile (default: 4)")
-    stats.add_argument(
-        "--extended", action="store_true",
-        help="also run source phases and evaluate in extended mode")
-    stats.add_argument(
-        "--sites", default="paper", metavar="SPEC",
-        help="site set: 'paper' or a generator spec like "
-             "'fleet:n=100,seed=7' (default: paper)")
+    stats = verb(
+        "stats", _feam_stats,
+        "run a batch evaluation and dump the metrics registry",
+        fleet)
     stats.add_argument(
         "--top", type=int, default=20,
         help="rows per metrics section; the rest folds into an "
              "'... and K more' footer (default: 20)")
 
-    top = sub.add_parser(
-        "top",
-        help="aggregate a JSONL trace into a flame table (count, "
-             "total/self wall and sim time per span name)")
+    top = verb(
+        "top", _feam_top,
+        "aggregate a JSONL trace into a flame table (count, "
+        "total/self wall and sim time per span name)")
     top.add_argument("trace", help="JSONL trace file (feam matrix "
                                    "--trace-out / feam trace --trace-out)")
     top.add_argument(
@@ -276,10 +236,10 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "--clock", default="wall", choices=("wall", "sim"),
         help="clock for the critical path (default: wall)")
 
-    diff = sub.add_parser(
-        "diff-trace",
-        help="per-span-name deltas between two JSONL traces; with "
-             "--fail-above, exit 3 when the regression gate trips")
+    diff = verb(
+        "diff-trace", _feam_diff_trace,
+        "per-span-name deltas between two JSONL traces; with "
+        "--fail-above, exit 3 when the regression gate trips")
     diff.add_argument("base", help="baseline JSONL trace")
     diff.add_argument("curr", help="current JSONL trace")
     diff.add_argument(
@@ -295,10 +255,11 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         help="ignore per-name regressions below this baseline wall "
              "time (default: 0.001)")
 
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate SLO threshold rules against a live batch run "
-             "(or a recorded trace) and exit 2 on violation")
+    slo = verb(
+        "slo", _feam_slo,
+        "evaluate SLO threshold rules against a live batch run (or a "
+        "recorded trace) and exit 2 on violation",
+        world, as_json)
     slo.add_argument(
         "--rules", metavar="FILE", default=None,
         help="rules file (one 'metric <= 0.5' per line, '#' comments, "
@@ -312,21 +273,12 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "--rounds", type=int, default=2,
         help="matrix evaluations to run before checking (default: 2 "
              "-- the second round exercises the warm cache path)")
-    slo.add_argument(
-        "--json", action="store_true",
-        help="emit the report as JSON instead of a table")
-    for live_arg in (slo,):
-        live_arg.add_argument("--seed", type=int, default=20130101,
-                              help="world seed (default: 20130101)")
-        live_arg.add_argument("--binaries", type=int, default=4,
-                              help="test binaries to compile (default: 4)")
-        live_arg.add_argument("--extended", action="store_true",
-                              help="also run source phases")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run a batch evaluation while serving /metrics "
-             "(Prometheus), /healthz, /trace and /slo over HTTP")
+    serve = verb(
+        "serve", _feam_serve,
+        "run a batch evaluation while serving /metrics (Prometheus), "
+        "/healthz, /trace and /slo over HTTP",
+        world, ledger)
     serve.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default: 127.0.0.1)")
@@ -343,23 +295,14 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
     serve.add_argument(
         "--rules", metavar="FILE", default=None,
         help="SLO rules file for the /slo endpoint")
-    serve.add_argument("--seed", type=int, default=20130101,
-                       help="world seed (default: 20130101)")
-    serve.add_argument("--binaries", type=int, default=4,
-                       help="test binaries to compile (default: 4)")
-    serve.add_argument("--extended", action="store_true",
-                       help="also run source phases")
-    serve.add_argument(
-        "--ledger", metavar="DIR", default=None,
-        help="run-ledger directory for the /runs endpoint (default: "
-             "$FEAM_LEDGER_DIR, then the ledger_dir config key)")
 
-    watch = sub.add_parser(
-        "watch",
-        help="live fleet dashboard: attach to a running feam serve "
-             "(--attach URL) or drive a matrix run, re-rendering "
-             "cells/sec, cache hit rates, breaker states and a "
-             "rolling latency histogram in place")
+    watch = verb(
+        "watch", _feam_watch,
+        "live fleet dashboard: attach to a running feam serve "
+        "(--attach URL) or drive a matrix run, re-rendering cells/sec, "
+        "cache hit rates, breaker states and a rolling latency "
+        "histogram in place",
+        fleet)
     watch.add_argument(
         "--attach", metavar="URL", default=None,
         help="poll this feam serve base URL's /snapshot endpoint "
@@ -371,21 +314,12 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "--duration", type=float, default=None, metavar="SECONDS",
         help="with --attach: stop after this long (default: until "
              "Ctrl-C or the server goes away)")
-    watch.add_argument("--seed", type=int, default=20130101,
-                       help="world seed (default: 20130101)")
-    watch.add_argument("--binaries", type=int, default=4,
-                       help="test binaries to compile (default: 4)")
-    watch.add_argument(
-        "--sites", default="paper", metavar="SPEC",
-        help="site set: 'paper' or a generator spec like "
-             "'fleet:n=1000,seed=7' (default: paper)")
-    watch.add_argument("--extended", action="store_true",
-                       help="also run source phases")
 
-    query = sub.add_parser(
-        "query",
-        help="filter/aggregate a wide-event JSONL file (feam matrix "
-             "--wide-out): --where outcome=unknown --by site --top 20")
+    query = verb(
+        "query", _feam_query,
+        "filter/aggregate a wide-event JSONL file (feam matrix "
+        "--wide-out): --where outcome=unknown --by site --top 20",
+        as_json)
     query.add_argument(
         "events", metavar="WIDE.jsonl",
         help="wide-event JSONL file (from --wide-out)")
@@ -405,23 +339,17 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "--top", type=int, default=20,
         help="rows to print, ranked by the first aggregation "
              "(default: 20)")
-    query.add_argument(
-        "--json", action="store_true",
-        help="emit the result as JSON instead of a table")
 
-    runs = sub.add_parser(
-        "runs",
-        help="list/inspect the run ledger: 'feam runs' lists, 'feam "
-             "runs show REF' prints one manifest, 'feam runs import "
-             "FILE' migrates a legacy BENCH_history.jsonl")
+    runs = verb(
+        "runs", _feam_runs,
+        "list/inspect the run ledger: 'feam runs' lists, 'feam runs "
+        "show REF' prints one manifest, 'feam runs import FILE' "
+        "migrates a legacy BENCH_history.jsonl",
+        ledger, as_json)
     runs.add_argument(
         "action", nargs="*", metavar="ACTION",
         help="'list' (default), 'show REF' (run id, unique prefix, "
              "'latest' or a negative index like -2), or 'import FILE'")
-    runs.add_argument(
-        "--ledger", metavar="DIR", default=None,
-        help="ledger directory (default: $FEAM_LEDGER_DIR, then the "
-             "ledger_dir config key, .feam/runs)")
     runs.add_argument(
         "--where", action="append", default=[], metavar="CLAUSE",
         help="filter clause over the flattened manifest, repeatable: "
@@ -429,42 +357,30 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
     runs.add_argument(
         "--top", type=int, default=20,
         help="most recent runs listed (default: 20)")
-    runs.add_argument(
-        "--json", action="store_true",
-        help="emit manifests as JSON instead of a table")
 
-    compare = sub.add_parser(
-        "compare",
-        help="cross-run regression attribution between two ledger "
-             "runs: outcome flips, per-determinant and per-phase "
-             "latency ratios, cache/retry drift; with --fail-above, "
-             "exit 3 when any ratio crosses the gate")
+    compare = verb(
+        "compare", _feam_compare,
+        "cross-run regression attribution between two ledger runs: "
+        "outcome flips, per-determinant and per-phase latency ratios, "
+        "cache/retry drift; with --fail-above, exit 3 when any ratio "
+        "crosses the gate",
+        ledger, as_json)
     compare.add_argument(
         "base", help="baseline run: id, unique prefix, 'latest' or a "
                      "negative index like -2")
     compare.add_argument(
         "curr", help="current run (same reference forms)")
     compare.add_argument(
-        "--ledger", metavar="DIR", default=None,
-        help="ledger directory (default: $FEAM_LEDGER_DIR, then the "
-             "ledger_dir config key)")
-    compare.add_argument(
         "--fail-above", type=float, default=None, metavar="RATIO",
         help="regression gate: exit 3 when any sim/phase/determinant "
              "latency ratio exceeds RATIO (e.g. 1.5)")
-    compare.add_argument(
-        "--json", action="store_true",
-        help="emit the comparison as JSON instead of a report")
 
-    drift = sub.add_parser(
-        "drift",
-        help="newest ledger run vs a rolling baseline of the last N "
-             "runs of its kind; flags metric excursions, and with "
-             "--rules applies SLO rules (exit 2 on violation)")
-    drift.add_argument(
-        "--ledger", metavar="DIR", default=None,
-        help="ledger directory (default: $FEAM_LEDGER_DIR, then the "
-             "ledger_dir config key)")
+    drift = verb(
+        "drift", _feam_drift,
+        "newest ledger run vs a rolling baseline of the last N runs of "
+        "its kind; flags metric excursions, and with --rules applies "
+        "SLO rules (exit 2 on violation)",
+        ledger, as_json)
     drift.add_argument(
         "--window", type=int, default=10,
         help="baseline window: earlier runs of the same kind averaged "
@@ -477,16 +393,14 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "--rules", metavar="FILE", default=None,
         help="SLO rules file evaluated against the newest manifest's "
              "flattened metrics (e.g. 'rollup.sim.mean <= 40')")
-    drift.add_argument(
-        "--json", action="store_true",
-        help="emit the drift report as JSON")
 
-    alerts = sub.add_parser(
-        "alerts",
-        help="multi-window burn-rate alerting: drive a live matrix "
-             "run (one round per evaluation tick) or --replay a "
-             "recorded wide-event/ledger JSONL stream, plus robust "
-             "median/MAD anomaly detection; exit 2 while firing")
+    alerts = verb(
+        "alerts", _feam_alerts,
+        "multi-window burn-rate alerting: drive a live matrix run (one "
+        "round per evaluation tick) or --replay a recorded "
+        "wide-event/ledger JSONL stream, plus robust median/MAD anomaly "
+        "detection; exit 2 while firing",
+        fleet, timeline, as_json)
     alerts.add_argument(
         "--replay", metavar="FILE.jsonl", default=None,
         help="replay this recorded stream instead of running live: "
@@ -522,32 +436,15 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         help="content groups needed before the anomaly detector "
              "speaks (default: 4)")
     alerts.add_argument(
-        "--timeline", metavar="FILE.jsonl", default=None,
-        help="append every alert transition to this incident-"
-             "timeline JSONL file")
-    alerts.add_argument(
-        "--json", action="store_true",
-        help="emit the final alert states as JSON instead of a report")
-    alerts.add_argument(
         "--rounds", type=int, default=3,
         help="live mode: matrix evaluation rounds, one burn-rate "
              "tick each (default: 3)")
-    alerts.add_argument("--seed", type=int, default=20130101,
-                        help="world seed, also the anomaly detector's "
-                             "tie-break seed (default: 20130101)")
-    alerts.add_argument("--binaries", type=int, default=4,
-                        help="test binaries to compile (default: 4)")
-    alerts.add_argument(
-        "--sites", default="paper", metavar="SPEC",
-        help="site set: 'paper' or a generator spec like "
-             "'fleet:n=100,seed=7' (default: paper)")
-    alerts.add_argument("--extended", action="store_true",
-                        help="also run source phases")
 
-    cache = sub.add_parser(
-        "cache",
-        help="inspect and maintain the persistent evaluation cache "
-             "(the on-disk tier under the engine's caches)")
+    cache = verb(
+        "cache", _feam_cache,
+        "inspect and maintain the persistent evaluation cache (the "
+        "on-disk tier under the engine's caches)",
+        as_json)
     cache.add_argument(
         "action", choices=("stats", "verify", "compact", "clear"),
         help="stats = per-layer entry/byte counts; verify = full "
@@ -559,124 +456,22 @@ def feam_main(argv: Optional[list[str]] = None) -> int:
         "--cache-dir", metavar="DIR", default=None,
         help="cache directory (default: $FEAM_CACHE_DIR, then the "
              "cache_dir config key)")
-    cache.add_argument(
-        "--json", action="store_true",
-        help="emit the report as JSON")
-
-    args = parser.parse_args(argv)
-    if args.command == "matrix":
-        return _feam_matrix(args)
-    if args.command == "chaos":
-        return _feam_chaos(args)
-    if args.command == "trace":
-        return _feam_trace(args)
-    if args.command == "stats":
-        return _feam_stats(args)
-    if args.command == "top":
-        return _feam_top(args)
-    if args.command == "diff-trace":
-        return _feam_diff_trace(args)
-    if args.command == "slo":
-        return _feam_slo(args)
-    if args.command == "serve":
-        return _feam_serve(args)
-    if args.command == "watch":
-        return _feam_watch(args)
-    if args.command == "query":
-        return _feam_query(args)
-    if args.command == "runs":
-        return _feam_runs(args)
-    if args.command == "compare":
-        return _feam_compare(args)
-    if args.command == "drift":
-        return _feam_drift(args)
-    if args.command == "alerts":
-        return _feam_alerts(args)
-    if args.command == "cache":
-        return _feam_cache(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    return parser
 
 
-def _add_telemetry_args(parser) -> None:
-    """The shared ``feam matrix`` / ``feam chaos`` telemetry flag.
+def _open_output(label: str, path: str, opener=None):
+    """Open an output file named on the command line, or raise.
 
-    It defaults OFF: the chaos determinism gate depends on same-seed
-    reruns staying byte-identical, and telemetry must be a pure
-    opt-in overlay.
+    Without *opener* the file is only checked: it is created if
+    missing, left as it is otherwise, and written when the run ends.
     """
-    parser.add_argument(
-        "--wide-out", metavar="FILE.jsonl", default=None,
-        help="stream one wide event per cell (identity, verdict, "
-             "per-determinant outcomes, cache/retry/breaker "
-             "provenance, sim + wall clocks) to this JSONL file; "
-             "query it afterwards with 'feam query'")
-
-
-def _wide_sink_from_args(args, config):
-    """``(ok, wide_sink)``: the --wide-out sink (None when the flag is
-    unset); ``ok`` is False when the file cannot be opened."""
-    from repro.obs.wide import WideEventSink
-
-    if not getattr(args, "wide_out", None):
-        return True, None
     try:
-        return True, WideEventSink(ring_size=config.wide_ring_size,
-                                   path=args.wide_out)
-    except OSError as exc:
-        print(f"cannot open wide-event file {args.wide_out!r}: "
-              f"{exc}", file=sys.stderr)
-        return False, None
-
-
-def _report_telemetry(wide_sink) -> None:
-    """The post-run stderr summary of the telemetry overlay."""
-    if wide_sink is not None:
-        dropped = (f" ({wide_sink.dropped} evicted from the ring)"
-                   if wide_sink.dropped else "")
-        print(f"wide events: {wide_sink.emitted} written to "
-              f"{wide_sink.path}{dropped}", file=sys.stderr)
-
-
-def _add_ledger_args(parser) -> None:
-    """The shared ``feam matrix`` / ``feam chaos`` run-ledger flags."""
-    parser.add_argument(
-        "--ledger", metavar="DIR", default=None,
-        help="run-ledger directory this run's manifest is recorded "
-             "into (default: $FEAM_LEDGER_DIR, then the ledger_dir "
-             "config key, .feam/runs)")
-    parser.add_argument(
-        "--no-ledger", action="store_true",
-        help="do not record this run into the ledger")
-
-
-def _ledger_dir(args, config) -> str:
-    """--ledger, then $FEAM_LEDGER_DIR, then the config key."""
-    return (getattr(args, "ledger", None)
-            or os.environ.get("FEAM_LEDGER_DIR")
-            or config.ledger_dir)
-
-
-def _ledger_from_args(args, config):
-    """The run ledger for this invocation, or None with --no-ledger."""
-    from repro.obs.ledger import RunLedger
-
-    if getattr(args, "no_ledger", False):
+        if opener is not None:
+            return opener(path)
+        open(path, "a", encoding="utf-8").close()
         return None
-    return RunLedger(_ledger_dir(args, config),
-                     max_runs=config.ledger_max_runs)
-
-
-def _add_cache_args(parser) -> None:
-    """The shared ``feam matrix`` / ``feam chaos`` persistent-cache flags."""
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="persistent evaluation cache directory: descriptions, "
-             "discoveries and evaluations persist across runs and "
-             "warm-start the next process (default: $FEAM_CACHE_DIR, "
-             "then the cache_dir config key; unset = in-memory only)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="do not read or write the persistent cache this run")
+    except OSError as exc:
+        raise CliError(f"cannot open {label} {path!r}: {exc}") from None
 
 
 def _cache_dir(args, config) -> str:
@@ -686,26 +481,161 @@ def _cache_dir(args, config) -> str:
             or config.cache_dir)
 
 
-def _persist_from_args(args, config):
-    """The persistent store for this run, or None (no dir / --no-cache).
+def _open_ledger(args, config):
+    """The run ledger: --ledger, then $FEAM_LEDGER_DIR, then the
+    config key."""
+    from repro.obs.ledger import RunLedger
 
-    The store's scope digests the seed and sites spec, so hand-built
-    worlds from different seeds never share discovery records;
-    content-keyed fleet records are content-addressed and scope-free.
+    return RunLedger(args.ledger or os.environ.get("FEAM_LEDGER_DIR")
+                     or config.ledger_dir,
+                     max_runs=config.ledger_max_runs)
+
+
+class RunContext:
+    """The one place a live ``feam`` run is assembled and torn down.
+
+    ``matrix``, ``chaos``, ``stats``, live ``slo``, ``serve``,
+    drive-mode ``watch`` and live ``alerts`` run inside one.  It opens
+    the run's output files, then builds its sites, persistent store,
+    engine, test binaries (with source-phase bundles under
+    ``--extended``) and run ledger from the verb's flags; leaving the
+    ``with`` block closes them, the engine and its store exactly once.
+    Output files come first, so a bad path fails before anything is
+    built or evaluated.  Failures raise :class:`CliError`.
     """
-    from repro.core.persist import PersistentStore
-    from repro.util.hashing import stable_digest
 
-    if getattr(args, "no_cache", False) or not config.persist:
-        return None
-    directory = _cache_dir(args, config)
-    if not directory:
-        return None
-    scope = stable_digest(str(getattr(args, "seed", "")),
-                          getattr(args, "sites", None) or "paper")[:16]
-    return PersistentStore(directory,
-                           max_bytes=config.cache_max_bytes,
-                           scope=scope)
+    def __init__(self, args) -> None:
+        from repro.core.config import FeamConfig
+        from repro.core.engine import EvaluationEngine, compile_test_binaries
+        from repro.core.feam import Feam
+        from repro.obs.alerts import JsonlSink
+        from repro.obs.wide import WideEventSink
+        from repro.sites.generator import describe_fleet, resolve_sites
+
+        self.args = args
+        self.config = config = FeamConfig()
+        self.spec = getattr(args, "sites", None) or "paper"
+        with contextlib.ExitStack() as opened:
+            self.wide_sink = self._sink(
+                opened, "wide-event file", "wide_out",
+                lambda path: WideEventSink(
+                    ring_size=config.wide_ring_size, path=path))
+            self.timeline = self._sink(opened, "timeline", "timeline",
+                                       JsonlSink)
+            for label, dest in (("trace file", "trace_out"),
+                                ("summary file", "summary_out")):
+                if getattr(args, dest, None):
+                    _open_output(label, getattr(args, dest))
+            print(f"building sites ({self.spec})...", file=sys.stderr)
+            try:
+                self.sites = resolve_sites(self.spec,
+                                           default_seed=args.seed)
+            except ValueError as exc:
+                raise CliError(f"bad --sites spec: {exc}") from None
+            print(describe_fleet(self.sites), file=sys.stderr)
+            self.engine = EvaluationEngine(config=config,
+                                           persist=self._store())
+            opened.callback(self.engine.close)
+            self.binaries = compile_test_binaries(
+                self.sites, args.binaries,
+                feam=Feam(engine=self.engine) if args.extended else None)
+            self.ledger = (_open_ledger(args, config)
+                           if "ledger" in args
+                           and not getattr(args, "no_ledger", False)
+                           else None)
+            self._resources = opened.pop_all()
+
+    def _sink(self, opened, label: str, dest: str, opener):
+        """The output sink the flag *dest* names, or None."""
+        path = getattr(self.args, dest, None)
+        if not path:
+            return None
+        sink = _open_output(label, path, opener)
+        opened.callback(sink.close)
+        return sink
+
+    def _store(self):
+        """The persistent store for this run, or None (no directory,
+        ``--no-cache``, or persistence off in the config).
+
+        The store's scope digests the seed and sites spec, so hand-built
+        worlds from different seeds never share discovery records;
+        content-keyed fleet records are content-addressed and scope-free.
+        """
+        from repro.core.persist import PersistentStore
+        from repro.util.hashing import stable_digest
+
+        if getattr(self.args, "no_cache", False) or not self.config.persist:
+            return None
+        directory = _cache_dir(self.args, self.config)
+        if not directory:
+            return None
+        try:
+            store = PersistentStore(
+                directory, max_bytes=self.config.cache_max_bytes,
+                scope=stable_digest(str(self.args.seed), self.spec)[:16])
+        except OSError as exc:
+            raise CliError(f"cannot open persistent cache: {exc}") \
+                from None
+        print(f"persistent cache: {store.directory}", file=sys.stderr)
+        return store
+
+    def __enter__(self) -> "RunContext":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._resources.close()
+
+    def announce(self, rounds: Optional[int] = None) -> None:
+        """The stderr line that starts the evaluation."""
+        suffix = "" if rounds is None else f", {rounds} round(s)"
+        print(f"evaluating {len(self.binaries)} binaries x "
+              f"{len(self.sites)} sites{suffix}...", file=sys.stderr)
+
+    def evaluate(self, wide_sink=None):
+        """One matrix evaluation of the run's binaries x sites."""
+        return self.engine.evaluate_matrix(self.binaries, self.sites,
+                                           wide_sink=wide_sink)
+
+    def finish(self, result, collector, kind: str,
+               fault_profile: Optional[str] = None) -> None:
+        """Report the wide-event file, then record the run's manifest.
+
+        Ledger trouble (read-only checkout, full disk) must never fail
+        the run that produced the results: warn on stderr and move on.
+        All ledger output goes to stderr -- the chaos determinism gate
+        compares stdout byte-for-byte, and run ids carry wall
+        timestamps.
+        """
+        from repro.core.engine import run_rollup
+
+        sink = self.wide_sink
+        if sink is not None:
+            dropped = (f" ({sink.dropped} evicted from the ring)"
+                       if sink.dropped else "")
+            print(f"wide events: {sink.emitted} written to "
+                  f"{sink.path}{dropped}", file=sys.stderr)
+        if self.ledger is None:
+            return
+        manifest = {
+            "kind": kind,
+            "seed": self.args.seed,
+            "sites_spec": self.spec,
+            "binaries": self.args.binaries,
+            "config_fingerprint": self.engine.config_fingerprint,
+            "fault_profile": fault_profile,
+        }
+        manifest.update(run_rollup(
+            result, snapshot=collector.metrics.to_dict(),
+            wide_events=sink.events() if sink is not None else None))
+        try:
+            written = self.ledger.record(manifest)
+        except OSError as exc:
+            print(f"ledger: cannot record run in {self.ledger.path}: "
+                  f"{exc}", file=sys.stderr)
+            return
+        print(f"ledger: run {written['run_id']} recorded in "
+              f"{self.ledger.path}", file=sys.stderr)
 
 
 def _feam_cache(args) -> int:
@@ -717,17 +647,14 @@ def _feam_cache(args) -> int:
     config = FeamConfig()
     directory = _cache_dir(args, config)
     if not directory:
-        print("no cache directory: give --cache-dir, set "
-              "$FEAM_CACHE_DIR, or set the cache_dir config key",
-              file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError("no cache directory: give --cache-dir, set "
+                       "$FEAM_CACHE_DIR, or set the cache_dir config key")
     try:
         store = PersistentStore(directory,
                                 max_bytes=config.cache_max_bytes)
     except OSError as exc:
-        print(f"cannot open cache {directory!r}: {exc}",
-              file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(f"cannot open cache {directory!r}: {exc}") \
+            from None
     try:
         if args.action == "stats":
             stats = store.stats()
@@ -771,155 +698,53 @@ def _feam_cache(args) -> int:
                           f"evicted {info['evicted']}, "
                           f"{info['bytes']} bytes")
             return EXIT_OK
-        if args.action == "clear":
-            dropped = store.clear()
-            print(f"cleared {dropped} entries from {directory}")
-            return EXIT_OK
-        return EXIT_FAILURE  # pragma: no cover - argparse enforces
+        dropped = store.clear()
+        print(f"cleared {dropped} entries from {directory}")
+        return EXIT_OK
     finally:
         store.close()
-
-
-def _record_matrix_run(ledger, args, engine, result, collector,
-                       wide_sink, kind: str,
-                       fault_profile: Optional[str] = None) -> None:
-    """Record one finished matrix/chaos run into the ledger.
-
-    Ledger trouble (read-only checkout, full disk) must never fail the
-    run that produced the results: warn on stderr and move on.  All
-    ledger output goes to stderr -- the chaos determinism gate compares
-    stdout byte-for-byte, and run ids carry wall timestamps.
-    """
-    from repro.core.engine import run_rollup
-
-    if ledger is None:
-        return
-    snapshot = collector.metrics.to_dict() if collector is not None \
-        else None
-    wide_events = wide_sink.events() if wide_sink is not None else None
-    manifest = {
-        "kind": kind,
-        "seed": args.seed,
-        "sites_spec": getattr(args, "sites", None) or "paper",
-        "binaries": args.binaries,
-        "config_fingerprint": engine.config_fingerprint,
-        "fault_profile": fault_profile,
-    }
-    manifest.update(run_rollup(result, snapshot=snapshot,
-                               wide_events=wide_events))
-    try:
-        written = ledger.record(manifest)
-    except OSError as exc:
-        print(f"ledger: cannot record run in {ledger.path}: {exc}",
-              file=sys.stderr)
-        return
-    print(f"ledger: run {written['run_id']} recorded in {ledger.path}",
-          file=sys.stderr)
-
-
-def _build_matrix_inputs(args):
-    """Shared ``feam matrix`` / ``feam stats`` setup: sites + binaries."""
-    from repro.core.engine import EngineBinary, EvaluationEngine
-    from repro.core.feam import Feam
-    from repro.sites.generator import describe_fleet, resolve_sites
-    from repro.toolchain.compilers import Language
-
-    spec_text = getattr(args, "sites", None) or "paper"
-    print(f"building sites ({spec_text})...", file=sys.stderr)
-    try:
-        sites = resolve_sites(spec_text, default_seed=args.seed)
-    except ValueError as exc:
-        print(f"bad --sites spec: {exc}", file=sys.stderr)
-        return None
-    print(describe_fleet(sites), file=sys.stderr)
-    from repro.core.config import FeamConfig
-    config = FeamConfig()
-    try:
-        store = _persist_from_args(args, config)
-    except OSError as exc:
-        print(f"cannot open persistent cache: {exc}", file=sys.stderr)
-        return None
-    if store is not None:
-        print(f"persistent cache: {store.directory}", file=sys.stderr)
-    engine = EvaluationEngine(config=config, persist=store)
-    feam = Feam(engine=engine)
-    binaries: list[EngineBinary] = []
-    bundles = {}
-    # Test binaries compile at the first sites round-robin; on a fleet
-    # that is the first few generated sites rather than the paper five.
-    build_pool = sites[:max(1, min(len(sites), args.binaries))]
-    for index in range(max(1, args.binaries)):
-        site = build_pool[index % len(build_pool)]
-        stack = site.stacks[index % len(site.stacks)]
-        name = f"app-{site.name}-{stack.spec.slug}-{index}"
-        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
-        binaries.append(EngineBinary(binary_id=name, image=linked.image))
-        if args.extended:
-            path = f"/home/user/{name}"
-            site.machine.fs.write(path, linked.image, mode=0o755)
-            bundles[name] = feam.run_source_phase(
-                site, path, env=site.env_with_stack(stack))
-    return sites, engine, binaries, bundles
 
 
 def _feam_matrix(args) -> int:
     from repro import obs
 
-    inputs = _build_matrix_inputs(args)
-    if inputs is None:
-        return EXIT_FAILURE
-    sites, engine, binaries, bundles = inputs
-    ok, wide_sink = _wide_sink_from_args(args, engine.config)
-    if not ok:
-        return EXIT_FAILURE
-    ledger = _ledger_from_args(args, engine.config)
-    print(f"evaluating {len(binaries)} binaries x {len(sites)} sites...",
-          file=sys.stderr)
-    # Always run under a collector: the run-ledger rollup distils its
-    # phase latency digests and retry counters from the metrics
-    # snapshot.  Stdout is unchanged, so determinism gates still hold.
-    try:
+    with RunContext(args) as run:
+        run.announce()
+        # Always run under a collector: the run-ledger rollup distils
+        # its phase latency digests and retry counters from the metrics
+        # snapshot.  Stdout is unchanged, so determinism gates hold.
         with obs.capture() as collector:
-            result = engine.evaluate_matrix(
-                binaries, sites, bundles=bundles or None,
-                wide_sink=wide_sink)
+            result = run.evaluate(wide_sink=run.wide_sink)
         if args.trace_out:
             obs.export.write_jsonl(args.trace_out, collector)
             print(f"trace written to {args.trace_out} "
                   f"({len(collector.spans)} spans)", file=sys.stderr)
-    finally:
-        engine.close()
-        if wide_sink is not None:
-            wide_sink.close()
-    print(result.render(verbose=args.verbose))
-    _report_telemetry(wide_sink)
-    _record_matrix_run(ledger, args, engine, result, collector,
-                       wide_sink, kind="matrix")
-    return 0
+        print(result.render(verbose=args.verbose))
+        run.finish(result, collector, kind="matrix")
+    return EXIT_OK
 
 
 def _resolve_fault_plan(spec: str, seed: int):
-    """A FaultPlan from a built-in name or a profile file, or None."""
+    """A FaultPlan from a built-in name or a profile file."""
     from repro.sysmodel import faults as faults_mod
 
     if spec in faults_mod.PROFILES:
         return faults_mod.FaultPlan.profile(spec, seed=seed)
-    if os.path.exists(spec):
-        try:
-            with open(spec, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            return faults_mod.FaultPlan.parse(
-                text, seed=seed, name=os.path.basename(spec))
-        except OSError as exc:
-            print(f"cannot read fault profile {spec!r}: {exc}",
-                  file=sys.stderr)
-        except ValueError as exc:
-            print(f"bad fault profile {spec!r}: {exc}", file=sys.stderr)
-        return None
-    print(f"unknown fault profile {spec!r}; built-in: "
-          f"{', '.join(sorted(faults_mod.PROFILES))} (or give a "
-          f"profile file)", file=sys.stderr)
-    return None
+    if not os.path.exists(spec):
+        raise CliError(
+            f"unknown fault profile {spec!r}; built-in: "
+            f"{', '.join(sorted(faults_mod.PROFILES))} (or give a "
+            f"profile file)")
+    try:
+        with open(spec, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        return faults_mod.FaultPlan.parse(
+            text, seed=seed, name=os.path.basename(spec))
+    except OSError as exc:
+        raise CliError(f"cannot read fault profile {spec!r}: {exc}") \
+            from None
+    except ValueError as exc:
+        raise CliError(f"bad fault profile {spec!r}: {exc}") from None
 
 
 def _chaos_summary(plan, engine, result, counters: dict) -> dict:
@@ -963,114 +788,77 @@ def _render_chaos_summary(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def _chaos_alerts(args, alert_feed):
+def _chaos_alerts(alert_feed, timeline) -> None:
     """Replay a chaos run's wide events through the alert engine.
 
     Injected faults must *visibly* trip alerts: the summary goes on
     stdout right after the chaos table.  The chaos determinism gate
     byte-compares same-seed stdout, so everything printed here is
     derived from the wide events alone (logical ticks, no wall
-    clocks).  Returns the engine, or None when --timeline cannot be
-    opened.
+    clocks).
     """
     from repro.obs import alerts as alerts_mod
 
-    sinks: list = []
-    if getattr(args, "timeline", None):
-        try:
-            sinks.append(alerts_mod.JsonlSink(args.timeline))
-        except OSError as exc:
-            print(f"cannot open timeline {args.timeline!r}: {exc}",
-                  file=sys.stderr)
-            return None
-    engine = alerts_mod.AlertEngine(sinks=sinks, emit_obs=False)
+    engine = alerts_mod.AlertEngine(
+        sinks=[timeline] if timeline is not None else [], emit_obs=False)
     alerts_mod.replay_wide(alert_feed.events(), engine)
     engine.close()
     print()
     print("alerts")
     print("------")
     print(alerts_mod.render_alerts(engine))
-    if getattr(args, "timeline", None):
+    if timeline is not None:
         print(f"timeline: {len(engine.transitions)} transition(s) "
-              f"appended to {args.timeline}", file=sys.stderr)
-    return engine
+              f"appended to {timeline.path}", file=sys.stderr)
 
 
 def _feam_chaos(args) -> int:
     import json
 
     from repro import obs
-    from repro.sysmodel import faults as faults_mod
+    from repro.core.engine import injecting_faults
+    from repro.obs.wide import WideEventSink
 
     plan = _resolve_fault_plan(args.profile, args.seed)
-    if plan is None:
-        return EXIT_FAILURE
-    inputs = _build_matrix_inputs(args)
-    if inputs is None:
-        return EXIT_FAILURE
-    sites, engine, binaries, bundles = inputs
-    ok, wide_sink = _wide_sink_from_args(args, engine.config)
-    if not ok:
-        return EXIT_FAILURE
-    ledger = _ledger_from_args(args, engine.config)
-    print(f"injecting fault profile {plan.name!r} "
-          f"({len(plan.specs)} spec(s), seed {plan.seed}); evaluating "
-          f"{len(binaries)} binaries x {len(sites)} sites...",
-          file=sys.stderr)
-    # An internal in-memory wide sink feeds the post-run alert replay
-    # when the user did not ask for --wide-out; the *user's* sink (or
-    # None) still goes to the ledger so manifests are unchanged.
-    from repro.obs.wide import WideEventSink
-    alert_feed = wide_sink if wide_sink is not None else WideEventSink()
-    # Arm *after* the sites are built so compilation stays clean; the
-    # faults land on the evaluation itself.
-    plan.arm(sites)
-    try:
-        with obs.capture() as collector:
-            with faults_mod.injecting(plan):
-                result = engine.evaluate_matrix(
-                    binaries, sites, bundles=bundles or None,
-                    wide_sink=alert_feed)
-    finally:
-        faults_mod.FaultPlan.disarm(sites)
-        engine.close()
-        if wide_sink is not None:
-            wide_sink.close()
-    print(result.render(verbose=args.verbose))
-    print()
-    counters = collector.metrics.to_dict()["counters"]
-    summary = _chaos_summary(plan, engine, result, counters)
-    print(_render_chaos_summary(summary))
-    if _chaos_alerts(args, alert_feed) is None:
-        return EXIT_FAILURE
-    _report_telemetry(wide_sink)
-    _record_matrix_run(ledger, args, engine, result, collector,
-                       wide_sink, kind="chaos", fault_profile=plan.name)
-    if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"summary written to {args.summary_out}", file=sys.stderr)
+    with RunContext(args) as run:
+        print(f"injecting fault profile {plan.name!r} "
+              f"({len(plan.specs)} spec(s), seed {plan.seed}); "
+              f"evaluating {len(run.binaries)} binaries x "
+              f"{len(run.sites)} sites...", file=sys.stderr)
+        # An internal in-memory wide sink feeds the post-run alert
+        # replay when the user did not ask for --wide-out; the ledger
+        # still sees only the user's sink, so manifests are unchanged.
+        alert_feed = (run.wide_sink if run.wide_sink is not None
+                      else WideEventSink())
+        with obs.capture() as collector, \
+                injecting_faults(plan, run.sites):
+            result = run.evaluate(wide_sink=alert_feed)
+        print(result.render(verbose=args.verbose))
+        print()
+        counters = collector.metrics.to_dict()["counters"]
+        summary = _chaos_summary(plan, run.engine, result, counters)
+        print(_render_chaos_summary(summary))
+        _chaos_alerts(alert_feed, run.timeline)
+        run.finish(result, collector, kind="chaos",
+                   fault_profile=plan.name)
+        if args.summary_out:
+            with open(args.summary_out, "w", encoding="utf-8") as handle:
+                json.dump(summary, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            print(f"summary written to {args.summary_out}",
+                  file=sys.stderr)
     return EXIT_OK
 
 
 def _feam_stats(args) -> int:
     from repro import obs
 
-    inputs = _build_matrix_inputs(args)
-    if inputs is None:
-        return EXIT_FAILURE
-    sites, engine, binaries, bundles = inputs
-    print(f"evaluating {len(binaries)} binaries x {len(sites)} sites...",
-          file=sys.stderr)
-    try:
+    with RunContext(args) as run:
+        run.announce()
         with obs.capture() as collector:
-            engine.evaluate_matrix(binaries, sites,
-                                   bundles=bundles or None)
-    finally:
-        engine.close()
+            run.evaluate()
     print(collector.metrics.render(limit=max(1, args.top)))
-    return 0
+    return EXIT_OK
 
 
 def _feam_trace(args) -> int:
@@ -1079,24 +867,24 @@ def _feam_trace(args) -> int:
     from repro.sites.catalog import build_paper_sites
     from repro.toolchain.compilers import Language
 
+    if args.trace_out:
+        _open_output("trace file", args.trace_out)
     print("building the paper's five sites...", file=sys.stderr)
     sites = {s.name: s for s in build_paper_sites(args.seed, cached=False)}
     for role, name in (("build", args.build_site),
                        ("target", args.target_site)):
         if name not in sites:
-            print(f"unknown {role} site {name!r}; choose from "
-                  f"{', '.join(sorted(sites))}", file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError(f"unknown {role} site {name!r}; choose from "
+                           f"{', '.join(sorted(sites))}")
     build_site = sites[args.build_site]
     target = sites[args.target_site]
     if args.stack is not None:
         stack = next((s for s in build_site.stacks
                       if s.spec.slug == args.stack), None)
         if stack is None:
-            print(f"no stack {args.stack!r} at {build_site.name}; choose "
-                  f"from {', '.join(s.spec.slug for s in build_site.stacks)}",
-                  file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError(
+                f"no stack {args.stack!r} at {build_site.name}; choose "
+                f"from {', '.join(s.spec.slug for s in build_site.stacks)}")
     else:
         stack = build_site.stacks[0]
     name = f"traced-{build_site.name}-{stack.spec.slug}"
@@ -1127,28 +915,25 @@ def _feam_trace(args) -> int:
     if args.trace_out:
         obs.export.write_jsonl(args.trace_out, collector)
         print(f"trace written to {args.trace_out}", file=sys.stderr)
-    return 0
+    return EXIT_OK
 
 
 def _load_trace_spans(path: str):
-    """Spans from a JSONL trace, or None (after an stderr message)."""
+    """Spans from a JSONL trace."""
     from repro.obs.analyze import spans_from_jsonl_file
 
     try:
         return spans_from_jsonl_file(path)
     except OSError as exc:
-        print(f"cannot read trace {path!r}: {exc}", file=sys.stderr)
+        raise CliError(f"cannot read trace {path!r}: {exc}") from None
     except ValueError as exc:
-        print(f"malformed trace {path!r}: {exc}", file=sys.stderr)
-    return None
+        raise CliError(f"malformed trace {path!r}: {exc}") from None
 
 
 def _feam_top(args) -> int:
     from repro.obs import analyze
 
     spans = _load_trace_spans(args.trace)
-    if spans is None:
-        return EXIT_FAILURE
     prof = analyze.profile(spans)
     print(analyze.render_top(prof, sort=args.sort, limit=args.limit))
     if args.critical_path:
@@ -1162,12 +947,8 @@ def _feam_top(args) -> int:
 def _feam_diff_trace(args) -> int:
     from repro.obs import analyze
 
-    base_spans = _load_trace_spans(args.base)
-    curr_spans = _load_trace_spans(args.curr)
-    if base_spans is None or curr_spans is None:
-        return EXIT_FAILURE
-    base = analyze.profile(base_spans)
-    curr = analyze.profile(curr_spans)
+    base = analyze.profile(_load_trace_spans(args.base))
+    curr = analyze.profile(_load_trace_spans(args.curr))
     deltas = analyze.diff_profiles(base, curr)
     print(analyze.render_diff(deltas, limit=args.limit))
     if args.fail_above is None:
@@ -1200,7 +981,7 @@ def _feam_diff_trace(args) -> int:
 
 
 def _load_slo_rules(path: Optional[str]):
-    """Rules from *path*, built-in defaults for None, None on error."""
+    """Rules from *path*, or the built-in defaults for None."""
     from repro.obs import slo as slo_mod
 
     if path is None:
@@ -1209,10 +990,9 @@ def _load_slo_rules(path: Optional[str]):
         with open(path, "r", encoding="utf-8") as handle:
             return slo_mod.parse_rules(handle.read())
     except OSError as exc:
-        print(f"cannot read rules {path!r}: {exc}", file=sys.stderr)
+        raise CliError(f"cannot read rules {path!r}: {exc}") from None
     except ValueError as exc:
-        print(f"bad rules file {path!r}: {exc}", file=sys.stderr)
-    return None
+        raise CliError(f"bad rules file {path!r}: {exc}") from None
 
 
 def _feam_slo(args) -> int:
@@ -1222,29 +1002,20 @@ def _feam_slo(args) -> int:
     from repro.obs import slo as slo_mod
 
     rules = _load_slo_rules(args.rules)
-    if rules is None:
-        return EXIT_FAILURE
-
     if args.trace:
         try:
             with open(args.trace, "r", encoding="utf-8") as handle:
                 parsed = obs.export.parse_jsonl(handle.read())
         except (OSError, ValueError) as exc:
-            print(f"cannot read trace {args.trace!r}: {exc}",
-                  file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError(f"cannot read trace {args.trace!r}: {exc}") \
+                from None
         report = slo_mod.evaluate(rules, parsed.metrics)
     else:
-        inputs = _build_matrix_inputs(args)
-        if inputs is None:
-            return EXIT_FAILURE
-        sites, engine, binaries, bundles = inputs
-        print(f"evaluating {len(binaries)} binaries x {len(sites)} "
-              f"sites, {max(1, args.rounds)} round(s)...", file=sys.stderr)
-        with obs.capture():
-            for _ in range(max(1, args.rounds)):
-                engine.evaluate_matrix(
-                    binaries, sites, bundles=bundles or None)
+        rounds = max(1, args.rounds)
+        with RunContext(args) as run, obs.capture():
+            run.announce(rounds)
+            for _ in range(rounds):
+                run.evaluate()
             report = slo_mod.check(rules)
 
     if args.json:
@@ -1300,13 +1071,11 @@ def _feam_watch(args) -> int:
                         # Never reached at all: fail immediately with
                         # one clean line instead of polling a server
                         # that was wrong to begin with.
-                        print(f"cannot reach {base}: {exc}",
-                              file=sys.stderr)
-                        return EXIT_FAILURE
+                        raise CliError(f"cannot reach {base}: {exc}") \
+                            from None
                     misses += 1
                     if misses >= 3:
-                        print(f"lost {base}: {exc}", file=sys.stderr)
-                        return EXIT_FAILURE
+                        raise CliError(f"lost {base}: {exc}") from None
                     snap = state.previous or {}
                 draw(snap)
                 if deadline is not None \
@@ -1318,38 +1087,32 @@ def _feam_watch(args) -> int:
 
     # Drive mode: run the matrix in a worker thread and render the
     # installed collector's snapshots until it finishes.
-    inputs = _build_matrix_inputs(args)
-    if inputs is None:
-        return EXIT_FAILURE
-    sites, engine, binaries, bundles = inputs
-    total_cells = len(binaries) * len(sites)
-    print(f"evaluating {len(binaries)} binaries x {len(sites)} "
-          f"sites...", file=sys.stderr)
     results: list = []
     failures: list = []
+    with RunContext(args) as run:
+        total_cells = len(run.binaries) * len(run.sites)
+        run.announce()
 
-    def run() -> None:
-        try:
-            results.append(engine.evaluate_matrix(
-                binaries, sites, bundles=bundles or None))
-        except BaseException as exc:  # surfaced on the main thread
-            failures.append(exc)
+        def evaluate() -> None:
+            try:
+                results.append(run.evaluate())
+            except BaseException as exc:  # surfaced on the main thread
+                failures.append(exc)
 
-    with obs.capture() as collector:
-        thread = threading.Thread(target=run, name="feam-watch-matrix",
-                                  daemon=True)
-        thread.start()
-        try:
-            while thread.is_alive():
-                thread.join(interval)
-                draw(watch_mod.sample(collector), total_cells)
-        except KeyboardInterrupt:
-            print("interrupted; abandoning the matrix run",
-                  file=sys.stderr)
-            return EXIT_FAILURE
+        with obs.capture() as collector:
+            thread = threading.Thread(target=evaluate,
+                                      name="feam-watch-matrix",
+                                      daemon=True)
+            thread.start()
+            try:
+                while thread.is_alive():
+                    thread.join(interval)
+                    draw(watch_mod.sample(collector), total_cells)
+            except KeyboardInterrupt:
+                raise CliError("interrupted; abandoning the matrix run") \
+                    from None
     if failures:
-        print(f"matrix run failed: {failures[0]}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(f"matrix run failed: {failures[0]}")
     result = results[0]
     ready = sum(1 for c in result.cells if c.outcome_word == "ready")
     unknown = sum(1 for c in result.cells if c.outcome_word == "unknown")
@@ -1367,18 +1130,16 @@ def _feam_query(args) -> int:
     try:
         records = wide_mod.read_jsonl(args.events)
     except OSError as exc:
-        print(f"cannot read wide events {args.events!r}: {exc}",
-              file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(f"cannot read wide events {args.events!r}: "
+                       f"{exc}") from None
     except ValueError as exc:
-        print(f"bad wide events {args.events!r}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(f"bad wide events {args.events!r}: {exc}") \
+            from None
     try:
         where = [store_mod.parse_where(clause) for clause in args.where]
         aggs = [store_mod.parse_agg(spec) for spec in args.agg]
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(str(exc)) from None
     result = store_mod.run_query(records, where=where, by=args.by,
                                  aggs=aggs, top=max(1, args.top))
     if args.json:
@@ -1386,16 +1147,6 @@ def _feam_query(args) -> int:
     else:
         print(store_mod.render_result(result, where=where))
     return EXIT_OK
-
-
-def _open_ledger(args):
-    """The ledger named by --ledger/$FEAM_LEDGER_DIR/config defaults."""
-    from repro.core.config import FeamConfig
-    from repro.obs.ledger import RunLedger
-
-    config = FeamConfig()
-    return RunLedger(_ledger_dir(args, config),
-                     max_runs=config.ledger_max_runs)
 
 
 def _runs_import(ledger, path: str) -> int:
@@ -1413,8 +1164,7 @@ def _runs_import(ledger, path: str) -> int:
     try:
         records = read_jsonl(path)
     except OSError as exc:
-        print(f"cannot read history {path!r}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(f"cannot read history {path!r}: {exc}") from None
     existing = {run.get("run_id") for run in ledger.runs()}
     imported = skipped = 0
     for record in records:
@@ -1439,9 +1189,8 @@ def _runs_import(ledger, path: str) -> int:
         try:
             ledger.record(manifest)
         except OSError as exc:
-            print(f"cannot record into {ledger.path}: {exc}",
-                  file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError(f"cannot record into {ledger.path}: {exc}") \
+                from None
         existing.add(run_id)
         imported += 1
     obs.counter("ledger.imported").inc(imported)
@@ -1488,37 +1237,33 @@ def _render_runs_table(shown: list, matched: int, total: int,
 def _feam_runs(args) -> int:
     import json as json_mod
 
+    from repro.core.config import FeamConfig
     from repro.obs import ledger as ledger_mod
     from repro.obs import store as store_mod
 
-    ledger = _open_ledger(args)
+    ledger = _open_ledger(args, FeamConfig())
     tokens = list(args.action)
     action = tokens[0] if tokens else "list"
     if action == "import":
         if len(tokens) != 2:
-            print("usage: feam runs import FILE", file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError("usage: feam runs import FILE")
         return _runs_import(ledger, tokens[1])
     if action == "show":
         if len(tokens) != 2:
-            print("usage: feam runs show REF", file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError("usage: feam runs show REF")
         try:
             run = ledger.resolve(tokens[1])
         except (OSError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError(str(exc)) from None
         print(json_mod.dumps(run, indent=2, sort_keys=True))
         return EXIT_OK
     if action != "list" or len(tokens) > 1:
-        print(f"unknown feam runs action {tokens!r} (expected 'list', "
-              f"'show REF' or 'import FILE')", file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(f"unknown feam runs action {tokens!r} (expected "
+                       f"'list', 'show REF' or 'import FILE')")
     try:
         where = [store_mod.parse_where(clause) for clause in args.where]
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(str(exc)) from None
     runs = ledger.runs()
     # --where reuses the wide-event predicate machinery over the
     # flattened manifest (kind=chaos, rollup.cells>=20, ...).
@@ -1536,15 +1281,15 @@ def _feam_runs(args) -> int:
 def _feam_compare(args) -> int:
     import json as json_mod
 
+    from repro.core.config import FeamConfig
     from repro.obs import compare as compare_mod
 
-    ledger = _open_ledger(args)
+    ledger = _open_ledger(args, FeamConfig())
     try:
         base = ledger.resolve(args.base)
         curr = ledger.resolve(args.curr)
     except (OSError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(str(exc)) from None
     comparison = compare_mod.compare_runs(base, curr)
     regressions = (compare_mod.gate(comparison, args.fail_above)
                    if args.fail_above is not None else [])
@@ -1563,53 +1308,22 @@ def _feam_compare(args) -> int:
 def _feam_drift(args) -> int:
     import json as json_mod
 
+    from repro.core.config import FeamConfig
     from repro.obs import compare as compare_mod
 
-    ledger = _open_ledger(args)
-    rules = ()
-    if args.rules is not None:
-        rules = _load_slo_rules(args.rules)
-        if rules is None:
-            return EXIT_FAILURE
+    ledger = _open_ledger(args, FeamConfig())
+    rules = () if args.rules is None else _load_slo_rules(args.rules)
     try:
         report = compare_mod.drift(
             ledger.runs(), window=args.window,
             tolerance=args.tolerance, rules=rules)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAILURE
+        raise CliError(str(exc)) from None
     if args.json:
         print(json_mod.dumps(report, indent=2, sort_keys=True))
     else:
         print(compare_mod.render_drift(report))
     return EXIT_OK if report["slo_ok"] else EXIT_SLO_VIOLATION
-
-
-def _alert_engine_from_args(args, slos=None):
-    """An armed AlertEngine (plus its sinks) from the alerts flags,
-    or None on a bad flag."""
-    from repro.obs import alerts as alerts_mod
-
-    try:
-        windows = (alerts_mod.BurnWindows.parse(args.burn)
-                   if args.burn else alerts_mod.BurnWindows())
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-    if slos is None:
-        slos = alerts_mod.DEFAULT_ALERT_SLOS
-    sinks: list = []
-    if getattr(args, "timeline", None):
-        try:
-            sinks.append(alerts_mod.JsonlSink(args.timeline))
-        except OSError as exc:
-            print(f"cannot open timeline {args.timeline!r}: {exc}",
-                  file=sys.stderr)
-            return None
-    sinks.append(alerts_mod.StderrSink())
-    rules = alerts_mod.alert_rules(slos, windows=windows,
-                                   for_ticks=max(1, args.for_ticks))
-    return alerts_mod.AlertEngine(rules, sinks=sinks)
 
 
 def _detect_anomalies(records, args, engine) -> int:
@@ -1637,38 +1351,43 @@ def _feam_alerts(args) -> int:
     from repro.obs import alerts as alerts_mod
     from repro.obs import wide as wide_mod
 
+    try:
+        windows = (alerts_mod.BurnWindows.parse(args.burn)
+                   if args.burn else alerts_mod.BurnWindows())
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    slos = None if args.rules is None else _load_slo_rules(args.rules)
+
+    def alert_engine(default_slos, timeline):
+        """An armed AlertEngine: the timeline (if any), then stderr."""
+        rules = alerts_mod.alert_rules(
+            default_slos if slos is None else slos, windows=windows,
+            for_ticks=max(1, args.for_ticks))
+        sinks = [] if timeline is None else [timeline]
+        return alerts_mod.AlertEngine(
+            rules, sinks=sinks + [alerts_mod.StderrSink()])
+
     if args.replay:
         try:
             records = wide_mod.read_jsonl(args.replay)
         except (OSError, ValueError) as exc:
-            print(f"cannot read {args.replay!r}: {exc}",
-                  file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError(f"cannot read {args.replay!r}: {exc}") \
+                from None
         if not records:
-            print(f"{args.replay}: no records to replay",
-                  file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError(f"{args.replay}: no records to replay")
+        timeline = (_open_output("timeline", args.timeline,
+                                 alerts_mod.JsonlSink)
+                    if args.timeline else None)
         if "rollup" in records[0]:
             # Ledger manifests: one run = one tick, rollup.* rules.
-            slos = (alerts_mod.DEFAULT_LEDGER_SLOS
-                    if args.rules is None
-                    else _load_slo_rules(args.rules))
-            if slos is None:
-                return EXIT_FAILURE
-            engine = _alert_engine_from_args(args, slos)
-            if engine is None:
-                return EXIT_FAILURE
+            engine = alert_engine(alerts_mod.DEFAULT_LEDGER_SLOS,
+                                  timeline)
             ticks = alerts_mod.replay_ledger(records, engine)
             print(f"replayed {len(records)} ledger run(s) as "
                   f"{ticks} tick(s)", file=sys.stderr)
         else:
-            slos = (None if args.rules is None
-                    else _load_slo_rules(args.rules))
-            if args.rules is not None and slos is None:
-                return EXIT_FAILURE
-            engine = _alert_engine_from_args(args, slos)
-            if engine is None:
-                return EXIT_FAILURE
+            engine = alert_engine(alerts_mod.DEFAULT_ALERT_SLOS,
+                                  timeline)
             ticks = alerts_mod.replay_wide(records, engine,
                                            batch=max(1, args.batch))
             raised = _detect_anomalies(records, args, engine)
@@ -1678,30 +1397,19 @@ def _feam_alerts(args) -> int:
     else:
         # Live drive mode: each matrix round is one evaluation tick;
         # an internal wide sink feeds the anomaly detector at the end.
-        slos = (None if args.rules is None
-                else _load_slo_rules(args.rules))
-        if args.rules is not None and slos is None:
-            return EXIT_FAILURE
-        engine = _alert_engine_from_args(args, slos)
-        if engine is None:
-            return EXIT_FAILURE
-        inputs = _build_matrix_inputs(args)
-        if inputs is None:
-            return EXIT_FAILURE
-        sites, eval_engine, binaries, bundles = inputs
-        wide_sink = wide_mod.WideEventSink()
-        print(f"evaluating {len(binaries)} binaries x {len(sites)} "
-              f"sites, {max(1, args.rounds)} round(s)...",
-              file=sys.stderr)
-        with obs.capture():
-            for _ in range(max(1, args.rounds)):
-                eval_engine.evaluate_matrix(
-                    binaries, sites, bundles=bundles or None,
-                    wide_sink=wide_sink)
-                engine.observe(obs.metrics().to_dict())
-        raised = _detect_anomalies(wide_sink.events(), args, engine)
-        print(f"{engine.tick} evaluation tick(s); anomaly detector "
-              f"raised {raised}", file=sys.stderr)
+        rounds = max(1, args.rounds)
+        with RunContext(args) as run:
+            engine = alert_engine(alerts_mod.DEFAULT_ALERT_SLOS,
+                                  run.timeline)
+            wide_sink = wide_mod.WideEventSink()
+            run.announce(rounds)
+            with obs.capture():
+                for _ in range(rounds):
+                    run.evaluate(wide_sink=wide_sink)
+                    engine.observe(obs.metrics().to_dict())
+            raised = _detect_anomalies(wide_sink.events(), args, engine)
+            print(f"{engine.tick} evaluation tick(s); anomaly detector "
+                  f"raised {raised}", file=sys.stderr)
 
     if args.timeline:
         print(f"timeline: {len(engine.transitions)} transition(s) "
@@ -1723,31 +1431,21 @@ def _feam_serve(args) -> int:
     from repro.obs.serve import TelemetryServer
 
     rules = _load_slo_rules(args.rules)
-    if rules is None:
-        return EXIT_FAILURE
-    inputs = _build_matrix_inputs(args)
-    if inputs is None:
-        return EXIT_FAILURE
-    sites, engine, binaries, bundles = inputs
-    ledger = _ledger_from_args(args, engine.config)
-    with obs.capture() as collector:
+    rounds = max(1, args.rounds)
+    with RunContext(args) as run, obs.capture() as collector:
         try:
             server = TelemetryServer(collector, host=args.host,
                                      port=args.port, rules=rules,
-                                     ledger=ledger)
+                                     ledger=run.ledger)
         except OSError as exc:
-            print(f"cannot bind {args.host}:{args.port}: {exc}",
-                  file=sys.stderr)
-            return EXIT_FAILURE
+            raise CliError(f"cannot bind {args.host}:{args.port}: "
+                           f"{exc}") from None
         with server:
             print(f"serving {server.url}/metrics (+ /healthz /trace "
                   f"/slo /alerts /snapshot /runs)", file=sys.stderr)
-            print(f"evaluating {len(binaries)} binaries x {len(sites)} "
-                  f"sites, {max(1, args.rounds)} round(s)...",
-                  file=sys.stderr)
-            for _ in range(max(1, args.rounds)):
-                engine.evaluate_matrix(
-                    binaries, sites, bundles=bundles or None)
+            run.announce(rounds)
+            for _ in range(rounds):
+                run.evaluate()
             report = slo_mod.check(rules)
             print(report.render(), file=sys.stderr)
             try:
@@ -1785,6 +1483,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     wanted = list(args.what)
     if "all" in wanted:
         wanted = sorted(_STATIC) + sorted(_EXPERIMENTAL)
+    if args.trace_out and any(what in _EXPERIMENTAL for what in wanted):
+        try:
+            _open_output("trace file", args.trace_out)
+        except CliError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_FAILURE
 
     result: Optional[ExperimentResult] = None
     for what in wanted:

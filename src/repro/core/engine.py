@@ -51,6 +51,7 @@ rest are evaluated.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import posixpath
 import time
@@ -89,6 +90,7 @@ from repro.core.resilience import (
 from repro.obs import ledger as ledger_mod
 from repro.obs import wide as wide_mod
 from repro.sysmodel import faults
+from repro.toolchain.compilers import Language
 from repro.util.hashing import content_digest, stable_digest
 
 #: Where the engine stages binaries it migrates to a site itself.
@@ -125,6 +127,52 @@ class EngineBinary:
     binary_id: str
     image: bytes
     bundle: Optional[SourceBundle] = None
+
+
+def compile_test_binaries(sites: Sequence, count: int,
+                          feam=None) -> list[EngineBinary]:
+    """The live runs' test binaries: *count* MPI programs, round-robin.
+
+    Binary *i* is a FORTRAN program compiled at site ``i mod k`` of the
+    first ``k = min(len(sites), count)`` sites (on a fleet, the first
+    few generated sites) with that site's stack ``i mod len(stacks)``,
+    and is named ``app-<site>-<stack>-<i>``.  At least one is built.
+    With *feam* (a :class:`~repro.core.feam.Feam`), each binary is also
+    staged at its build site and run through the source phase, and
+    carries that bundle for extended-mode cells.
+    """
+    count = max(1, count)
+    pool = sites[:min(len(sites), count)]
+    binaries = []
+    for index in range(count):
+        site = pool[index % len(pool)]
+        stack = site.stacks[index % len(site.stacks)]
+        name = f"app-{site.name}-{stack.spec.slug}-{index}"
+        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
+        bundle = None
+        if feam is not None:
+            path = f"/home/user/{name}"
+            site.machine.fs.write(path, linked.image, mode=0o755)
+            bundle = feam.run_source_phase(
+                site, path, env=site.env_with_stack(stack))
+        binaries.append(EngineBinary(binary_id=name, image=linked.image,
+                                     bundle=bundle))
+    return binaries
+
+
+@contextlib.contextmanager
+def injecting_faults(plan: faults.FaultPlan, sites: Sequence):
+    """Run the block under *plan*, armed on every site's filesystem.
+
+    Arm only once the test binaries are compiled and their source
+    phases have run, so the faults land on the evaluation alone.
+    """
+    plan.arm(sites)
+    try:
+        with faults.injecting(plan):
+            yield plan
+    finally:
+        plan.disarm(sites)
 
 
 def _unknown_environment(hostname: str) -> EnvironmentDescription:

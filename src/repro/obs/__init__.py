@@ -78,12 +78,6 @@ class Collector:
     def spans(self) -> list[Span]:
         return self.tracer.spans
 
-    def export_jsonl(self) -> str:
-        return export.export_jsonl(self)
-
-    def render_tree(self) -> str:
-        return export.render_span_tree(self.tracer.spans)
-
 
 class _NullCollector:
     """The default: absorbs everything, allocates nothing per call."""

@@ -300,12 +300,7 @@ class AlertEngine:
         emitted: list[dict] = []
         for rule in self.rules:
             state = self._states[rule.key]
-            observed = rule.slo.select(snapshot)
-            if observed is None:
-                violated = not rule.slo.optional
-            else:
-                violated = not slo_mod._OPS[rule.slo.op](
-                    observed, rule.slo.threshold)
+            observed, violated = rule.slo.judge(snapshot)
             state.history.append(1 if violated else 0)
             windows = rule.windows
             fast = list(state.history)[-windows.fast:]
@@ -587,27 +582,10 @@ def render_alerts(engine: AlertEngine) -> str:
     return "\n".join(lines)
 
 
-def render_timeline(records: Sequence[dict],
-                    max_rows: int = 50) -> str:
-    """A compact textual view of an incident timeline."""
-    if not records:
-        return "(empty timeline)"
-    lines = []
-    for record in records[:max_rows]:
-        lines.append(
-            f"tick {record.get('tick', '?'):>4}  "
-            f"{record.get('from', '?')} -> {record.get('to', '?'):<9}"
-            f"[{record.get('severity', '?')}] {record.get('alert')}")
-    if len(records) > max_rows:
-        lines.append(f"... and {len(records) - max_rows} more")
-    return "\n".join(lines)
-
-
 __all__ = [
     "SCHEMA_VERSION", "STATES", "BurnWindows", "AlertRule",
     "AlertEngine", "MemorySink", "StderrSink", "JsonlSink",
     "alert_rules", "default_alert_rules", "DEFAULT_ALERT_SLOS",
     "DEFAULT_LEDGER_SLOS", "read_timeline", "wide_snapshots",
     "replay_wide", "replay_ledger", "render_alerts",
-    "render_timeline",
 ]

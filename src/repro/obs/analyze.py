@@ -191,16 +191,6 @@ class FrameDelta:
                 - (self.base.wall_total if self.base else 0.0))
 
     @property
-    def sim_delta(self) -> float:
-        return ((self.curr.sim_total if self.curr else 0.0)
-                - (self.base.sim_total if self.base else 0.0))
-
-    @property
-    def count_delta(self) -> int:
-        return ((self.curr.count if self.curr else 0)
-                - (self.base.count if self.base else 0))
-
-    @property
     def wall_ratio(self) -> Optional[float]:
         """current/baseline total wall; None when the baseline is ~0."""
         if self.base is None or self.base.wall_total <= 1e-12:

@@ -92,6 +92,14 @@ class SloRule:
                 return values[metric]
         return None
 
+    def judge(self, snapshot: dict) -> tuple[Optional[float], bool]:
+        """``(observed, violated)`` for *snapshot*: an absent metric
+        violates the rule unless the rule is optional."""
+        observed = self.select(snapshot)
+        if observed is None:
+            return None, not self.optional
+        return observed, not _OPS[self.op](observed, self.threshold)
+
 
 @dataclasses.dataclass(frozen=True)
 class SloResult:
@@ -207,21 +215,18 @@ def evaluate(rules: Sequence[SloRule], snapshot: dict) -> SloReport:
     """Check every rule against a ``MetricsRegistry.to_dict`` snapshot."""
     results = []
     for rule in rules:
-        observed = rule.select(snapshot)
-        if observed is None:
-            if rule.optional:
-                results.append(SloResult(
-                    rule=rule, status="skipped", observed=None,
-                    reason="metric absent (optional rule)"))
-            else:
-                results.append(SloResult(
-                    rule=rule, status="fail", observed=None,
-                    reason="metric absent"))
-            continue
-        ok = _OPS[rule.op](observed, rule.threshold)
-        results.append(SloResult(
-            rule=rule, status="pass" if ok else "fail",
-            observed=float(observed)))
+        observed, violated = rule.judge(snapshot)
+        if observed is not None:
+            result = SloResult(rule=rule,
+                               status="fail" if violated else "pass",
+                               observed=float(observed))
+        elif violated:
+            result = SloResult(rule=rule, status="fail", observed=None,
+                               reason="metric absent")
+        else:
+            result = SloResult(rule=rule, status="skipped", observed=None,
+                               reason="metric absent (optional rule)")
+        results.append(result)
     return SloReport(results=results)
 
 

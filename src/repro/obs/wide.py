@@ -60,13 +60,10 @@ class WideEventSink:
     is also appended to a JSONL file and flushed immediately, so the
     on-disk stream is complete even when the ring is not.
 
-    Counters/gauges (no-ops when no collector is installed):
+    Counters (no-ops when no collector is installed):
 
     * ``obs.wide.emitted`` -- records emitted;
-    * ``obs.wide.dropped`` -- records evicted from the ring;
-    * ``obs.wide.lag`` (gauge) -- records currently buffered in the
-      ring and not yet drained by :meth:`drain` (how far a consumer
-      that reads the ring is behind the producer).
+    * ``obs.wide.dropped`` -- records evicted from the ring.
     """
 
     def __init__(self, ring_size: int = 65536,
@@ -92,30 +89,15 @@ class WideEventSink:
                 self.dropped += 1
             if self._appender is not None:
                 self._appender.append(record)
-            buffered = len(self._ring)
         from repro import obs
         obs.counter("obs.wide.emitted").inc()
         if evicted:
             obs.counter("obs.wide.dropped").inc()
-        obs.gauge("obs.wide.lag").set(buffered)
 
     def events(self) -> list[dict]:
         """A snapshot of the buffered records, oldest first."""
         with self._lock:
             return list(self._ring)
-
-    def drain(self) -> list[dict]:
-        """Pop and return every buffered record (resets the lag gauge)."""
-        with self._lock:
-            drained = list(self._ring)
-            self._ring.clear()
-        from repro import obs
-        obs.gauge("obs.wide.lag").set(0)
-        return drained
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
 
     def close(self) -> None:
         with self._lock:
@@ -128,15 +110,6 @@ class WideEventSink:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def export_jsonl(self) -> str:
-        """The buffered records as JSONL text (oldest first)."""
-        return "".join(_jsonl.dump_line(record) + "\n"
-                       for record in self.events())
-
-    def write_jsonl(self, path: str) -> int:
-        """Write the buffered records to *path*; returns the count."""
-        return _jsonl.write_jsonl(path, self.events())
 
 
 def _refuse_newer_schema(lineno: int, record: dict) -> None:

@@ -7,6 +7,7 @@ performance regression.  The trace-driven subcommands (``top``,
 these tests never build sites.
 """
 
+import argparse
 import importlib.util
 import json
 import pathlib
@@ -24,6 +25,7 @@ from repro.__main__ import (
 )
 
 _REPO = pathlib.Path(__file__).resolve().parents[1]
+_FLAGS_GOLDEN = _REPO / "tests" / "golden" / "feam_flags.json"
 
 
 def _load_check_regression():
@@ -302,3 +304,57 @@ class TestBenchHistory:
                 assert "cells_per_second" in entry
             else:
                 assert "warm_seconds" in entry
+
+
+class _Parsed(Exception):
+    """Carries the parser out of a patched ``parse_args`` call."""
+
+
+def feam_parser(monkeypatch) -> argparse.ArgumentParser:
+    """The ``feam`` parser, captured as ``feam_main`` hands it argv."""
+    def capture(parser, *args, **kwargs):
+        raise _Parsed(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(_Parsed) as info:
+        feam_main([])
+    return info.value.args[0]
+
+
+def _surface(action) -> dict:
+    return {
+        "action": type(action).__name__,
+        "dest": action.dest,
+        "type": getattr(action.type, "__name__", action.type),
+        "default": action.default,
+        "choices": (None if action.choices is None
+                    else sorted(action.choices)),
+        "nargs": action.nargs,
+        "metavar": action.metavar,
+        "required": action.required,
+    }
+
+
+def flag_surface(parser) -> dict:
+    """Per verb: positionals in order, options by option string.
+
+    Help strings are left out; so is option order, which only moves
+    lines in ``--help``.
+    """
+    (verbs,) = [action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)]
+    surface = {"": _surface(verbs)}
+    for name, verb in sorted(verbs.choices.items()):
+        surface[name] = {
+            "positionals": [_surface(a) for a in verb._actions
+                            if not a.option_strings],
+            "options": {", ".join(a.option_strings): _surface(a)
+                        for a in verb._actions if a.option_strings},
+        }
+    return surface
+
+
+class TestFlagSurface:
+    def test_every_verb_keeps_its_flags(self, monkeypatch):
+        golden = json.loads(_FLAGS_GOLDEN.read_text())
+        assert flag_surface(feam_parser(monkeypatch)) == golden

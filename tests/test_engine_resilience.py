@@ -14,7 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.core.engine import EngineBinary, EvaluationEngine
+from repro.core.engine import (
+    EngineBinary,
+    EvaluationEngine,
+    injecting_faults,
+)
 from repro.core.evaluation import TargetEvaluationComponent
 from repro.core.persist import PersistentStore
 from repro.obs.wide import WideEventSink
@@ -279,16 +283,11 @@ class TestChaosDeterminism:
         """One full chaos run on fresh sites: (render, events, plan)."""
         sites = [make_site("chaos-a"), make_site("chaos-b")]
         plan = FaultPlan.profile("flaky", seed=7)
-        plan.arm(sites)
         sink = WideEventSink()
         engine = EvaluationEngine(max_workers=1)
-        try:
-            with faults.injecting(plan):
-                result = engine.evaluate_matrix(
-                    _binaries(compiled_app, count=2), sites,
-                    wide_sink=sink)
-        finally:
-            FaultPlan.disarm(sites)
+        with injecting_faults(plan, sites):
+            result = engine.evaluate_matrix(
+                _binaries(compiled_app, count=2), sites, wide_sink=sink)
         events = [{key: value for key, value in event.items()
                    if key != "wall_seconds"} for event in sink.events()]
         return result.render(verbose=True), events, plan

@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import EngineBinary, EvaluationEngine
+from repro.core.engine import (
+    EngineBinary,
+    EvaluationEngine,
+    compile_test_binaries,
+)
 from repro.obs.wide import WideEventSink
 from repro.sites.catalog import build_paper_sites
 from repro.sites.generator import resolve_sites
@@ -21,14 +25,7 @@ _GOLDEN = Path(__file__).parent / "golden" / "matrix_paper_5x4.txt"
 
 def _paper_inputs(seed=20130101, count=4):
     sites = build_paper_sites(seed, cached=False)
-    binaries = []
-    for index in range(count):
-        site = sites[index % len(sites)]
-        stack = site.stacks[index % len(site.stacks)]
-        name = f"app-{site.name}-{stack.spec.slug}-{index}"
-        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
-        binaries.append(EngineBinary(binary_id=name, image=linked.image))
-    return sites, binaries
+    return sites, compile_test_binaries(sites, count)
 
 
 def _fleet_inputs(spec="fleet:n=10,seed=4", count=2):

@@ -26,7 +26,6 @@ from repro.obs.alerts import (
     alert_rules,
     read_timeline,
     render_alerts,
-    render_timeline,
     replay_ledger,
     replay_wide,
     wide_snapshots,
@@ -329,12 +328,3 @@ class TestRendering:
         assert render_alerts(engine) \
             == "0 firing (0 critical), 0 pending, 0 transition(s) " \
                "over 0 tick(s)"
-
-    def test_render_timeline(self):
-        engine = AlertEngine(
-            rules=[_rule("x >= 1", for_ticks=1)], emit_obs=False)
-        engine.observe(_snapshot(x=0))
-        text = render_timeline(engine.transitions)
-        assert "inactive -> pending" in text
-        assert "pending -> firing" in text
-        assert render_timeline([]) == "(empty timeline)"
