@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -107,8 +106,7 @@ def record_ledger(payload: dict, kind: str,
     is what ``feam runs`` / ``feam drift`` consume.  A failure to write
     must never fail the benchmark itself.
     """
-    directory = (ledger_dir or os.environ.get("FEAM_LEDGER_DIR")
-                 or ledger_mod.DEFAULT_DIR)
+    ledger = ledger_mod.RunLedger(ledger_dir)
     manifest = {
         "kind": kind,
         "seed": payload.get("seed"),
@@ -117,10 +115,10 @@ def record_ledger(payload: dict, kind: str,
                   if key not in ("kind", "seed", "spec")},
     }
     try:
-        written = ledger_mod.RunLedger(directory).record(manifest)
+        written = ledger.record(manifest)
     except OSError as exc:
         print(f"warning: could not record bench run in ledger "
-              f"{directory!r}: {exc}", file=sys.stderr)
+              f"{ledger.directory!r}: {exc}", file=sys.stderr)
         return None
     print(f"ledger: run {written['run_id']} ({kind}) recorded",
           file=sys.stderr)

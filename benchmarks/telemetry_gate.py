@@ -114,8 +114,7 @@ def run_gate(spec: str, binaries_count: int,
     # 4. Ledger write overhead: distilling the rollup and appending the
     # manifest is what every `feam matrix` run now pays; it must stay a
     # rounding error next to the matrix itself.
-    directory = (os.environ.get("FEAM_LEDGER_DIR")
-                 or ledger_mod.DEFAULT_DIR)
+    ledger = ledger_mod.RunLedger()
     manifest = {
         "kind": "telemetry-gate",
         "seed": SEED,
@@ -124,15 +123,14 @@ def run_gate(spec: str, binaries_count: int,
     }
     start = time.perf_counter()
     manifest.update(run_rollup(result,
-                               snapshot=collector.metrics.to_dict(),
-                               wide_events=events))
+                               snapshot=collector.metrics.to_dict()))
     try:
-        ledger_mod.RunLedger(directory).record(manifest)
+        ledger.record(manifest)
         ledger_write = time.perf_counter() - start
     except OSError as exc:
         ledger_write = None
         failures.append(f"ledger: could not record run in "
-                        f"{directory!r}: {exc}")
+                        f"{ledger.directory!r}: {exc}")
     if ledger_write is not None and ledger_write > ledger_budget_seconds:
         failures.append(f"ledger: rollup + record took "
                         f"{ledger_write:.3f}s > budget "

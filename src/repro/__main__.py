@@ -109,7 +109,7 @@ def _feam_parser() -> argparse.ArgumentParser:
     ledger.add_argument(
         "--ledger", metavar="DIR", default=None,
         help="run-ledger directory (default: $FEAM_LEDGER_DIR, then "
-             "the ledger_dir config key, .feam/runs)")
+             ".feam/runs)")
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument(
         "--json", action="store_true",
@@ -143,8 +143,8 @@ def _feam_parser() -> argparse.ArgumentParser:
         "--cache-dir", metavar="DIR", default=None,
         help="persistent evaluation cache directory: descriptions, "
              "discoveries and evaluations persist across runs and "
-             "warm-start the next process (default: $FEAM_CACHE_DIR, "
-             "then the cache_dir config key; unset = in-memory only)")
+             "warm-start the next process (default: $FEAM_CACHE_DIR; "
+             "unset = in-memory only)")
     recorded.add_argument(
         "--no-cache", action="store_true",
         help="do not read or write the persistent cache this run")
@@ -454,8 +454,7 @@ def _feam_parser() -> argparse.ArgumentParser:
              "byte cap; clear = delete every segment")
     cache.add_argument(
         "--cache-dir", metavar="DIR", default=None,
-        help="cache directory (default: $FEAM_CACHE_DIR, then the "
-             "cache_dir config key)")
+        help="cache directory (default: $FEAM_CACHE_DIR)")
     return parser
 
 
@@ -474,21 +473,10 @@ def _open_output(label: str, path: str, opener=None):
         raise CliError(f"cannot open {label} {path!r}: {exc}") from None
 
 
-def _cache_dir(args, config) -> str:
-    """--cache-dir, then $FEAM_CACHE_DIR, then the config key."""
+def _cache_dir(args) -> Optional[str]:
+    """--cache-dir, then $FEAM_CACHE_DIR."""
     return (getattr(args, "cache_dir", None)
-            or os.environ.get("FEAM_CACHE_DIR")
-            or config.cache_dir)
-
-
-def _open_ledger(args, config):
-    """The run ledger: --ledger, then $FEAM_LEDGER_DIR, then the
-    config key."""
-    from repro.obs.ledger import RunLedger
-
-    return RunLedger(args.ledger or os.environ.get("FEAM_LEDGER_DIR")
-                     or config.ledger_dir,
-                     max_runs=config.ledger_max_runs)
+            or os.environ.get("FEAM_CACHE_DIR"))
 
 
 class RunContext:
@@ -505,21 +493,19 @@ class RunContext:
     """
 
     def __init__(self, args) -> None:
-        from repro.core.config import FeamConfig
         from repro.core.engine import EvaluationEngine, compile_test_binaries
         from repro.core.feam import Feam
         from repro.obs.alerts import JsonlSink
+        from repro.obs.ledger import RunLedger
         from repro.obs.wide import WideEventSink
         from repro.sites.generator import describe_fleet, resolve_sites
 
         self.args = args
-        self.config = config = FeamConfig()
         self.spec = getattr(args, "sites", None) or "paper"
         with contextlib.ExitStack() as opened:
             self.wide_sink = self._sink(
                 opened, "wide-event file", "wide_out",
-                lambda path: WideEventSink(
-                    ring_size=config.wide_ring_size, path=path))
+                lambda path: WideEventSink(path=path))
             self.timeline = self._sink(opened, "timeline", "timeline",
                                        JsonlSink)
             for label, dest in (("trace file", "trace_out"),
@@ -533,13 +519,12 @@ class RunContext:
             except ValueError as exc:
                 raise CliError(f"bad --sites spec: {exc}") from None
             print(describe_fleet(self.sites), file=sys.stderr)
-            self.engine = EvaluationEngine(config=config,
-                                           persist=self._store())
+            self.engine = EvaluationEngine(persist=self._store())
             opened.callback(self.engine.close)
             self.binaries = compile_test_binaries(
                 self.sites, args.binaries,
                 feam=Feam(engine=self.engine) if args.extended else None)
-            self.ledger = (_open_ledger(args, config)
+            self.ledger = (RunLedger(args.ledger)
                            if "ledger" in args
                            and not getattr(args, "no_ledger", False)
                            else None)
@@ -555,8 +540,8 @@ class RunContext:
         return sink
 
     def _store(self):
-        """The persistent store for this run, or None (no directory,
-        ``--no-cache``, or persistence off in the config).
+        """The persistent store for this run, or None (no directory
+        or ``--no-cache``).
 
         The store's scope digests the seed and sites spec, so hand-built
         worlds from different seeds never share discovery records;
@@ -565,14 +550,14 @@ class RunContext:
         from repro.core.persist import PersistentStore
         from repro.util.hashing import stable_digest
 
-        if getattr(self.args, "no_cache", False) or not self.config.persist:
+        if getattr(self.args, "no_cache", False):
             return None
-        directory = _cache_dir(self.args, self.config)
+        directory = _cache_dir(self.args)
         if not directory:
             return None
         try:
             store = PersistentStore(
-                directory, max_bytes=self.config.cache_max_bytes,
+                directory,
                 scope=stable_digest(str(self.args.seed), self.spec)[:16])
         except OSError as exc:
             raise CliError(f"cannot open persistent cache: {exc}") \
@@ -621,13 +606,12 @@ class RunContext:
             "kind": kind,
             "seed": self.args.seed,
             "sites_spec": self.spec,
-            "binaries": self.args.binaries,
+            "binaries": len(self.binaries),
             "config_fingerprint": self.engine.config_fingerprint,
             "fault_profile": fault_profile,
         }
         manifest.update(run_rollup(
-            result, snapshot=collector.metrics.to_dict(),
-            wide_events=sink.events() if sink is not None else None))
+            result, snapshot=collector.metrics.to_dict()))
         try:
             written = self.ledger.record(manifest)
         except OSError as exc:
@@ -641,17 +625,14 @@ class RunContext:
 def _feam_cache(args) -> int:
     import json as json_mod
 
-    from repro.core.config import FeamConfig
     from repro.core.persist import LAYERS, PersistentStore
 
-    config = FeamConfig()
-    directory = _cache_dir(args, config)
+    directory = _cache_dir(args)
     if not directory:
-        raise CliError("no cache directory: give --cache-dir, set "
-                       "$FEAM_CACHE_DIR, or set the cache_dir config key")
+        raise CliError("no cache directory: give --cache-dir or set "
+                       "$FEAM_CACHE_DIR")
     try:
-        store = PersistentStore(directory,
-                                max_bytes=config.cache_max_bytes)
+        store = PersistentStore(directory)
     except OSError as exc:
         raise CliError(f"cannot open cache {directory!r}: {exc}") \
             from None
@@ -1237,11 +1218,10 @@ def _render_runs_table(shown: list, matched: int, total: int,
 def _feam_runs(args) -> int:
     import json as json_mod
 
-    from repro.core.config import FeamConfig
     from repro.obs import ledger as ledger_mod
     from repro.obs import store as store_mod
 
-    ledger = _open_ledger(args, FeamConfig())
+    ledger = ledger_mod.RunLedger(args.ledger)
     tokens = list(args.action)
     action = tokens[0] if tokens else "list"
     if action == "import":
@@ -1281,10 +1261,10 @@ def _feam_runs(args) -> int:
 def _feam_compare(args) -> int:
     import json as json_mod
 
-    from repro.core.config import FeamConfig
     from repro.obs import compare as compare_mod
+    from repro.obs.ledger import RunLedger
 
-    ledger = _open_ledger(args, FeamConfig())
+    ledger = RunLedger(args.ledger)
     try:
         base = ledger.resolve(args.base)
         curr = ledger.resolve(args.curr)
@@ -1308,10 +1288,10 @@ def _feam_compare(args) -> int:
 def _feam_drift(args) -> int:
     import json as json_mod
 
-    from repro.core.config import FeamConfig
     from repro.obs import compare as compare_mod
+    from repro.obs.ledger import RunLedger
 
-    ledger = _open_ledger(args, FeamConfig())
+    ledger = RunLedger(args.ledger)
     rules = () if args.rules is None else _load_slo_rules(args.rules)
     try:
         report = compare_mod.drift(

@@ -5,6 +5,12 @@ site's serial and parallel submission scripts -- "the only information
 about a new site our methods require the user to determine" -- plus which
 phase to run, the binary location, and optional per-MPI-type ``mpiexec``
 overrides (paper Sections V and V.C).
+
+The configuration holds that information and the model's parameters,
+nothing else.  Operational defaults live in the component they
+configure: retries and breakers in :mod:`repro.core.resilience`, the
+wide-event ring in :mod:`repro.obs.wide`, the run ledger's directory
+rule in :mod:`repro.obs.ledger`.
 """
 
 from __future__ import annotations
@@ -48,38 +54,9 @@ class FeamConfig:
     resolution_seconds_per_library: float = 2.0
     #: Post-resolution retest of the imported hello-world.
     hello_retest_seconds: float = 20.0
-    #: Resilience: attempts per engine operation (discover/describe/
-    #: evaluate) before the cell degrades to UNKNOWN.
-    retry_max_attempts: int = 3
-    #: Resilience: backoff before the first retry, in simulated seconds.
-    retry_base_seconds: float = 2.0
-    #: Resilience: backoff growth factor per retry.
-    retry_backoff_multiplier: float = 2.0
-    #: Resilience: cap on a single backoff delay, in simulated seconds.
-    retry_max_delay_seconds: float = 30.0
-    #: Resilience: fractional (seeded, deterministic) backoff jitter.
-    retry_jitter: float = 0.25
-    #: Resilience: consecutive cell failures that open a site's breaker.
-    breaker_failure_threshold: int = 3
-    #: Resilience: quarantined cells skipped before a half-open probe.
-    breaker_probe_after: int = 2
-    #: Resilience: per-cell simulated-seconds retry budget.
-    cell_deadline_seconds: float = 120.0
-    #: Telemetry: wide-event ring-buffer capacity (oldest records are
-    #: evicted -- and counted -- once a run emits more than this).
-    wide_ring_size: int = 65536
-    #: Run ledger: warehouse directory (``FEAM_LEDGER_DIR`` and the
-    #: ``--ledger`` flag override it; ``--no-ledger`` disables writes).
-    ledger_dir: str = ".feam/runs"
-    #: Run ledger: manifests kept before oldest-run eviction.
-    ledger_max_runs: int = 512
-    #: Persistent cache: store directory (``FEAM_CACHE_DIR`` and the
-    #: ``--cache-dir`` flag override it; empty = no on-disk tier).
-    cache_dir: str = ""
-    #: Persistent cache: per-segment byte cap before LRU eviction.
+    #: Persistent cache: per-segment byte cap before LRU eviction
+    #: (:data:`repro.core.persist.DEFAULT_MAX_BYTES`).
     cache_max_bytes: int = 64 * 1024 * 1024
-    #: Persistent cache: master switch (``--no-cache`` clears it).
-    persist: bool = True
 
     def mpiexec_for(self, mpi_type: Optional[str]) -> str:
         """The launch command for an MPI type (Section V.C default)."""
@@ -91,22 +68,11 @@ class FeamConfig:
     def parse(text: str) -> "FeamConfig":
         """Parse the simple ``key = value`` configuration-file format.
 
-        Recognised keys: ``serial_queue``, ``parallel_queue``,
-        ``hello_nprocs``, ``max_resolution_depth``, ``staging_root``,
-        ``output_root``, the timing-model keys (``feam_base_seconds``,
-        ``feam_seconds_per_dependency``, ``stack_assessment_seconds``,
-        ``library_check_seconds``, ``resolution_seconds_per_library``,
-        ``hello_retest_seconds``), the resilience keys (``retry_*``,
-        ``breaker_*``, ``cell_deadline_seconds``), the telemetry key
-        ``wide_ring_size``, the run-ledger keys (``ledger_dir``,
-        ``ledger_max_runs``), the persistent-cache keys
-        (``cache_dir``, ``cache_max_bytes``, ``persist``), and
+        The keys are the field names :meth:`render` writes, plus
         ``mpiexec.<MPI type>`` overrides.  Any other key raises
-        ``ValueError`` naming its line.  There are no worker-pool,
-        cache-shard or span-sampling keys: the engine evaluates
-        serially over plain dicts and keeps every span, so a config
-        file that still sets them is rejected rather than silently
-        ignored.
+        ``ValueError`` naming its line, so a file that sets a retry,
+        breaker, ledger or cache knob fails loudly instead of being
+        silently ignored.
         """
         kwargs: dict = {}
         overrides: dict[str, str] = {}
@@ -121,27 +87,15 @@ class FeamConfig:
             if key.startswith("mpiexec."):
                 overrides[key[len("mpiexec."):]] = value
             elif key in ("serial_queue", "parallel_queue",
-                         "staging_root", "output_root", "ledger_dir",
-                         "cache_dir"):
+                         "staging_root", "output_root"):
                 kwargs[key] = value
             elif key in ("hello_nprocs", "max_resolution_depth",
-                         "retry_max_attempts", "breaker_failure_threshold",
-                         "breaker_probe_after", "wide_ring_size",
-                         "ledger_max_runs", "cache_max_bytes"):
+                         "cache_max_bytes"):
                 kwargs[key] = int(value)
-            elif key == "persist":
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(
-                        f"config line {lineno}: persist must be "
-                        "true or false")
-                kwargs[key] = value.lower() == "true"
             elif key in ("feam_base_seconds", "feam_seconds_per_dependency",
                          "stack_assessment_seconds", "library_check_seconds",
                          "resolution_seconds_per_library",
-                         "hello_retest_seconds", "retry_base_seconds",
-                         "retry_backoff_multiplier",
-                         "retry_max_delay_seconds", "retry_jitter",
-                         "cell_deadline_seconds"):
+                         "hello_retest_seconds"):
                 kwargs[key] = float(value)
             else:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
@@ -165,20 +119,7 @@ class FeamConfig:
             f"resolution_seconds_per_library = "
             f"{self.resolution_seconds_per_library}",
             f"hello_retest_seconds = {self.hello_retest_seconds}",
-            f"retry_max_attempts = {self.retry_max_attempts}",
-            f"retry_base_seconds = {self.retry_base_seconds}",
-            f"retry_backoff_multiplier = {self.retry_backoff_multiplier}",
-            f"retry_max_delay_seconds = {self.retry_max_delay_seconds}",
-            f"retry_jitter = {self.retry_jitter}",
-            f"breaker_failure_threshold = {self.breaker_failure_threshold}",
-            f"breaker_probe_after = {self.breaker_probe_after}",
-            f"cell_deadline_seconds = {self.cell_deadline_seconds}",
-            f"wide_ring_size = {self.wide_ring_size}",
-            f"ledger_dir = {self.ledger_dir}",
-            f"ledger_max_runs = {self.ledger_max_runs}",
-            f"cache_dir = {self.cache_dir}",
             f"cache_max_bytes = {self.cache_max_bytes}",
-            f"persist = {'true' if self.persist else 'false'}",
         ]
         for mpi_type, command in sorted(self.mpiexec_overrides.items()):
             lines.append(f"mpiexec.{mpi_type} = {command}")

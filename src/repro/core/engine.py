@@ -83,7 +83,7 @@ from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
     FailureProvenance,
-    ResiliencePolicy,
+    RetryPolicy,
     provenance_from,
     with_retries,
 )
@@ -110,6 +110,15 @@ class CacheStats:
 
     def snapshot(self) -> "CacheStats":
         return dataclasses.replace(self)
+
+    @property
+    def hit_rate(self) -> Optional[float]:
+        """Hits over lookups across all three layers; None before any."""
+        hits = (self.description_hits + self.discovery_hits
+                + self.evaluation_hits)
+        lookups = hits + (self.description_misses + self.discovery_misses
+                          + self.evaluation_misses)
+        return hits / lookups if lookups else None
 
     def render(self) -> str:
         return (f"description {self.description_hits}/"
@@ -184,7 +193,6 @@ def _unknown_environment(hostname: str) -> EnvironmentDescription:
 
 
 def wide_record(cell: "MatrixCell", *,
-                wall_seconds: Optional[float] = None,
                 content_group: Optional[str] = None) -> dict:
     """One cell flattened into a wide event (:mod:`repro.obs.wide`).
 
@@ -204,8 +212,8 @@ def wide_record(cell: "MatrixCell", *,
         "ready": report.ready,
         "faulted": cell.faulted,
         "sim_seconds": round(report.feam_seconds, 6),
-        "wall_seconds": (round(wall_seconds, 6)
-                         if wall_seconds is not None else None),
+        "wall_seconds": (round(cell.wall_seconds, 6)
+                         if cell.wall_seconds is not None else None),
         "description_hit": report.cache.description_hit,
         "discovery_hit": report.cache.discovery_hit,
         "evaluation_hit": report.cache.evaluation_hit,
@@ -272,15 +280,14 @@ CELL_OUTCOME_CAP = 1024
 
 
 def run_rollup(result: "MatrixResult",
-               snapshot: Optional[dict] = None,
-               wide_events: Optional[Sequence[dict]] = None) -> dict:
+               snapshot: Optional[dict] = None) -> dict:
     """Distil one finished matrix into the ledger manifest's results.
 
     The engine half of the run-ledger layer (``repro.obs`` cannot know
     what a matrix cell is, mirroring :func:`wide_record`): cells,
     outcome/cache/retry counts, per-determinant implicated-cell
     latency digests, and per-phase latency digests pulled from a
-    ``MetricsRegistry.to_dict`` *snapshot* and the run's *wide_events*.
+    ``MetricsRegistry.to_dict`` *snapshot*.
     Returns ``{"rollup": ..., "phases": ...}`` ready to merge into a
     :class:`repro.obs.ledger.RunLedger` manifest.
     """
@@ -290,15 +297,6 @@ def run_rollup(result: "MatrixResult",
         word = cell.outcome_word
         outcomes[word] = outcomes.get(word, 0) + 1
 
-    # Wall seconds per cell come from the wide events; sim seconds
-    # from the cells.
-    wall_by_cell: dict[str, float] = {}
-    for event in wide_events or ():
-        wall = event.get("wall_seconds")
-        if isinstance(wall, (int, float)):
-            key = f"{event.get('binary')}@{event.get('site')}"
-            wall_by_cell[key] = float(wall)
-
     # Per-determinant rollup: outcome counts over every cell the
     # determinant ran in, latency digests over the cells it was
     # *implicated* in (did not pass) -- that is where an injected
@@ -307,7 +305,6 @@ def run_rollup(result: "MatrixResult",
     det_sim: dict[str, list[float]] = {}
     det_wall: dict[str, list[float]] = {}
     for cell in cells:
-        key = f"{cell.binary_id}@{cell.site_name}"
         for det in cell.report.prediction.determinants:
             counts = det_outcomes.setdefault(det.key, {})
             word = det.outcome.value
@@ -315,24 +312,20 @@ def run_rollup(result: "MatrixResult",
             if word != "pass":
                 det_sim.setdefault(det.key, []).append(
                     cell.report.feam_seconds)
-                if key in wall_by_cell:
+                if cell.wall_seconds is not None:
                     det_wall.setdefault(det.key, []).append(
-                        wall_by_cell[key])
+                        cell.wall_seconds)
     determinants = {
         key: {"outcomes": counts,
               "sim": ledger_mod.latency_digest(det_sim.get(key, ())),
               "wall": ledger_mod.latency_digest(det_wall.get(key, ()))}
         for key, counts in sorted(det_outcomes.items())}
 
-    stats = result.stats
-    hits = (stats.description_hits + stats.discovery_hits
-            + stats.evaluation_hits)
-    lookups = (hits + stats.description_misses + stats.discovery_misses
-               + stats.evaluation_misses)
     counters = (snapshot or {}).get("counters", {})
     histograms = (snapshot or {}).get("histograms", {})
-    cache = dataclasses.asdict(stats)
-    cache["hit_rate"] = round(hits / lookups, 6) if lookups else None
+    cache = dataclasses.asdict(result.stats)
+    hit_rate = result.stats.hit_rate
+    cache["hit_rate"] = round(hit_rate, 6) if hit_rate is not None else None
     # Persistent-tier provenance: lets `feam compare` / `feam drift`
     # attribute a latency regression to a cold or poisoned disk cache.
     cache["disk_hits"] = counters.get("persist.cache.disk_hits", 0)
@@ -348,7 +341,9 @@ def run_rollup(result: "MatrixResult",
         "determinants": determinants,
         "sim": ledger_mod.latency_digest(
             [cell.report.feam_seconds for cell in cells]),
-        "wall": ledger_mod.latency_digest(wall_by_cell.values()),
+        "wall": ledger_mod.latency_digest(
+            [cell.wall_seconds for cell in cells
+             if cell.wall_seconds is not None]),
     }
     if len(cells) <= CELL_OUTCOME_CAP:
         rollup["cell_outcomes"] = {
@@ -367,6 +362,10 @@ class MatrixCell:
     binary_id: str
     site_name: str
     report: TargetReport
+    #: Wall seconds the matrix spent evaluating the cell; None for a
+    #: cell filled in after its site's loop died.  Telemetry only.
+    wall_seconds: Optional[float] = dataclasses.field(
+        default=None, compare=False)
 
     @property
     def ready(self) -> bool:
@@ -526,7 +525,6 @@ class EvaluationEngine:
     def __init__(self, config: Optional[FeamConfig] = None,
                  registry: Optional[DeterminantRegistry] = None,
                  max_workers: Optional[int] = None,
-                 resilience: Optional[ResiliencePolicy] = None,
                  persist: Optional[persist_mod.PersistentStore] = None,
                  ) -> None:
         if max_workers not in (None, 1):
@@ -538,8 +536,7 @@ class EvaluationEngine:
         self.config_fingerprint = persist_mod.config_fingerprint(
             self.config)
         self.registry = registry
-        self.resilience = resilience or ResiliencePolicy.from_config(
-            self.config)
+        self.retry = RetryPolicy()
         #: Optional on-disk tier under the in-memory caches; a disk hit
         #: back-fills the dict and counts as a hit, a clean fresh
         #: computation writes behind.
@@ -582,8 +579,7 @@ class EvaluationEngine:
         """The (cached) per-site circuit breaker."""
         breaker = self._breakers.get(site_name)
         if breaker is None:
-            breaker = self._breakers[site_name] = \
-                self.resilience.breaker_for(site_name)
+            breaker = self._breakers[site_name] = CircuitBreaker(site_name)
         return breaker
 
     def site_health(self) -> dict[str, str]:
@@ -636,9 +632,8 @@ class EvaluationEngine:
                 environment = tec.environment()
             else:
                 environment, _attempts, retry_seconds = with_retries(
-                    self.resilience.retry, f"discover:{site.name}",
-                    tec.environment, operation="discover", site=site.name,
-                    deadline_seconds=self.resilience.cell_deadline_seconds)
+                    self.retry, f"discover:{site.name}",
+                    tec.environment, operation="discover", site=site.name)
                 if content is not None:
                     self._content_environments[content] = environment
                 if self.persist is not None:
@@ -742,11 +737,9 @@ class EvaluationEngine:
             started = time.perf_counter()
             bdc = BinaryDescriptionComponent(site.toolbox())
             description, _attempts, _slept = with_retries(
-                self.resilience.retry,
-                f"describe:{site.name}:{binary_path}",
+                self.retry, f"describe:{site.name}:{binary_path}",
                 lambda: bdc.describe(binary_path),
-                operation="describe", site=site.name,
-                deadline_seconds=self.resilience.cell_deadline_seconds)
+                operation="describe", site=site.name)
             obs.histogram("engine.describe.seconds").observe(
                 time.perf_counter() - started)
         self._descriptions[key] = description
@@ -935,9 +928,8 @@ class EvaluationEngine:
                                 bundle=bundle, staging_tag=tag)
 
         report, _attempts, retry_seconds = with_retries(
-            self.resilience.retry, f"evaluate:{site.name}:{tag}", attempt,
-            operation="evaluate", site=site.name,
-            deadline_seconds=self.resilience.cell_deadline_seconds)
+            self.retry, f"evaluate:{site.name}:{tag}", attempt,
+            operation="evaluate", site=site.name)
         if retry_seconds or discover_retry_seconds:
             report.feam_seconds += retry_seconds + discover_retry_seconds
         report.cache = CellCacheInfo(
@@ -1000,13 +992,11 @@ class EvaluationEngine:
             units.setdefault(position if content is None else content,
                              []).append(position)
 
-        def finish_cell(cell: MatrixCell, *, content,
-                        wall: Optional[float]) -> None:
+        def finish_cell(cell: MatrixCell, *, content) -> None:
             """Per-cell telemetry: one wide event per cell, at every
             point a cell enters the matrix."""
             if wide_sink is not None:
-                wide_sink.emit(wide_record(
-                    cell, wall_seconds=wall, content_group=content))
+                wide_sink.emit(wide_record(cell, content_group=content))
             obs.counter("cells.evaluated").inc()
 
         def run_site(site) -> list[MatrixCell]:
@@ -1026,12 +1016,12 @@ class EvaluationEngine:
                             site, image=spec.image,
                             binary_id=spec.binary_id, bundle=spec.bundle,
                             staging_tag=tag.replace("/", "-"))
-                        cell_wall = time.perf_counter() - cell_started
-                        cell = MatrixCell(binary_id=spec.binary_id,
-                                          site_name=site.name,
-                                          report=report)
+                        cell = MatrixCell(
+                            binary_id=spec.binary_id, site_name=site.name,
+                            report=report,
+                            wall_seconds=time.perf_counter() - cell_started)
                         cells.append(cell)
-                        finish_cell(cell, content=content, wall=cell_wall)
+                        finish_cell(cell, content=content)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
@@ -1048,7 +1038,7 @@ class EvaluationEngine:
                             binary_id=spec.binary_id, site_name=site.name,
                             report=self.degraded_report(site, provenance))
                         cells.append(cell)
-                        finish_cell(cell, content=content, wall=None)
+                        finish_cell(cell, content=content)
                 site_span.set_attrs(cells=len(cells),
                                     ready=sum(c.ready for c in cells))
             obs.histogram("engine.site.worker_seconds").observe(
@@ -1092,12 +1082,8 @@ class EvaluationEngine:
             obs.gauge("matrix.faulted_cells.pct").set(
                 100.0 * faulted / total)
         stats = self.stats
-        hits = (stats.description_hits + stats.discovery_hits
-                + stats.evaluation_hits)
-        lookups = hits + (stats.description_misses + stats.discovery_misses
-                          + stats.evaluation_misses)
-        if lookups:
-            obs.gauge("engine.cache.hit_rate").set(hits / lookups)
+        if stats.hit_rate is not None:
+            obs.gauge("engine.cache.hit_rate").set(stats.hit_rate)
         for layer, layer_hits, layer_misses in (
                 ("description", stats.description_hits,
                  stats.description_misses),

@@ -69,6 +69,7 @@ import threading
 from typing import Optional
 
 from repro import obs
+from repro.core.config import FeamConfig
 from repro.core.description import BinaryDescription
 from repro.core.discovery import DiscoveredStack, EnvironmentDescription
 from repro.core.evaluation import TargetReport
@@ -90,7 +91,7 @@ SCHEMA_VERSION = 1
 LAYERS = ("description", "discovery", "evaluation")
 
 #: Default per-segment byte cap (LRU eviction beyond it).
-DEFAULT_MAX_BYTES = 64 * 1024 * 1024
+DEFAULT_MAX_BYTES = FeamConfig.cache_max_bytes
 
 #: The "site" label cache fault kinds are scoped by in fault profiles
 #: (``cache-corruption @ cache ...``; ``@ *`` matches too).

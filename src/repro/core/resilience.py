@@ -1,4 +1,4 @@
-"""Resilience: retries, circuit breakers, deadlines.
+"""Resilience: retries and circuit breakers.
 
 The engine's answer to unreliable sites (see
 :mod:`repro.sysmodel.faults` for how unreliability is injected):
@@ -14,6 +14,9 @@ The engine's answer to unreliable sites (see
   (half-open) and its outcome closes or re-opens the breaker.
 * :class:`FailureProvenance` -- what a degraded (UNKNOWN) cell carries:
   the fault kind, attempts, simulated retry delay, breaker state.
+
+The constructor defaults are the engine's settings: it builds
+``RetryPolicy()`` and ``CircuitBreaker(site)``.
 
 Checkpointing is not this module's job: a killed matrix run resumes by
 rerunning it against the same persistent cache directory
@@ -33,7 +36,6 @@ import threading
 from typing import Callable, Optional
 
 from repro import obs
-from repro.core.config import FeamConfig
 from repro.util.hashing import stable_uniform
 
 
@@ -64,15 +66,6 @@ class RetryPolicy:
     #: ``u`` is a deterministic draw from the (key, attempt) pair.
     jitter: float = 0.25
 
-    @staticmethod
-    def from_config(config: FeamConfig) -> "RetryPolicy":
-        return RetryPolicy(
-            max_attempts=config.retry_max_attempts,
-            base_seconds=config.retry_base_seconds,
-            multiplier=config.retry_backoff_multiplier,
-            max_delay_seconds=config.retry_max_delay_seconds,
-            jitter=config.retry_jitter)
-
     def delay_seconds(self, key: str, attempt: int) -> float:
         """Backoff before retry number *attempt* (1-based)."""
         raw = min(self.base_seconds * self.multiplier ** (attempt - 1),
@@ -93,7 +86,6 @@ class FailureProvenance:
     retry_seconds: float = 0.0
     breaker_state: str = BreakerState.CLOSED.value
     transient: Optional[bool] = None
-    deadline_hit: bool = False
 
     def render(self) -> str:
         parts = [f"{self.operation} failed: {self.kind}",
@@ -101,17 +93,14 @@ class FailureProvenance:
                  f"breaker={self.breaker_state}"]
         if self.retry_seconds:
             parts.append(f"retried {self.retry_seconds:.1f}s")
-        if self.deadline_hit:
-            parts.append("deadline exhausted")
         return " | ".join(parts)
 
 
 class RetriesExhausted(RuntimeError):
-    """All attempts (or the deadline budget) spent; wraps the last error."""
+    """All attempts spent; wraps the last error."""
 
     def __init__(self, operation: str, key: str, last: BaseException,
-                 attempts: int, slept_seconds: float,
-                 deadline_hit: bool = False) -> None:
+                 attempts: int, slept_seconds: float) -> None:
         super().__init__(
             f"{operation} ({key}) failed after {attempts} attempt(s): {last}")
         self.operation = operation
@@ -119,18 +108,16 @@ class RetriesExhausted(RuntimeError):
         self.last = last
         self.attempts = attempts
         self.slept_seconds = slept_seconds
-        self.deadline_hit = deadline_hit
 
 
 def with_retries(policy: RetryPolicy, key: str, fn: Callable,
-                 operation: str = "call", site: str = "",
-                 deadline_seconds: Optional[float] = None):
+                 operation: str = "call", site: str = ""):
     """Run *fn* under *policy*; returns ``(value, attempts, slept)``.
 
     Backoff is simulated time only -- accumulated and returned so the
-    caller can add it to the cell's ``feam_seconds``.  When attempts or
-    the deadline budget run out, raises :class:`RetriesExhausted`
-    carrying the last underlying error.
+    caller can add it to the cell's ``feam_seconds``.  When attempts
+    run out, raises :class:`RetriesExhausted` carrying the last
+    underlying error.
     """
     slept = 0.0
     attempts = max(1, policy.max_attempts)
@@ -143,10 +130,6 @@ def with_retries(policy: RetryPolicy, key: str, fn: Callable,
             if attempt >= attempts:
                 raise RetriesExhausted(operation, key, exc, attempt, slept)
             delay = policy.delay_seconds(key, attempt)
-            if deadline_seconds is not None and \
-                    slept + delay > deadline_seconds:
-                raise RetriesExhausted(operation, key, exc, attempt, slept,
-                                       deadline_hit=True)
             slept += delay
             obs.counter("resilience.retries.total").inc()
             obs.event("resilience.retry", site=site, operation=operation,
@@ -215,50 +198,24 @@ class CircuitBreaker:
                     f"{self._consecutive_failures} consecutive failures")
 
 
-@dataclasses.dataclass(frozen=True)
-class ResiliencePolicy:
-    """Everything the engine needs to degrade instead of crash."""
-
-    retry: RetryPolicy = dataclasses.field(default_factory=RetryPolicy)
-    breaker_failure_threshold: int = 3
-    breaker_probe_after: int = 2
-    #: Simulated-seconds retry budget per cell; backoff past this stops.
-    cell_deadline_seconds: float = 120.0
-
-    @staticmethod
-    def from_config(config: FeamConfig) -> "ResiliencePolicy":
-        return ResiliencePolicy(
-            retry=RetryPolicy.from_config(config),
-            breaker_failure_threshold=config.breaker_failure_threshold,
-            breaker_probe_after=config.breaker_probe_after,
-            cell_deadline_seconds=config.cell_deadline_seconds)
-
-    def breaker_for(self, site: str) -> CircuitBreaker:
-        return CircuitBreaker(
-            site, failure_threshold=self.breaker_failure_threshold,
-            probe_after=self.breaker_probe_after)
-
-
 def provenance_from(exc: BaseException, site: str,
                     breaker_state: str = BreakerState.CLOSED.value,
                     operation: str = "evaluate") -> FailureProvenance:
     """Build provenance from whatever escaped the resilient paths."""
     from repro.sysmodel.faults import InjectedFault
-    attempts, slept, deadline_hit = 1, 0.0, False
+    attempts, slept = 1, 0.0
     if isinstance(exc, RetriesExhausted):
         operation = exc.operation
         attempts = exc.attempts
         slept = exc.slept_seconds
-        deadline_hit = exc.deadline_hit
         exc = exc.last
     if isinstance(exc, InjectedFault):
         return FailureProvenance(
             kind=exc.kind.value, detail=str(exc), site=site,
             operation=operation, attempts=attempts, retry_seconds=slept,
-            breaker_state=breaker_state, transient=exc.transient,
-            deadline_hit=deadline_hit)
+            breaker_state=breaker_state, transient=exc.transient)
     return FailureProvenance(
         kind=type(exc).__name__, detail=str(exc), site=site,
         operation=operation, attempts=attempts, retry_seconds=slept,
-        breaker_state=breaker_state, deadline_hit=deadline_hit)
+        breaker_state=breaker_state)
 

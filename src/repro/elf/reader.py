@@ -461,6 +461,8 @@ class ElfFile:
             fmt = self._prefix + "IBBHQQ"
         else:
             fmt = self._prefix + "IIIBBH"
+        if sec.entsize < struct.calcsize(fmt):
+            raise ElfError("dynsym entsize smaller than Sym")
         out = []
         for i in range(1, count):  # skip the null symbol
             fields = struct.unpack_from(fmt, data, i * sec.entsize)

@@ -297,10 +297,7 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
         if progress and (index + 1) % 25 == 0:
             print(f"  migrated {index + 1}/{len(corpus.binaries)} binaries")
 
-    # Surface the engine's cache tallies as metrics and hand the
-    # installed collector (if any) to downstream report generation.
-    stats = feam.engine.stats.snapshot()
-    obs.metrics().absorb_cache_stats(stats)
+    stats = feam.engine.stats
     # The same matrix-level gauges EvaluationEngine.evaluate_matrix
     # publishes, so SLO rules speak one vocabulary for both runners
     # (here a "cell" is one basic or extended target evaluation).
@@ -311,12 +308,8 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
             100.0 * ready_evals / total_evals)
         obs.gauge("matrix.unknown_cells.pct").set(
             100.0 * unknown_evals / total_evals)
-    hits = (stats.description_hits + stats.discovery_hits
-            + stats.evaluation_hits)
-    lookups = hits + (stats.description_misses + stats.discovery_misses
-                      + stats.evaluation_misses)
-    if lookups:
-        obs.gauge("engine.cache.hit_rate").set(hits / lookups)
+    if stats.hit_rate is not None:
+        obs.gauge("engine.cache.hit_rate").set(stats.hit_rate)
     return ExperimentResult(
         records=records,
         corpus=corpus,

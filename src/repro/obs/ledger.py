@@ -102,7 +102,10 @@ class RunLedger:
     """The append-only, size-capped run warehouse.
 
     One :data:`LEDGER_FILE` JSONL file under *directory*; each
-    :meth:`record` appends one flushed manifest line.  When the store
+    :meth:`record` appends one flushed manifest line.  Without a
+    *directory* the ledger lives in ``$FEAM_LEDGER_DIR``, else in
+    :data:`DEFAULT_DIR`: this is the one place that rule is written,
+    and ``--ledger DIR`` passes its value as *directory*.  When the store
     exceeds *max_runs* manifests it is compacted in place, dropping the
     oldest runs (``ledger.evicted`` counts them).  Reads tolerate a
     torn final line and skip manifests from a newer schema rather than
@@ -115,11 +118,12 @@ class RunLedger:
     * ``ledger.imported`` -- manifests created by ``feam runs import``.
     """
 
-    def __init__(self, directory: str = DEFAULT_DIR,
+    def __init__(self, directory: Optional[str] = None,
                  max_runs: int = DEFAULT_MAX_RUNS) -> None:
-        self.directory = directory
+        self.directory = (directory or os.environ.get("FEAM_LEDGER_DIR")
+                          or DEFAULT_DIR)
         self.max_runs = max(1, int(max_runs))
-        self.path = os.path.join(directory, LEDGER_FILE)
+        self.path = os.path.join(self.directory, LEDGER_FILE)
 
     # -- writing -------------------------------------------------------
 

@@ -209,19 +209,6 @@ class MetricsRegistry:
             return (dict(self._counters), dict(self._gauges),
                     dict(self._histograms))
 
-    def absorb_cache_stats(self, stats, prefix: str = "engine.cache") -> None:
-        """Mirror a :class:`~repro.core.engine.CacheStats` snapshot.
-
-        Sets ``<prefix>.<layer>.<hits|misses>`` counters to the
-        snapshot's tallies (used when stats were accumulated outside an
-        installed collector and need to be surfaced afterwards).
-        """
-        for layer in ("description", "discovery", "evaluation"):
-            for word in ("hits", "misses"):
-                counter = self.counter(f"{prefix}.{layer}.{word}")
-                with counter._lock:
-                    counter._value = getattr(stats, f"{layer}_{word}")
-
     def to_dict(self) -> dict:
         """A JSON-ready snapshot of every instrument."""
         with self._lock:
@@ -315,9 +302,6 @@ class NullMetrics:
 
     def histogram(self, name: str, buckets=None) -> _NullInstrument:
         return NULL_INSTRUMENT
-
-    def absorb_cache_stats(self, stats, prefix: str = "engine.cache") -> None:
-        pass
 
     def instruments(self) -> tuple[dict, dict, dict]:
         return {}, {}, {}

@@ -317,7 +317,9 @@ class TelemetryServer:
     zero-arg callable returning one (defaults to the process-installed
     collector, so a server started before ``obs.capture()`` follows
     the capture).  Bind *port* 0 to let the OS pick a free port (read
-    it back from :attr:`port`).
+    it back from :attr:`port`).  Without a *ledger*, ``/runs`` reads
+    the one :class:`~repro.obs.ledger.RunLedger` finds by itself
+    (``$FEAM_LEDGER_DIR``, else ``.feam/runs``).
 
     Usage::
 

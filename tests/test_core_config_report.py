@@ -41,12 +41,22 @@ class TestConfig:
     def test_parse_rejects_bad_lines(self):
         with pytest.raises(ValueError):
             FeamConfig.parse("no equals sign here")
-        # The worker-pool and span-sampling keys are gone: a config
-        # that still sets them fails loudly, naming the line, instead
-        # of being ignored.
+        # Operational knobs are not configuration: worker-pool, span
+        # sampling, retry, breaker, deadline, ring, ledger and cache
+        # keys fail loudly, naming the line, instead of being ignored.
         for line in ("unknown_key = 1", "matrix_workers = 2",
                      "cache_shards = 16", "sampling_head_n = 100",
-                     "sampling_latency_slo_seconds = 2.0"):
+                     "sampling_latency_slo_seconds = 2.0",
+                     "retry_max_attempts = 5", "retry_base_seconds = 1.5",
+                     "retry_backoff_multiplier = 3.0",
+                     "retry_max_delay_seconds = 10.0",
+                     "retry_jitter = 0.1",
+                     "breaker_failure_threshold = 5",
+                     "breaker_probe_after = 4",
+                     "cell_deadline_seconds = 60.0",
+                     "wide_ring_size = 1024", "ledger_dir = runs",
+                     "ledger_max_runs = 8", "cache_dir = cache",
+                     "persist = false"):
             with pytest.raises(ValueError,
                                match="config line 2: unknown key"):
                 FeamConfig.parse(f"serial_queue = fast\n{line}\n")

@@ -6,7 +6,7 @@ IndexError/struct.error/UnicodeDecodeError.  FEAM runs on untrusted
 binaries, so this matters.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.elf import BinarySpec, ElfError, parse_elf, write_elf
 from repro.elf.structs import DynamicSymbol
@@ -36,6 +36,7 @@ def _try_parse(data: bytes) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, len(_BASE_IMAGE) - 1), st.integers(0, 255))
+@example(offset=1152, value=6)  # .dynsym sh_entsize 24 -> 6
 def test_single_byte_corruption(offset, value):
     mutated = bytearray(_BASE_IMAGE)
     mutated[offset] = value

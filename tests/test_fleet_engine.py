@@ -10,15 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import (
-    EngineBinary,
-    EvaluationEngine,
-    compile_test_binaries,
-)
+from repro.core.engine import EvaluationEngine, compile_test_binaries
 from repro.obs.wide import WideEventSink
 from repro.sites.catalog import build_paper_sites
 from repro.sites.generator import resolve_sites
-from repro.toolchain.compilers import Language
 
 _GOLDEN = Path(__file__).parent / "golden" / "matrix_paper_5x4.txt"
 
@@ -30,14 +25,7 @@ def _paper_inputs(seed=20130101, count=4):
 
 def _fleet_inputs(spec="fleet:n=10,seed=4", count=2):
     sites = resolve_sites(spec)
-    binaries = []
-    for index in range(count):
-        site = sites[index]
-        stack = site.stacks[index % len(site.stacks)]
-        name = f"app-{site.name}-{stack.spec.slug}-{index}"
-        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
-        binaries.append(EngineBinary(binary_id=name, image=linked.image))
-    return sites, binaries
+    return sites, compile_test_binaries(sites, count)
 
 
 class TestGoldenMatrix:

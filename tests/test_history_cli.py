@@ -65,6 +65,25 @@ class TestMatrixRecordsLedger:
         assert runs[0]["phases"]["cell.sim"]["count"] == 5
         assert runs[0]["config_fingerprint"]
 
+    def test_manifest_records_the_binaries_that_ran(self, capsys):
+        # --binaries 0 still compiles and evaluates one binary.
+        assert feam_main(["matrix", "--binaries", "0",
+                          "--seed", "7"]) == EXIT_OK
+        (run,) = RunLedger(ledger_dir()).runs()
+        assert run["binaries"] == 1
+        assert run["rollup"]["cells"] == 5
+
+    def test_wall_digests_need_no_wide_out(self, capsys):
+        # Wall seconds ride on the matrix cells, so a plain run records
+        # one per evaluated cell, overall and per implicated determinant.
+        assert feam_main(["matrix", "--binaries", "1",
+                          "--seed", "7"]) == EXIT_OK
+        (run,) = RunLedger(ledger_dir()).runs()
+        rollup = run["rollup"]
+        assert rollup["wall"]["count"] == rollup["cells"] == 5
+        for digests in rollup["determinants"].values():
+            assert digests["wall"]["count"] == digests["sim"]["count"]
+
     def test_no_ledger_records_nothing(self, capsys):
         assert feam_main(["matrix", "--binaries", "1", "--seed", "7",
                           "--no-ledger"]) == EXIT_OK

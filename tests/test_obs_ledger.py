@@ -99,6 +99,17 @@ class TestRunLedger:
     def test_missing_store_reads_empty(self, tmp_path):
         assert RunLedger(str(tmp_path / "nope")).runs() == []
 
+    def test_default_directory_is_env_then_dot_feam(self, tmp_path,
+                                                    monkeypatch):
+        # The directory rule lives here alone: an explicit directory
+        # (--ledger), else $FEAM_LEDGER_DIR, else .feam/runs.
+        monkeypatch.setenv("FEAM_LEDGER_DIR", str(tmp_path / "env"))
+        assert RunLedger().directory == str(tmp_path / "env")
+        assert RunLedger(str(tmp_path / "flag")).directory \
+            == str(tmp_path / "flag")
+        monkeypatch.delenv("FEAM_LEDGER_DIR")
+        assert RunLedger().directory == ledger_mod.DEFAULT_DIR
+
     def test_eviction_drops_oldest(self, tmp_path):
         ledger = RunLedger(str(tmp_path / "runs"), max_runs=2)
         ids = [ledger.record(manifest(run_id=f"run-{i}"))["run_id"]

@@ -200,6 +200,16 @@ class TestEndpoints:
         assert json.loads(body) == {"path": ledger.path, "count": 0,
                                     "runs": []}
 
+    def test_default_ledger_follows_the_environment(self, tmp_path,
+                                                    monkeypatch):
+        from repro.obs.ledger import LEDGER_FILE
+
+        monkeypatch.setenv("FEAM_LEDGER_DIR", str(tmp_path / "env"))
+        with TelemetryServer(obs.Collector(), port=0) as server:
+            status, body = _get(server.url + "/runs")
+        assert status == 200
+        assert json.loads(body)["path"] == str(tmp_path / "env" / LEDGER_FILE)
+
     def test_unknown_path_404(self, served):
         status, body = _get(served.url + "/definitely-not")
         assert status == 404

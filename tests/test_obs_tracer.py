@@ -6,7 +6,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.engine import CacheStats
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_SPAN, Tracer
 
@@ -86,15 +85,6 @@ class TestMetrics:
         # Bucket estimates: p50 in the lowest bucket, p95 near the top.
         assert summary["p50"] <= 0.002
         assert 0.1 <= summary["p95"] <= 0.5
-
-    def test_absorb_cache_stats(self):
-        registry = MetricsRegistry()
-        stats = CacheStats(description_hits=7, description_misses=2,
-                           discovery_hits=4, discovery_misses=1,
-                           evaluation_hits=9, evaluation_misses=3)
-        registry.absorb_cache_stats(stats)
-        assert registry.counter("engine.cache.description.hits").value == 7
-        assert registry.counter("engine.cache.evaluation.misses").value == 3
 
     def test_render_lists_all_instruments(self):
         registry = MetricsRegistry()

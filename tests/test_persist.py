@@ -440,21 +440,14 @@ class TestEngineWarmStart:
     def test_cold_fleet_runs_write_byte_identical_stores(self, tmp_path):
         # Two cold runs, each with a fresh default engine and its own
         # store, must append the same records in the same order.
+        from repro.core.engine import compile_test_binaries
         from repro.sites.generator import resolve_sites
 
         layers = ("description", "discovery", "evaluation")
         written = []
         for run in ("first", "second"):
             sites = resolve_sites("fleet:n=10,seed=4")
-            binaries = []
-            for index in range(2):
-                site = sites[index]
-                stack = site.stacks[index % len(site.stacks)]
-                name = f"app-{site.name}-{stack.spec.slug}-{index}"
-                linked = site.compile_mpi_program(
-                    name, Language.FORTRAN, stack)
-                binaries.append(
-                    EngineBinary(binary_id=name, image=linked.image))
+            binaries = compile_test_binaries(sites, 2)
             directory = tmp_path / run
             engine = EvaluationEngine(
                 persist=PersistentStore(str(directory)))

@@ -15,7 +15,6 @@ from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
     FailureProvenance,
-    ResiliencePolicy,
     RetriesExhausted,
     RetryPolicy,
     provenance_from,
@@ -44,13 +43,6 @@ class TestRetryPolicy:
             delay = policy.delay_seconds(f"key{attempt}", attempt)
             assert 3.0 <= delay <= 5.0
 
-    def test_from_config_reads_the_knobs(self):
-        from repro.core.config import FeamConfig
-        config = FeamConfig(retry_max_attempts=5, retry_base_seconds=1.5)
-        policy = RetryPolicy.from_config(config)
-        assert policy.max_attempts == 5
-        assert policy.base_seconds == 1.5
-
 
 class TestWithRetries:
     def test_success_after_transient_failures(self):
@@ -78,16 +70,6 @@ class TestWithRetries:
         assert info.value.attempts == 3
         assert info.value.operation == "discover"
         assert isinstance(info.value.last, RuntimeError)
-
-    def test_deadline_budget_cuts_retries_short(self):
-        def dead():
-            raise RuntimeError("persistent")
-
-        with pytest.raises(RetriesExhausted) as info:
-            with_retries(RetryPolicy(max_attempts=10, base_seconds=50.0),
-                         "k", dead, deadline_seconds=60.0)
-        assert info.value.deadline_hit
-        assert info.value.attempts < 10
 
     def test_retries_are_counted_and_evented(self):
         calls = {"n": 0}
@@ -205,15 +187,3 @@ class TestProvenance:
     def test_plain_exception_uses_the_class_name(self):
         provenance = provenance_from(ValueError("bad"), site="fir")
         assert provenance.kind == "ValueError"
-
-
-class TestResiliencePolicy:
-    def test_from_config_builds_everything(self):
-        from repro.core.config import FeamConfig
-        policy = ResiliencePolicy.from_config(
-            FeamConfig(breaker_failure_threshold=5,
-                       cell_deadline_seconds=60.0))
-        assert policy.breaker_failure_threshold == 5
-        assert policy.cell_deadline_seconds == 60.0
-        breaker = policy.breaker_for("fir")
-        assert breaker.failure_threshold == 5
