@@ -11,13 +11,21 @@ libraries that populate the simulated sites, so FEAM's analysis pipeline
 (our objdump/readelf/ldd equivalents) parses *genuine on-disk ELF
 structures*, not a side-channel description.  Images round-trip through
 :mod:`repro.elf.reader` and are recognisable by real binutils.
+
+Shared libraries are installed lazily: a :class:`LazyImage` synthesises
+its image on every read, knows its size from :func:`image_size` without
+building the payload, and is shared, with its parse, by every live site
+that installs an equal spec (:func:`lazy_image`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Mapping, Optional, Sequence
+import weakref
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.elf.constants import (
     EI_NIDENT,
@@ -28,8 +36,12 @@ from repro.elf.constants import (
     SHF_ALLOC,
     SHF_EXECINSTR,
     SHF_WRITE,
+    SHN_UNDEF,
+    STB_GLOBAL,
+    STT_FUNC,
     VER_DEF_CURRENT,
     VER_FLG_BASE,
+    VER_NDX_GLOBAL,
     VER_NEED_CURRENT,
     DynamicTag,
     ElfClass,
@@ -40,6 +52,9 @@ from repro.elf.constants import (
     SegmentType,
     elf_hash,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.elf.reader import ElfFile
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,14 +126,12 @@ class _StringTable:
 def _payload_bytes(spec: BinarySpec) -> bytes:
     """Deterministic pseudo-code payload; varies with the spec contents.
 
-    Uses a seeded PCG64 stream (vectorized -- payloads are generated lazily
-    every time a simulated site reads a binary, so this is on the hot path
-    for multi-megabyte library files).
+    Uses a seeded PCG64 stream (vectorized).  A lazy library file
+    synthesises its whole image, payload included, on every filesystem
+    read of it, so this is the bulk of the work each read costs.
     """
     if spec.payload_size == 0:
         return b""
-    import numpy as np
-
     seed_src = (
         f"{spec.machine}|{spec.etype}|{spec.soname}|{','.join(spec.needed)}|"
         f"{','.join(spec.comment)}|{spec.payload_seed}"
@@ -127,14 +140,40 @@ def _payload_bytes(spec: BinarySpec) -> bytes:
     return np.random.Generator(np.random.PCG64(seed)).bytes(spec.payload_size)
 
 
-def write_elf(spec: BinarySpec) -> bytes:
-    """Serialize *spec* into a valid ELF image.
+@dataclasses.dataclass
+class _Sec:
+    """One section-header table entry."""
+
+    name: str
+    sh_type: int
+    flags: int
+    offset: int
+    size: int
+    link: int = 0
+    info: int = 0
+    addralign: int = 1
+    entsize: int = 0
+
+
+@dataclasses.dataclass
+class _Layout:
+    """Every byte of an image except its ``.text`` payload, placed."""
+
+    size: int
+    text_offset: int
+    #: ``(file offset, bytes)`` of each piece other than the payload.
+    pieces: list[tuple[int, bytes]]
+
+
+def _layout(spec: BinarySpec) -> _Layout:
+    """Place and serialize everything but the payload.
 
     The layout is sequential: header, program headers, ``.text``,
     ``.dynstr``, version sections, ``.dynamic``, ``.comment``,
     ``.shstrtab``, section-header table.  The single PT_LOAD maps the whole
     file at vaddr 0 so file offsets double as virtual addresses, which keeps
-    the dynamic entries trivially consistent.
+    the dynamic entries trivially consistent.  Only the payload's *size*
+    enters the layout, so no payload byte is generated here.
     """
     is64 = spec.elf_class is ElfClass.ELF64
     prefix = spec.data.struct_prefix
@@ -184,8 +223,6 @@ def write_elf(spec: BinarySpec) -> bytes:
 
     # -- build the variable-size section bodies ------------------------------
 
-    payload = _payload_bytes(spec)
-
     verneed_body = b""
     if verneed_items:
         need_fmt = prefix + "HHIII"
@@ -226,12 +263,6 @@ def write_elf(spec: BinarySpec) -> bytes:
     versym_body = b""
     sym_entsize = 24 if is64 else 16
     if symbol_items:
-        from repro.elf.constants import (
-            SHN_UNDEF,
-            STB_GLOBAL,
-            STT_FUNC,
-            VER_NDX_GLOBAL,
-        )
         st_info = (STB_GLOBAL << 4) | STT_FUNC
         sym_parts = [b"\x00" * sym_entsize]  # the mandatory null symbol
         ver_parts = [struct.pack(prefix + "H", 0)]
@@ -267,21 +298,24 @@ def write_elf(spec: BinarySpec) -> bytes:
 
     phnum = 2 if dynamic else 1
     offset = ehsize + phnum * phentsize
+    pieces: list[tuple[int, bytes]] = []
 
-    def place(size: int, align: int = 8) -> int:
+    def place(body: bytes, align: int = 8) -> int:
         nonlocal offset
-        if align > 1:
-            offset = (offset + align - 1) // align * align
-        start = offset
-        offset += size
+        start = (offset + align - 1) // align * align
+        pieces.append((start, body))
+        offset = start + len(body)
         return start
 
-    text_off = place(len(payload), 16)
-    dynstr_off = place(len(dynstr_bytes), 1) if dynamic else 0
-    dynsym_off = place(len(dynsym_body), 8) if dynsym_body else 0
-    versym_off = place(len(versym_body), 2) if versym_body else 0
-    verneed_off = place(len(verneed_body), 8) if verneed_body else 0
-    verdef_off = place(len(verdef_body), 8) if verdef_body else 0
+    # The payload takes its place by size alone; write_elf fills it in.
+    text_size = spec.payload_size
+    text_off = (offset + 15) // 16 * 16
+    offset = text_off + text_size
+    dynstr_off = place(dynstr_bytes, 1) if dynamic else 0
+    dynsym_off = place(dynsym_body, 8) if dynsym_body else 0
+    versym_off = place(versym_body, 2) if versym_body else 0
+    verneed_off = place(verneed_body, 8) if verneed_body else 0
+    verdef_off = place(verdef_body, 8) if verdef_body else 0
 
     # Dynamic entries (built after we know the section addresses).
     dyn_entries: list[tuple[int, int]] = []
@@ -309,31 +343,16 @@ def write_elf(spec: BinarySpec) -> bytes:
         dyn_entries.append((DynamicTag.NULL, 0))
     dynamic_body = b"".join(
         struct.pack(dyn_fmt, tag, value) for tag, value in dyn_entries)
-    dynamic_off = place(len(dynamic_body), 8) if dynamic else 0
+    dynamic_off = place(dynamic_body, 8) if dynamic else 0
 
-    comment_off = place(len(comment_body), 1) if comment_body else 0
+    comment_off = place(comment_body, 1) if comment_body else 0
 
     # -- section table --------------------------------------------------------
 
-    @dataclasses.dataclass
-    class _Sec:
-        name: str
-        sh_type: int
-        flags: int
-        offset: int
-        size: int
-        link: int = 0
-        info: int = 0
-        addralign: int = 1
-        entsize: int = 0
-        addr_is_offset: bool = True
-
-    sections: list[_Sec] = [
-        _Sec("", SectionType.NULL, 0, 0, 0, addr_is_offset=False)]
+    sections: list[_Sec] = [_Sec("", SectionType.NULL, 0, 0, 0)]
     sections.append(_Sec(".text", SectionType.PROGBITS,
-                         SHF_ALLOC | SHF_EXECINSTR, text_off, len(payload),
+                         SHF_ALLOC | SHF_EXECINSTR, text_off, text_size,
                          addralign=16))
-    dynstr_index = verneed_index = verdef_index = None
     if dynamic:
         dynstr_index = len(sections)
         sections.append(_Sec(".dynstr", SectionType.STRTAB, SHF_ALLOC,
@@ -349,13 +368,11 @@ def write_elf(spec: BinarySpec) -> bytes:
                 versym_off, len(versym_body), link=dynsym_index,
                 addralign=2, entsize=2))
         if verneed_body:
-            verneed_index = len(sections)
             sections.append(_Sec(
                 ".gnu.version_r", SectionType.GNU_VERNEED, SHF_ALLOC,
                 verneed_off, len(verneed_body), link=dynstr_index,
                 info=len(verneed_items), addralign=8))
         if verdef_body:
-            verdef_index = len(sections)
             sections.append(_Sec(
                 ".gnu.version_d", SectionType.GNU_VERDEF, SHF_ALLOC,
                 verdef_off, len(verdef_body), link=dynstr_index,
@@ -366,26 +383,35 @@ def write_elf(spec: BinarySpec) -> bytes:
             addralign=8, entsize=dyn_entsize))
     if comment_body:
         sections.append(_Sec(".comment", SectionType.PROGBITS, 0,
-                             comment_off, len(comment_body),
-                             addr_is_offset=False))
+                             comment_off, len(comment_body)))
 
     for sec in sections:
         shstr.add(sec.name)
-    shstrtab_name_added = shstr.add(".shstrtab")
-    del shstrtab_name_added
+    shstr.add(".shstrtab")
     shstrtab_bytes = shstr.bytes()
-    shstrtab_off = place(len(shstrtab_bytes), 1)
+    shstrtab_off = place(shstrtab_bytes, 1)
     shstrndx = len(sections)
     sections.append(_Sec(".shstrtab", SectionType.STRTAB, 0,
-                         shstrtab_off, len(shstrtab_bytes),
-                         addr_is_offset=False))
+                         shstrtab_off, len(shstrtab_bytes)))
 
-    shoff = place(len(sections) * shentsize, 8)
+    # Section headers.
+    blob = bytearray()
+    for sec in sections:
+        addr = sec.offset if (sec.flags & SHF_ALLOC) else 0
+        if is64:
+            blob += struct.pack(
+                prefix + "IIQQQQIIQQ", shstr.add(sec.name), int(sec.sh_type),
+                sec.flags, addr, sec.offset, sec.size, sec.link, sec.info,
+                sec.addralign, sec.entsize)
+        else:
+            blob += struct.pack(
+                prefix + "IIIIIIIIII", shstr.add(sec.name), int(sec.sh_type),
+                sec.flags, addr, sec.offset, sec.size, sec.link, sec.info,
+                sec.addralign, sec.entsize)
+    shoff = place(bytes(blob), 8)
     file_size = offset
 
-    # -- serialize ------------------------------------------------------------
-
-    image = bytearray(file_size)
+    # -- file header and program headers --------------------------------------
 
     ident = bytearray(EI_NIDENT)
     ident[:4] = ELF_MAGIC
@@ -403,10 +429,7 @@ def write_elf(spec: BinarySpec) -> bytes:
         hdr_fmt, int(spec.etype), int(spec.machine), 1, entry,
         ehsize, shoff, 0, ehsize, phentsize, phnum, shentsize,
         len(sections), shstrndx)
-    image[:EI_NIDENT] = ident
-    image[EI_NIDENT:EI_NIDENT + len(header)] = header
 
-    # Program headers.
     def pack_phdr(p_type: int, flags: int, seg_off: int, size: int,
                   align: int) -> bytes:
         if is64:
@@ -419,38 +442,80 @@ def write_elf(spec: BinarySpec) -> bytes:
     if dynamic:
         ph_blob += pack_phdr(SegmentType.DYNAMIC, PF_R | PF_W,
                              dynamic_off, len(dynamic_body), 8)
-    image[ehsize:ehsize + len(ph_blob)] = ph_blob
+    pieces.append((0, bytes(ident) + header))
+    pieces.append((ehsize, ph_blob))
+    return _Layout(file_size, text_off, pieces)
 
-    # Section bodies.
-    image[text_off:text_off + len(payload)] = payload
-    if dynamic:
-        image[dynstr_off:dynstr_off + len(dynstr_bytes)] = dynstr_bytes
-        if dynsym_body:
-            image[dynsym_off:dynsym_off + len(dynsym_body)] = dynsym_body
-            image[versym_off:versym_off + len(versym_body)] = versym_body
-        if verneed_body:
-            image[verneed_off:verneed_off + len(verneed_body)] = verneed_body
-        if verdef_body:
-            image[verdef_off:verdef_off + len(verdef_body)] = verdef_body
-        image[dynamic_off:dynamic_off + len(dynamic_body)] = dynamic_body
-    if comment_body:
-        image[comment_off:comment_off + len(comment_body)] = comment_body
-    image[shstrtab_off:shstrtab_off + len(shstrtab_bytes)] = shstrtab_bytes
 
-    # Section headers.
-    blob = bytearray()
-    for sec in sections:
-        addr = sec.offset if (sec.flags & SHF_ALLOC) else 0
-        if is64:
-            blob += struct.pack(
-                prefix + "IIQQQQIIQQ", shstr.add(sec.name), int(sec.sh_type),
-                sec.flags, addr, sec.offset, sec.size, sec.link, sec.info,
-                sec.addralign, sec.entsize)
-        else:
-            blob += struct.pack(
-                prefix + "IIIIIIIIII", shstr.add(sec.name), int(sec.sh_type),
-                sec.flags, addr, sec.offset, sec.size, sec.link, sec.info,
-                sec.addralign, sec.entsize)
-    image[shoff:shoff + len(blob)] = blob
+def image_size(spec: BinarySpec) -> int:
+    """``len(write_elf(spec))``, from the layout alone (no payload built)."""
+    return _layout(spec).size
 
+
+def write_elf(spec: BinarySpec) -> bytes:
+    """Serialize *spec* into a valid ELF image (layout: see :func:`_layout`)."""
+    layout = _layout(spec)
+    image = bytearray(layout.size)
+    for offset, piece in layout.pieces:
+        image[offset:offset + len(piece)] = piece
+    payload = _payload_bytes(spec)
+    image[layout.text_offset:layout.text_offset + len(payload)] = payload
     return bytes(image)
+
+
+# -- lazy images ----------------------------------------------------------------
+
+_SPEC_FIELDS = tuple(field.name for field in dataclasses.fields(BinarySpec))
+
+
+def _content_key(spec: BinarySpec) -> tuple:
+    """Every field :func:`write_elf` reads, hashable.
+
+    The version-requirement mapping becomes a tuple of its items, in
+    order (the order of ``.gnu.version_r``), so equal keys mean
+    byte-identical images.
+    """
+    return tuple(
+        tuple((name, tuple(versions))
+              for name, versions in spec.version_requirements.items())
+        if field == "version_requirements" else getattr(spec, field)
+        for field in _SPEC_FIELDS)
+
+
+class LazyImage:
+    """The image of one spec, synthesised on demand.
+
+    Installed as a :class:`~repro.sysmodel.fs.FileNode` provider:
+    calling it runs :func:`write_elf`, on every read.  :attr:`size` is
+    the layout's arithmetic, and :attr:`elf` keeps the image's detached
+    parse once :meth:`repro.sysmodel.machine.Machine.read_elf` has made
+    one, so every site holding this image shares one parse.
+    """
+
+    __slots__ = ("spec", "size", "elf", "__weakref__")
+
+    def __init__(self, spec: BinarySpec) -> None:
+        self.spec = spec
+        self.size = image_size(spec)
+        self.elf: Optional[ElfFile] = None
+
+    def __call__(self) -> bytes:
+        # By module-level name at call time, so a rebinding of write_elf
+        # (the benchmark's layer tracer, a test) sees every synthesis.
+        return write_elf(self.spec)
+
+
+#: The live image of each content key.  Held weakly, so an image lives
+#: exactly as long as some filesystem node references it and nothing
+#: outlives the sites that installed it.
+_live_images: "weakref.WeakValueDictionary[tuple, LazyImage]" = \
+    weakref.WeakValueDictionary()
+
+
+def lazy_image(spec: BinarySpec) -> LazyImage:
+    """The live :class:`LazyImage` of *spec*, shared by every equal spec."""
+    key = _content_key(spec)
+    image = _live_images.get(key)
+    if image is None:
+        image = _live_images[key] = LazyImage(spec)
+    return image

@@ -7,14 +7,16 @@ than touching the host.
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import posixpath
+import stat
 from typing import Callable, Iterator, Optional
 
 from repro.sysmodel.distro import Distro
 from repro.sysmodel.env import Environment
-from repro.sysmodel.fs import FsError
+from repro.sysmodel.fs import FileNode, FsError
 from repro.sysmodel.loader import DynamicLoader
 from repro.tools.toolbox import Toolbox
 
@@ -51,6 +53,20 @@ class HostFilesystem:
 
     def realpath(self, path: str) -> str:
         return os.path.realpath(path)
+
+    def resolve(self, path: str) -> tuple[str, FileNode]:
+        """``(realpath(path), node)`` of the regular file *path* names:
+        a lazy node whose provider reads the real file."""
+        real = os.path.realpath(path)
+        try:
+            info = os.stat(real)
+        except OSError as exc:
+            raise FsError(str(exc)) from exc
+        if not stat.S_ISREG(info.st_mode):
+            raise FsError(f"not a regular file: {path!r}")
+        return real, FileNode(provider=functools.partial(self.read, real),
+                              size=info.st_size,
+                              mode=stat.S_IMODE(info.st_mode))
 
     def size(self, path: str) -> int:
         try:
@@ -173,13 +189,12 @@ class HostMachine:
     def read_elf(self, path: str):
         """Parse (and cache) a real ELF file."""
         from repro.elf.reader import parse_elf
-        real = self.fs.realpath(path)
-        size = self.fs.size(real)
+        real, node = self.fs.resolve(path)
         cached = self._elf_cache.get(real)
-        if cached is not None and cached[0] == size:
+        if cached is not None and cached[0] == node.size:
             return cached[1]
         elf = parse_elf(self.fs.read(real)).detach()
-        self._elf_cache[real] = (size, elf)
+        self._elf_cache[real] = (node.size, elf)
         return elf
 
 

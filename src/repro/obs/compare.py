@@ -34,6 +34,29 @@ _PREFERRED_PHASE_ORDER = ("discover", "describe", "cell.sim",
                           "cell.wall", "worker")
 
 
+def _wall_phase(phase: str) -> bool:
+    """Is *phase* timed on the host's clock?  Every phase but ``*.sim``."""
+    return not phase.endswith(".sim")
+
+
+def wall_clock_metric(metric: str) -> bool:
+    """Is the flattened manifest *metric* a wall-clock latency value?
+
+    Those are every ``phases.<p>.*`` of a wall phase, ``rollup.wall.*``
+    and ``rollup.determinants.<d>.wall.*``, except each digest's
+    ``.count``.  Host noise moves them between identical runs, so
+    neither :func:`drift` nor :func:`gate` judges them.
+    """
+    digest, _, stat = metric.rpartition(".")
+    if stat == "count":
+        return False
+    if digest.startswith("phases."):
+        return _wall_phase(digest[len("phases."):])
+    return digest == "rollup.wall" or (
+        digest.startswith("rollup.determinants.")
+        and digest.endswith(".wall"))
+
+
 def _ratio(base: Optional[float],
            current: Optional[float]) -> Optional[float]:
     if base is None or current is None or base <= 0:
@@ -188,7 +211,7 @@ def gate(comparison: dict, fail_above: float) -> list[dict]:
     if sim_ratio is not None and sim_ratio > fail_above:
         regressions.append({"row": "sim (overall)", "ratio": sim_ratio})
     for row in comparison["phases"]:
-        if not row["phase"].endswith(".sim"):
+        if _wall_phase(row["phase"]):
             continue
         if row["ratio"] is not None and row["ratio"] > fail_above:
             regressions.append({"row": f"phase {row['phase']}",
@@ -307,7 +330,9 @@ def drift(runs: Sequence[dict], window: int = 10,
     *window* earlier runs **of the same kind** (comparing a chaos run
     against matrix runs would flag the fault counters as drift every
     time).  A metric is an *excursion* when it moved more than
-    *tolerance* (fractional) away from the baseline mean.  Optional
+    *tolerance* (fractional) away from the baseline mean.  Wall-clock
+    latency values (:func:`wall_clock_metric`) are not checked: host
+    noise alone moves them past any useful tolerance.  Optional
     SLO *rules* evaluate against the newest run's flattened metrics
     (exposed as gauges), reusing the grammar ``feam slo`` pins.
     """
@@ -327,7 +352,7 @@ def drift(runs: Sequence[dict], window: int = 10,
     excursions = []
     checked = 0
     for metric, observed in sorted(latest_metrics.items()):
-        if metric == "schema":
+        if metric == "schema" or wall_clock_metric(metric):
             continue
         history = baseline_values.get(metric)
         if not history:

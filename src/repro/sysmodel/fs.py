@@ -8,6 +8,12 @@ ELF libraries; a :class:`FileNode` may carry a ``provider`` callable instead
 of inline bytes, in which case the bytes are regenerated on every
 :meth:`VirtualFilesystem.read` (deterministically -- see
 :func:`repro.elf.writer._payload_bytes`) and only the size is kept resident.
+Library providers are :class:`~repro.elf.writer.LazyImage` objects: the
+size is layout arithmetic, and one object serves every live site holding
+an equal library (clones included).  It keeps the image's parse for
+:meth:`Machine.read_elf <repro.sysmodel.machine.Machine.read_elf>`, so
+reading a library's headers costs one synthesis per fleet, not one per
+site.
 
 Path semantics: paths are absolute, ``/``-separated, normalised with
 ``.``/``..`` components resolved lexically *after* symlink traversal of the
@@ -31,7 +37,12 @@ _MAX_SYMLINK_DEPTH = 40  # Linux SYMLOOP_MAX is 40.
 
 @dataclasses.dataclass
 class FileNode:
-    """A regular file: inline bytes or a (provider, size) pair."""
+    """A regular file: inline bytes or a (provider, size) pair.
+
+    A provider is called on every :meth:`read` and nothing it returns is
+    kept; *size* is recorded when the file is written, and every read
+    checks the provider's output against it.
+    """
 
     content: Optional[bytes] = None
     provider: Optional[Callable[[], bytes]] = None
@@ -81,6 +92,11 @@ def _split(path: str) -> list[str]:
     return [p for p in path.split("/") if p not in ("", ".")]
 
 
+def _prefix(parts: list[str], count: int) -> str:
+    """The absolute path of the first *count* components."""
+    return "/" + "/".join(parts[:count])
+
+
 class VirtualFilesystem:
     """An in-memory filesystem rooted at ``/``."""
 
@@ -95,40 +111,41 @@ class VirtualFilesystem:
 
     # -- node resolution ------------------------------------------------------
 
-    def _lookup(self, path: str, follow: bool = True,
-                _depth: int = 0) -> object:
-        """Resolve *path* to a node, traversing symlinks.
+    def _walk(self, path: str, follow: bool = True,
+              _depth: int = 0) -> tuple[object, str]:
+        """Resolve *path* to ``(node, canonical path)``, traversing symlinks.
 
-        With ``follow=False`` a trailing symlink is returned as the
+        The canonical path is *path* normalised with its trailing
+        symlink chain resolved, as :meth:`realpath` computes it.  With
+        ``follow=False`` a trailing symlink is returned as the
         :class:`SymlinkNode` itself (lstat semantics).
         """
         if _depth > _MAX_SYMLINK_DEPTH:
             raise FsError(f"too many levels of symbolic links: {path!r}")
-        parts = _split(posixpath.normpath(path))
+        path = posixpath.normpath(path)
+        parts = _split(path)
         node: object = self._root
-        trail = "/"
+        last = len(parts) - 1
         for i, part in enumerate(parts):
             if not isinstance(node, DirNode):
-                raise FsError(f"not a directory: {trail!r}")
-            if part == "..":
-                # Lexical parent: re-resolve the prefix.
-                parent = posixpath.dirname(trail.rstrip("/")) or "/"
-                node = self._lookup(parent, follow=True, _depth=_depth + 1)
-                trail = parent
-                continue
-            if part not in node.entries:
+                raise FsError(f"not a directory: {_prefix(parts, i)!r}")
+            child = node.entries.get(part)
+            if child is None:
                 raise FsError(f"no such file or directory: "
-                              f"{posixpath.join(trail, part)!r}")
-            child = node.entries[part]
-            trail = posixpath.join(trail, part)
-            is_last = i == len(parts) - 1
-            if isinstance(child, SymlinkNode) and (follow or not is_last):
+                              f"{_prefix(parts, i + 1)!r}")
+            if isinstance(child, SymlinkNode) and (follow or i < last):
                 target = child.target
                 if not target.startswith("/"):
-                    target = posixpath.join(posixpath.dirname(trail), target)
-                child = self._lookup(target, follow=True, _depth=_depth + 1)
+                    target = posixpath.join(_prefix(parts, i), target)
+                child, resolved = self._walk(target, True, _depth + 1)
+                if i == last:
+                    path = resolved
             node = child
-        return node
+        return node, path
+
+    def _lookup(self, path: str, follow: bool = True) -> object:
+        """Resolve *path* to a node (see :meth:`_walk`)."""
+        return self._walk(path, follow)[0]
 
     def _parent_dir(self, path: str, create: bool = False) -> tuple[DirNode, str]:
         parts = _split(posixpath.normpath(path))
@@ -184,6 +201,14 @@ class VirtualFilesystem:
         if not isinstance(node, SymlinkNode):
             raise FsError(f"not a symlink: {path!r}")
         return node.target
+
+    def resolve(self, path: str) -> tuple[str, FileNode]:
+        """``(realpath(path), node)`` of the regular file *path* names, in
+        one walk; raises :class:`FsError` when it names none."""
+        node, real = self._walk(path)
+        if not isinstance(node, FileNode):
+            raise FsError(f"not a regular file: {path!r}")
+        return real, node
 
     def size(self, path: str) -> int:
         """Size in bytes of the file at *path*."""

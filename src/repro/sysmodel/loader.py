@@ -230,12 +230,9 @@ class DynamicLoader:
         found; ``arch_skip`` True when a file existed but had the wrong
         architecture (search continues).
         """
-        fs = self._machine.fs
-        path = posixpath.join(directory, soname)
-        if not fs.is_file(path):
-            return None, False
-        real = fs.realpath(path)
         try:
+            real, _node = self._machine.fs.resolve(
+                posixpath.join(directory, soname))
             elf = self._machine.read_elf(real)
         except (FsError, ElfError):
             return None, False

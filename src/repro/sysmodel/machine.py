@@ -18,6 +18,7 @@ from typing import Optional
 
 from repro.elf.constants import ElfClass, ElfMachine
 from repro.elf.reader import ElfError, parse_elf
+from repro.elf.writer import LazyImage
 from repro.sysmodel.distro import Distro
 from repro.sysmodel.env import Environment
 from repro.sysmodel.errors import ExecutionResult, FailureKind
@@ -84,18 +85,32 @@ class Machine:
     def read_elf(self, path: str):
         """Parse the ELF file at *path*, caching the (detached) result.
 
-        Lazy library files regenerate their bytes on every read; caching
-        the parse keeps loader resolution fast.  The returned
-        :class:`~repro.elf.reader.ElfFile` has its raw image dropped --
-        callers needing bytes must read the filesystem directly.
+        Two tiers.  This machine's cache, keyed by canonical path and
+        size, answers first.  On a miss, a library file whose provider is
+        a :class:`~repro.elf.writer.LazyImage` takes the parse that image
+        keeps, making it if no site has yet: every live site holding an
+        equal library shares one synthesis and one parse.  That tier is
+        skipped while a fault hook is armed on the filesystem, and an
+        armed read never fills it: the read goes through
+        :meth:`VirtualFilesystem.read`, so the hook sees every
+        opportunity it would see without the shared parse.
+
+        The returned :class:`~repro.elf.reader.ElfFile` has its raw image
+        dropped -- callers needing bytes must read the filesystem
+        directly.
         """
-        real = self.fs.realpath(path)
-        size = self.fs.size(real)
+        real, node = self.fs.resolve(path)
         cached = self._elf_cache.get(real)
-        if cached is not None and cached[0] == size:
+        if cached is not None and cached[0] == node.size:
             return cached[1]
-        elf = parse_elf(self.fs.read(real)).detach()
-        self._elf_cache[real] = (size, elf)
+        image = node.provider
+        if isinstance(image, LazyImage) and self.fs.fault_hook is None:
+            if image.elf is None:
+                image.elf = parse_elf(node.read()).detach()
+            elf = image.elf
+        else:
+            elf = parse_elf(self.fs.read(real)).detach()
+        self._elf_cache[real] = (node.size, elf)
         return elf
 
     # -- cloning ----------------------------------------------------------------

@@ -20,7 +20,7 @@ import posixpath
 from typing import Optional
 
 from repro.elf.constants import ElfClass, ElfData, ElfMachine, ElfType
-from repro.elf.writer import BinarySpec, write_elf
+from repro.elf.writer import BinarySpec, lazy_image
 from repro.sysmodel.fs import VirtualFilesystem
 
 #: Every GLIBC_* symbol version in release order (subset sufficient for the
@@ -168,15 +168,14 @@ class GlibcRelease:
 
         Writes the real file (``libc-2.5.so``) with a soname symlink
         (``libc.so.6``), the way distro packages lay glibc out.  Contents
-        are lazy: the multi-megabyte images are regenerated (deterministic)
-        on read.
+        are lazy (see :class:`~repro.elf.writer.LazyImage`): the
+        multi-megabyte images are synthesised on read.
         """
         for member in self.members:
-            spec = self.member_spec(member, machine, elf_class, data)
-            image_size = len(write_elf(spec))
+            image = lazy_image(
+                self.member_spec(member, machine, elf_class, data))
             real = posixpath.join(libdir, member.filename)
-            fs.write_lazy(real, functools.partial(write_elf, spec),
-                          image_size, mode=0o755)
+            fs.write_lazy(real, image, image.size, mode=0o755)
             fs.symlink(posixpath.join(libdir, member.soname),
                        member.filename)
 

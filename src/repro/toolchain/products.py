@@ -17,13 +17,12 @@ vendor-shipped product with a (2,3,4) ceiling travels anywhere.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import posixpath
 from typing import Optional
 
 from repro.elf.constants import ElfClass, ElfData, ElfMachine, ElfType
 from repro.elf.structs import DynamicSymbol
-from repro.elf.writer import BinarySpec, write_elf
+from repro.elf.writer import BinarySpec, lazy_image
 from repro.sysmodel.fs import VirtualFilesystem
 from repro.toolchain.libc import GlibcRelease, glibc_symbol
 
@@ -91,14 +90,12 @@ class LibraryProduct:
                 data: ElfData = ElfData.LSB) -> str:
         """Write this product into ``libdir`` of *fs*; returns the soname path.
 
-        The image is stored lazily (regenerated deterministically on read)
+        The image is stored lazily (see :class:`~repro.elf.writer.LazyImage`)
         with a soname symlink when the real filename differs.
         """
-        spec = self.spec(libc_release, machine, elf_class, data)
-        image_size = len(write_elf(spec))
+        image = lazy_image(self.spec(libc_release, machine, elf_class, data))
         real_path = posixpath.join(libdir, self.install_name)
-        fs.write_lazy(real_path, functools.partial(write_elf, spec),
-                      image_size, mode=0o755)
+        fs.write_lazy(real_path, image, image.size, mode=0o755)
         soname_path = posixpath.join(libdir, self.soname)
         if self.install_name != self.soname:
             fs.symlink(soname_path, self.install_name)

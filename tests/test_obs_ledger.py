@@ -244,6 +244,47 @@ class TestDrift:
         moved = {entry["metric"] for entry in report["excursions"]}
         assert "rollup.sim.mean" in moved
 
+    def test_identical_runs_under_host_noise_have_no_excursions(self):
+        # Three identical runs whose only differences are host noise:
+        # every wall-clock phase, the wall rollup and a determinant's
+        # wall digest move by x0.4-x2.5.  None of that is drift.
+        runs = []
+        for scale in (1.0, 0.4, 2.5):
+            run = manifest(blocked=2)
+            noisy = [0.02 * scale] * 10
+            run["phases"]["discover"] = ledger_mod.latency_digest(noisy)
+            run["phases"]["cell.wall"] = ledger_mod.latency_digest(noisy)
+            run["rollup"]["wall"] = ledger_mod.latency_digest(noisy)
+            run["rollup"]["determinants"]["glibc"]["wall"] = \
+                ledger_mod.latency_digest(noisy[:2])
+            runs.append(run)
+        report = compare_mod.drift(runs, window=1, tolerance=0.25)
+        assert report["excursions"] == []
+        assert report["metrics_checked"] > 0
+
+    def test_wall_digest_counts_still_drift(self):
+        runs = [manifest(), manifest()]
+        runs[0]["rollup"]["wall"] = ledger_mod.latency_digest([0.1] * 10)
+        runs[1]["rollup"]["wall"] = ledger_mod.latency_digest([0.1] * 20)
+        report = compare_mod.drift(runs, tolerance=0.25)
+        assert [e["metric"] for e in report["excursions"]] == \
+            ["rollup.wall.count"]
+
+    @pytest.mark.parametrize("metric, wall", [
+        ("phases.discover.mean", True),
+        ("phases.cell.wall.p95", True),
+        ("phases.cell.wall.count", False),
+        ("phases.cell.sim.mean", False),
+        ("rollup.wall.max", True),
+        ("rollup.wall.count", False),
+        ("rollup.determinants.mpi-stack.wall.sum", True),
+        ("rollup.determinants.mpi-stack.sim.sum", False),
+        ("rollup.sim.mean", False),
+        ("rollup.cells", False),
+    ])
+    def test_wall_clock_metric(self, metric, wall):
+        assert compare_mod.wall_clock_metric(metric) is wall
+
     def test_sign_flip_ratio_does_not_crash(self):
         # A metric that crosses zero (traced_overhead does) must sort
         # as a maximal excursion, not raise a math domain error.
