@@ -18,7 +18,6 @@ tool.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import tarfile
@@ -26,7 +25,7 @@ from typing import Optional
 
 from repro.core.bundle import HelloPrograms, SourceBundle
 from repro.core.description import BinaryDescription, LibraryRecord
-from repro.core.discovery import DiscoveredStack, EnvironmentDescription
+from repro.core.discovery import EnvironmentDescription
 
 FORMAT_VERSION = 1
 
@@ -119,43 +118,6 @@ def _record_from_json(data: dict, image: Optional[bytes]) -> LibraryRecord:
     )
 
 
-def _stack_to_json(s: DiscoveredStack) -> dict:
-    return {
-        "label": s.label, "kind": s.kind, "version": s.version,
-        "compiler_family": s.compiler_family,
-        "compiler_version": s.compiler_version,
-        "prefix": s.prefix, "via": s.via, "module_name": s.module_name,
-    }
-
-
-def _stack_from_json(data: dict) -> DiscoveredStack:
-    return DiscoveredStack(**data)
-
-
-def _environment_to_json(e: EnvironmentDescription) -> dict:
-    return {
-        "hostname": e.hostname, "isa": e.isa, "os_type": e.os_type,
-        "os_version": e.os_version, "distro": e.distro,
-        "libc_version": e.libc_version, "libc_path": e.libc_path,
-        "libc_via": e.libc_via,
-        "stacks": [_stack_to_json(s) for s in e.stacks],
-        "env_tool": e.env_tool,
-        "loaded_stacks": list(e.loaded_stacks),
-    }
-
-
-def _environment_from_json(data: dict) -> EnvironmentDescription:
-    return EnvironmentDescription(
-        hostname=data["hostname"], isa=data["isa"],
-        os_type=data["os_type"], os_version=data["os_version"],
-        distro=data["distro"], libc_version=data["libc_version"],
-        libc_path=data["libc_path"], libc_via=data["libc_via"],
-        stacks=tuple(_stack_from_json(s) for s in data["stacks"]),
-        env_tool=data["env_tool"],
-        loaded_stacks=tuple(data["loaded_stacks"]),
-    )
-
-
 # -- pack / unpack --------------------------------------------------------------
 
 def pack_bundle(bundle: SourceBundle) -> bytes:
@@ -165,8 +127,7 @@ def pack_bundle(bundle: SourceBundle) -> bytes:
         "created_at": bundle.created_at,
         "description": _description_to_json(bundle.description),
         "libraries": [_record_to_json(r) for r in bundle.libraries],
-        "guaranteed_environment": _environment_to_json(
-            bundle.guaranteed_environment),
+        "guaranteed_environment": bundle.guaranteed_environment.to_dict(),
         "hello": ({"stack_label": bundle.hello.stack_label,
                    "compiled_at": bundle.hello.compiled_at,
                    "languages": sorted(bundle.hello.images)}
@@ -195,8 +156,57 @@ def pack_bundle(bundle: SourceBundle) -> bytes:
     return buffer.getvalue()
 
 
+def _decoded(where: str, decode, *args):
+    """``decode(*args)``; a malformed manifest part is a
+    :class:`BundleFormatError` naming *where* it is wrong."""
+    try:
+        return decode(*args)
+    except BundleFormatError:
+        raise
+    except KeyError as exc:
+        raise BundleFormatError(
+            f"manifest {where}: missing field {exc}") from None
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise BundleFormatError(f"manifest {where}: {exc}") from None
+
+
+def _libraries_from_json(entries: list,
+                         members: dict) -> tuple[LibraryRecord, ...]:
+    libraries = []
+    for data in entries:
+        image = None
+        if data.get("copied"):
+            image = members.get(f"libs/{data['soname']}")
+            if image is None:
+                raise BundleFormatError(
+                    f"manifest lists a copy of {data['soname']} "
+                    f"but the archive member is missing")
+        libraries.append(_record_from_json(data, image))
+    return tuple(libraries)
+
+
+def _hello_from_json(data: Optional[dict],
+                     members: dict) -> Optional[HelloPrograms]:
+    if data is None:
+        return None
+    images = {}
+    for language in data["languages"]:
+        image = members.get(f"hello/{language}")
+        if image is None:
+            raise BundleFormatError(
+                f"manifest lists a {language} hello probe but the "
+                f"archive member is missing")
+        images[language] = image
+    return HelloPrograms(images=images, stack_label=data["stack_label"],
+                         compiled_at=data["compiled_at"])
+
+
 def unpack_bundle(data: bytes) -> SourceBundle:
-    """Deserialize an archive produced by :func:`pack_bundle`."""
+    """Deserialize an archive produced by :func:`pack_bundle`.
+
+    Raises :class:`BundleFormatError` for anything that is not a whole,
+    well-formed bundle: bundles arrive from outside the program.
+    """
     try:
         buffer = io.BytesIO(data)
         with tarfile.open(fileobj=buffer, mode="r:gz") as tar:
@@ -210,43 +220,25 @@ def unpack_bundle(data: bytes) -> SourceBundle:
         manifest = json.loads(members["MANIFEST.json"])
     except json.JSONDecodeError as exc:
         raise BundleFormatError(f"corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise BundleFormatError("manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise BundleFormatError(
             f"unsupported bundle format version: {version!r}")
-
-    libraries = []
-    for record_json in manifest["libraries"]:
-        image = None
-        if record_json.get("copied"):
-            image = members.get(f"libs/{record_json['soname']}")
-            if image is None:
-                raise BundleFormatError(
-                    f"manifest lists a copy of {record_json['soname']} "
-                    f"but the archive member is missing")
-        libraries.append(_record_from_json(record_json, image))
-
-    hello = None
-    hello_json = manifest.get("hello")
-    if hello_json is not None:
-        images = {}
-        for language in hello_json["languages"]:
-            image = members.get(f"hello/{language}")
-            if image is None:
-                raise BundleFormatError(
-                    f"manifest lists a {language} hello probe but the "
-                    f"archive member is missing")
-            images[language] = image
-        hello = HelloPrograms(
-            images=images,
-            stack_label=hello_json["stack_label"],
-            compiled_at=hello_json["compiled_at"])
-
+    for field in ("libraries", "description", "guaranteed_environment",
+                  "created_at"):
+        if field not in manifest:
+            raise BundleFormatError(f"manifest has no {field!r}")
     return SourceBundle(
-        description=_description_from_json(manifest["description"]),
-        libraries=tuple(libraries),
-        hello=hello,
-        guaranteed_environment=_environment_from_json(
+        description=_decoded("description", _description_from_json,
+                             manifest["description"]),
+        libraries=_decoded("libraries", _libraries_from_json,
+                           manifest["libraries"], members),
+        hello=_decoded("hello", _hello_from_json, manifest.get("hello"),
+                       members),
+        guaranteed_environment=_decoded(
+            "guaranteed_environment", EnvironmentDescription.from_dict,
             manifest["guaranteed_environment"]),
         created_at=manifest["created_at"],
     )

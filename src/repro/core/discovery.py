@@ -97,6 +97,58 @@ class EnvironmentDescription:
     def stacks_of_kind(self, kind: str) -> list[DiscoveredStack]:
         return [s for s in self.stacks if s.kind == kind]
 
+    def to_dict(self) -> dict:
+        """The JSON form: the persistent store's discovery records and
+        the bundle archive's guaranteed environment."""
+        return {
+            "hostname": self.hostname,
+            "isa": self.isa,
+            "os_type": self.os_type,
+            "os_version": self.os_version,
+            "distro": self.distro,
+            "libc_version": self.libc_version,
+            "libc_path": self.libc_path,
+            "libc_via": self.libc_via,
+            "env_tool": self.env_tool,
+            "loaded_stacks": list(self.loaded_stacks),
+            "stacks": [{
+                "label": stack.label,
+                "kind": stack.kind,
+                "version": stack.version,
+                "compiler_family": stack.compiler_family,
+                "compiler_version": stack.compiler_version,
+                "prefix": stack.prefix,
+                "via": stack.via,
+                "module_name": stack.module_name,
+            } for stack in self.stacks],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EnvironmentDescription":
+        """The inverse of :meth:`to_dict`.  An absent optional field
+        decodes to its default; an absent required one raises KeyError."""
+        return cls(
+            hostname=data["hostname"],
+            isa=data["isa"],
+            os_type=data["os_type"],
+            os_version=data.get("os_version"),
+            distro=data.get("distro"),
+            libc_version=data.get("libc_version"),
+            libc_path=data.get("libc_path"),
+            libc_via=data.get("libc_via"),
+            stacks=tuple(DiscoveredStack(
+                label=stack["label"],
+                kind=stack.get("kind"),
+                version=stack.get("version"),
+                compiler_family=stack.get("compiler_family"),
+                compiler_version=stack.get("compiler_version"),
+                prefix=stack.get("prefix"),
+                via=stack.get("via", "path-search"),
+                module_name=stack.get("module_name"),
+            ) for stack in data.get("stacks", ())),
+            env_tool=data.get("env_tool"),
+            loaded_stacks=tuple(data.get("loaded_stacks", ())))
+
 
 def parse_stack_name(text: str) -> tuple[Optional[str], Optional[str], Optional[str]]:
     """Parse ``openmpi-1.4-intel`` or ``openmpi/1.4-intel`` style names.

@@ -618,7 +618,7 @@ class EvaluationEngine:
             stored = self.persist.load(
                 "discovery", self._discovery_store_key(site, content))
             if stored is not None:
-                environment = persist_mod.environment_from_payload(
+                environment = EnvironmentDescription.from_dict(
                     stored["environment"])
                 tec.adopt_environment(dataclasses.replace(
                     environment, hostname=site.name))
@@ -642,8 +642,7 @@ class EvaluationEngine:
                     self.persist.store(
                         "discovery",
                         self._discovery_store_key(site, content),
-                        {"environment":
-                         persist_mod.environment_to_payload(environment)})
+                        {"environment": environment.to_dict()})
             obs.histogram("engine.discover.seconds").observe(
                 time.perf_counter() - started)
         if hit:
@@ -697,8 +696,7 @@ class EvaluationEngine:
                 "discovery",
                 self._discovery_store_key(
                     site, getattr(site, "content_key", None)),
-                {"environment":
-                 persist_mod.environment_to_payload(environment)})
+                {"environment": environment.to_dict()})
         return changed
 
     # -- description cache -----------------------------------------------------------
@@ -722,16 +720,6 @@ class EvaluationEngine:
             self._stats.description_hits += 1
             obs.counter("engine.cache.description.hits").inc()
             return cached, True
-        if self.persist is not None:
-            stored = self.persist.load(
-                "description",
-                persist_mod.description_key(key[0], binary_path))
-            if stored is not None:
-                description = persist_mod.description_from_payload(stored)
-                self._descriptions[key] = description
-                self._stats.description_hits += 1
-                obs.counter("engine.cache.description.hits").inc()
-                return description, True
         with obs.span("engine.describe", site=site.name, path=binary_path,
                       hit=False):
             started = time.perf_counter()
@@ -745,11 +733,6 @@ class EvaluationEngine:
         self._descriptions[key] = description
         self._stats.description_misses += 1
         obs.counter("engine.cache.description.misses").inc()
-        if self.persist is not None:
-            self.persist.store(
-                "description",
-                persist_mod.description_key(key[0], binary_path),
-                persist_mod.description_to_payload(description))
         return description, False
 
     # -- cell evaluation ---------------------------------------------------------------
@@ -856,7 +839,7 @@ class EvaluationEngine:
         if binary_path is not None and image is None:
             image = site.machine.fs.read(binary_path)
 
-        _environment, discovery_hit, discover_retry_seconds = \
+        environment, discovery_hit, discover_retry_seconds = \
             self._discover(site)
         fingerprint = self._fingerprints[site.name]
 
@@ -880,14 +863,13 @@ class EvaluationEngine:
             key = (f"content::{content}", digest, bdg, tag)
         else:
             key = (site.name, fingerprint, digest, bdg, tag)
+        # A cached report is served with the environment this site's
+        # discovery holds: the one it was computed against (same
+        # fingerprint, or same content group re-homed to this host).
         cached = self._reports.get(key)
         if cached is not None:
             self._stats.evaluation_hits += 1
             obs.counter("engine.cache.evaluation.hits").inc()
-            environment = cached.environment
-            if environment.hostname != site.name:
-                environment = dataclasses.replace(
-                    environment, hostname=site.name)
             return dataclasses.replace(
                 cached, environment=environment,
                 cache=CellCacheInfo(
@@ -904,12 +886,13 @@ class EvaluationEngine:
                 fingerprint=(None if content is not None
                              else fingerprint))
             if stored is not None:
-                report = persist_mod.report_from_payload(stored)
-                if report.environment.hostname != site.name:
-                    report.environment = dataclasses.replace(
-                        report.environment, hostname=site.name)
+                report = persist_mod.report_from_payload(stored,
+                                                         environment)
+                # Descriptions are not stored: the first disk-served
+                # cell of each binary in a process described it afresh.
                 report.cache = CellCacheInfo(
-                    description_hit=True, discovery_hit=True,
+                    description_hit=description_hit,
+                    discovery_hit=discovery_hit,
                     evaluation_hit=True, tier="disk")
                 self._reports[key] = report
                 self._stats.evaluation_hits += 1

@@ -31,7 +31,7 @@ from repro.core.description import (
     BinaryDescriptionComponent,
 )
 from repro.core.discovery import EnvironmentDiscoveryComponent
-from repro.core.evaluation import TargetEvaluationComponent, TargetReport
+from repro.core.evaluation import TargetReport
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError
 from repro.toolchain.compilers import Language
@@ -144,9 +144,6 @@ class Feam:
         return None
 
     # -- target phase --------------------------------------------------------------
-
-    def _tec_for(self, site) -> TargetEvaluationComponent:
-        return self.engine.tec_for(site)
 
     def run_target_phase(self, site,
                          binary_path: Optional[str] = None,

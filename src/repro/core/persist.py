@@ -1,13 +1,18 @@
 """The persistent evaluation cache: crash-safe cross-run warm starts.
 
-The engine's three cache layers (description / discovery / evaluation,
-see :mod:`repro.core.engine`) are in-memory dicts and die with the
-process, so every fresh ``feam matrix`` pays full cold cost.
-:class:`PersistentStore` is the read-through/write-behind tier under
-them: one append-only JSONL *segment* per layer inside a cache
-directory, written through the shared :mod:`repro.util.jsonl`
-discipline (one flushed line per record, torn-tail-tolerant reads,
-atomic-rename rewrites).
+The engine's cache layers (see :mod:`repro.core.engine`) are in-memory
+dicts and die with the process, so every fresh ``feam matrix`` pays
+full cold cost.  :class:`PersistentStore` is the read-through/
+write-behind tier under two of them: one append-only JSONL *segment*
+per layer inside a cache directory, written through the shared
+:mod:`repro.util.jsonl` discipline (one flushed line per record,
+torn-tail-tolerant reads, atomic-rename rewrites).
+
+Each fact is stored once.  A site's environment lives in its
+``discovery`` record only; an ``evaluation`` record holds the verdict
+and is served with the environment the engine holds for that site.
+Binary descriptions are not persisted: describing a binary costs about
+half a millisecond, once per process.
 
 Robustness is the design center -- a disk cache must degrade to a
 cache miss with provenance, never a wrong readiness prediction and
@@ -24,22 +29,24 @@ never a crash:
   artifact of a killed process and is skipped silently (counted on
   ``persist.cache.torn_tail``); undecodable lines elsewhere are real
   corruption and quarantine.
-* **Fingerprint invalidation.**  Discovery and per-site evaluation
+* **Fingerprint invalidation.**  A hand-built site's evaluation
   records are bound to the site's ``environment_fingerprint``; a
   record whose binding no longer matches is dropped as stale, never
   served.
 * **Config binding.**  Evaluation keys fold in the engine's
   :func:`config_fingerprint`, so a record computed under one
   :class:`~repro.core.config.FeamConfig` is never served to an engine
-  built with another.  Descriptions and discoveries do not read the
-  config and stay unbound.
-* **LRU/size eviction + compaction.**  Segments are append-only (a
-  newer record for a key supersedes older lines); :meth:`compact`
-  rewrites each segment keeping the newest valid record per key,
-  least-recently-used entries evicted first once the per-segment byte
-  cap is exceeded -- the same :func:`repro.util.jsonl.cap_jsonl` step
-  the run ledger uses.  Rewrites go through a temp file and
-  ``os.replace`` so a reader never sees a half-written segment.
+  built with another.  Discoveries do not read the config and stay
+  unbound.
+* **LRU/size eviction + compaction.**  Segments are append-only: a
+  newer record for a key supersedes older lines, and when the newest
+  is quarantined the key is a miss, never the record it superseded.
+  :meth:`compact` rewrites each segment keeping the newest valid
+  record per key, least-recently-used entries evicted first once the
+  per-segment byte cap is exceeded -- the same
+  :func:`repro.util.jsonl.cap_jsonl` step the run ledger uses.
+  Rewrites go through a temp file and ``os.replace`` so a reader
+  never sees a half-written segment.
 * **Durability chaos.**  Two seeded fault kinds attack the store
   itself: ``cache-torn-write`` truncates an appended line mid-write,
   ``cache-corruption`` simulates at-rest rot by quarantining a record
@@ -70,8 +77,7 @@ from typing import Optional
 
 from repro import obs
 from repro.core.config import FeamConfig
-from repro.core.description import BinaryDescription
-from repro.core.discovery import DiscoveredStack, EnvironmentDescription
+from repro.core.discovery import EnvironmentDescription
 from repro.core.evaluation import TargetReport
 from repro.core.prediction import (
     DeterminantResult,
@@ -85,10 +91,12 @@ from repro.util.hashing import stable_digest
 
 #: Version of the on-disk record layout.  Bump when a field changes
 #: meaning or disappears; adding fields is backwards-compatible.
-SCHEMA_VERSION = 1
+#: Schema 2 dropped the evaluation payload's ``environment``; schema-1
+#: records are still served, that field ignored.
+SCHEMA_VERSION = 2
 
-#: The three engine cache layers the store backs, one segment each.
-LAYERS = ("description", "discovery", "evaluation")
+#: The engine cache layers the store backs, one segment each.
+LAYERS = ("discovery", "evaluation")
 
 #: Default per-segment byte cap (LRU eviction beyond it).
 DEFAULT_MAX_BYTES = FeamConfig.cache_max_bytes
@@ -99,11 +107,6 @@ CACHE_SITE = "cache"
 
 
 # -- content-addressed keys ------------------------------------------------------
-
-
-def description_key(image_digest: str, path: str) -> str:
-    """The disk key of one described binary (image digest + path)."""
-    return stable_digest("persist", "description", image_digest, path)
 
 
 def discovery_key(scope: str, site_key: str) -> str:
@@ -142,108 +145,12 @@ def record_checksum(layer: str, key: str, fingerprint: Optional[str],
 
 # -- value serialisation ---------------------------------------------------------
 #
-# Payloads are plain JSON dicts.  Descriptions and environments
-# round-trip completely; evaluation reports round-trip *summary-grade*
-# (verdict, ordered determinants, reasons, environment, timing), so a
-# disk-served cell renders byte-identically to a cold one without
-# persisting staging artefacts (resolution plans, run environments)
-# that are cheap to rebuild and expensive to validate.
-
-
-def description_to_payload(description: BinaryDescription) -> dict:
-    return {
-        "path": description.path,
-        "file_format": description.file_format,
-        "isa_name": description.isa_name,
-        "bits": description.bits,
-        "is_dynamic": description.is_dynamic,
-        "is_shared_library": description.is_shared_library,
-        "soname": description.soname,
-        "library_version": list(description.library_version),
-        "needed": list(description.needed),
-        "version_references": [list(ref)
-                               for ref in description.version_references],
-        "version_definitions": list(description.version_definitions),
-        "required_glibc": description.required_glibc,
-        "comment": list(description.comment),
-        "mpi_implementation": description.mpi_implementation,
-        "build_compiler_hint": description.build_compiler_hint,
-        "build_libc_hint": description.build_libc_hint,
-        "gathered_via": description.gathered_via,
-    }
-
-
-def description_from_payload(payload: dict) -> BinaryDescription:
-    return BinaryDescription(
-        path=payload["path"],
-        file_format=payload["file_format"],
-        isa_name=payload["isa_name"],
-        bits=int(payload["bits"]),
-        is_dynamic=bool(payload["is_dynamic"]),
-        is_shared_library=bool(payload["is_shared_library"]),
-        soname=payload.get("soname"),
-        library_version=tuple(int(part) for part
-                              in payload.get("library_version", ())),
-        needed=tuple(payload.get("needed", ())),
-        version_references=tuple(
-            (ref[0], ref[1])
-            for ref in payload.get("version_references", ())),
-        version_definitions=tuple(payload.get("version_definitions", ())),
-        required_glibc=payload.get("required_glibc"),
-        comment=tuple(payload.get("comment", ())),
-        mpi_implementation=payload.get("mpi_implementation"),
-        build_compiler_hint=payload.get("build_compiler_hint"),
-        build_libc_hint=payload.get("build_libc_hint"),
-        gathered_via=payload.get("gathered_via", "objdump"))
-
-
-def environment_to_payload(environment: EnvironmentDescription) -> dict:
-    return {
-        "hostname": environment.hostname,
-        "isa": environment.isa,
-        "os_type": environment.os_type,
-        "os_version": environment.os_version,
-        "distro": environment.distro,
-        "libc_version": environment.libc_version,
-        "libc_path": environment.libc_path,
-        "libc_via": environment.libc_via,
-        "env_tool": environment.env_tool,
-        "loaded_stacks": list(environment.loaded_stacks),
-        "stacks": [{
-            "label": stack.label,
-            "kind": stack.kind,
-            "version": stack.version,
-            "compiler_family": stack.compiler_family,
-            "compiler_version": stack.compiler_version,
-            "prefix": stack.prefix,
-            "via": stack.via,
-            "module_name": stack.module_name,
-        } for stack in environment.stacks],
-    }
-
-
-def environment_from_payload(payload: dict) -> EnvironmentDescription:
-    return EnvironmentDescription(
-        hostname=payload["hostname"],
-        isa=payload["isa"],
-        os_type=payload["os_type"],
-        os_version=payload.get("os_version"),
-        distro=payload.get("distro"),
-        libc_version=payload.get("libc_version"),
-        libc_path=payload.get("libc_path"),
-        libc_via=payload.get("libc_via"),
-        stacks=tuple(DiscoveredStack(
-            label=stack["label"],
-            kind=stack.get("kind"),
-            version=stack.get("version"),
-            compiler_family=stack.get("compiler_family"),
-            compiler_version=stack.get("compiler_version"),
-            prefix=stack.get("prefix"),
-            via=stack.get("via", "path-search"),
-            module_name=stack.get("module_name"),
-        ) for stack in payload.get("stacks", ())),
-        env_tool=payload.get("env_tool"),
-        loaded_stacks=tuple(payload.get("loaded_stacks", ())))
+# Payloads are plain JSON dicts.  A discovery payload is the site's
+# environment (:meth:`EnvironmentDescription.to_dict`); an evaluation
+# payload is *summary-grade* (verdict, ordered determinants, reasons,
+# timing), so a disk-served cell renders byte-identically to a cold one
+# without persisting staging artefacts (resolution plans, run
+# environments) that are cheap to rebuild and expensive to validate.
 
 
 def report_to_payload(report: TargetReport) -> dict:
@@ -261,12 +168,13 @@ def report_to_payload(report: TargetReport) -> dict:
         "feam_seconds": round(report.feam_seconds, 6),
         "selected_stack_prefix": report.selected_stack_prefix,
         "output_path": report.output_path,
-        "environment": environment_to_payload(report.environment),
     }
 
 
-def report_from_payload(payload: dict) -> TargetReport:
-    """A summary-grade :class:`TargetReport` from its disk payload.
+def report_from_payload(payload: dict,
+                        environment: EnvironmentDescription) -> TargetReport:
+    """A summary-grade :class:`TargetReport` from its disk payload,
+    served against *environment* (the site's, as the engine holds it).
 
     Determinant order is preserved (the verbose grid prints them in
     registry order); resolution plans and run environments are not
@@ -289,7 +197,7 @@ def report_from_payload(payload: dict) -> TargetReport:
         reasons=tuple(payload.get("reasons", ())))
     return TargetReport(
         prediction=prediction,
-        environment=environment_from_payload(payload["environment"]),
+        environment=environment,
         feam_seconds=float(payload.get("feam_seconds", 0.0)),
         selected_stack_prefix=payload.get("selected_stack_prefix"),
         output_path=payload.get("output_path"))
@@ -301,16 +209,13 @@ def report_from_payload(payload: dict) -> TargetReport:
 class _Segment:
     """One layer's on-disk state: appender, index, accounting."""
 
-    __slots__ = ("path", "appender", "index", "fingerprints", "bytes",
-                 "loaded")
+    __slots__ = ("path", "appender", "index", "bytes", "loaded")
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.appender: Optional[_jsonl.JsonlAppender] = None
-        #: key -> payload (newest record wins).
-        self.index: dict[str, dict] = {}
-        #: key -> fingerprint binding (None = unbound).
-        self.fingerprints: dict[str, Optional[str]] = {}
+        #: key -> (payload, fingerprint binding or None); newest wins.
+        self.index: dict[str, tuple[dict, Optional[str]]] = {}
         self.bytes = 0
         self.loaded = False
 
@@ -318,12 +223,12 @@ class _Segment:
 class PersistentStore:
     """The schema-versioned, digest-keyed on-disk cache tier.
 
-    One instance owns one cache *directory* (three JSONL segments plus
-    whatever a future schema adds).  Thread-safe -- one lock guards the
-    segments and the LRU ticks -- although the serial engine only ever
-    drives it from one thread.  Segments are loaded lazily (first access per layer) and indexed in memory;
-    appends are flushed per line so a killed run loses at most the
-    in-flight record.
+    One instance owns one cache *directory* (one JSONL segment per
+    layer).  Thread-safe -- one lock guards the segments and the LRU
+    ticks -- although the serial engine only ever drives it from one
+    thread.  Segments are loaded lazily (first access per layer) and
+    indexed in memory; appends are flushed per line so a killed run
+    loses at most the in-flight record.
     """
 
     def __init__(self, directory: str, *,
@@ -359,14 +264,13 @@ class PersistentStore:
         segment = self._segments[layer]
         with self._lock:
             self._ensure_loaded(layer)
-            payload = segment.index.get(key)
-            if payload is None:
+            entry = segment.index.get(key)
+            if entry is None:
                 return None
-            bound = segment.fingerprints.get(key)
+            payload, bound = entry
             if (fingerprint is not None and bound is not None
                     and bound != fingerprint):
                 del segment.index[key]
-                del segment.fingerprints[key]
                 obs.counter("persist.cache.stale").inc()
                 obs.event("persist.stale", layer=layer, key=key,
                           bound=bound, current=fingerprint)
@@ -399,11 +303,11 @@ class PersistentStore:
         segment = self._segments[layer]
         with self._lock:
             self._ensure_loaded(layer)
-            appender = self._appender(segment)
-            appender.append_line(line)
+            if segment.appender is None:
+                segment.appender = _jsonl.JsonlAppender(segment.path)
+            segment.appender.append_line(line)
             segment.bytes += len(line) + 1
-            segment.index[key] = payload
-            segment.fingerprints[key] = fingerprint
+            segment.index[key] = (payload, fingerprint)
             self._tick += 1
             self._touch[(layer, key)] = self._tick
             self.stores += 1
@@ -413,86 +317,43 @@ class PersistentStore:
         if over_cap:
             self.compact()
 
-    def drop(self, layer: str, key: str) -> bool:
-        """Invalidate one key (tombstone append; compaction erases it)."""
-        segment = self._segments[layer]
-        with self._lock:
-            self._ensure_loaded(layer)
-            present = key in segment.index
-            segment.index.pop(key, None)
-            segment.fingerprints.pop(key, None)
-            self._touch.pop((layer, key), None)
-            record = {"schema": SCHEMA_VERSION, "layer": layer,
-                      "key": key, "deleted": True,
-                      "sum": record_checksum(layer, key, None,
-                                             {"deleted": True})}
-            line = _jsonl.dump_line(record)
-            appender = self._appender(segment)
-            appender.append_line(line)
-            segment.bytes += len(line) + 1
-        return present
+    # -- reading segments ----------------------------------------------
 
-    # -- segment loading ----------------------------------------------
+    def _read(self, layer: str):
+        """Decode and vet one segment's lines as they are on disk.
 
-    def _appender(self, segment: _Segment) -> _jsonl.JsonlAppender:
-        if segment.appender is None:
-            segment.appender = _jsonl.JsonlAppender(segment.path)
-        return segment.appender
-
-    def _ensure_loaded(self, layer: str) -> None:
-        """Index a segment on first access (caller holds the lock)."""
-        segment = self._segments[layer]
-        if segment.loaded:
+        Yields ``(line number, key, record, issue)`` for each non-blank
+        line.  *issue* is None for a sound record; ``"torn-tail"`` for
+        an undecodable final line, the normal artifact of a killed
+        process; ``"torn-write"`` for an undecodable line elsewhere;
+        else the :meth:`_vet` reason.  *record* is None when the line
+        did not decode, *key* when it names no string key.  Serving
+        (:meth:`_ensure_loaded`) and fsck (:meth:`_scan`) share this
+        pass and differ only in what they do with an issue.  Bytes
+        that are not UTF-8 decode to U+FFFD, so rot there fails the
+        decode or the checksum like any other.
+        """
+        path = self._segments[layer].path
+        if not os.path.exists(path):
             return
-        segment.loaded = True
-        if not os.path.exists(segment.path):
-            return
-        with open(segment.path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        segment.bytes = len(text.encode("utf-8"))
-        lines = text.splitlines()
-        last_content = max(
-            (i for i, line in enumerate(lines) if line.strip()),
-            default=-1)
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            if not line:
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+            lines = handle.read().splitlines()
+        last = max((i for i, line in enumerate(lines) if line.strip()),
+                   default=-1)
+        for index, line in enumerate(lines):
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("not an object")
             except ValueError:
-                if lineno == last_content:
-                    # The torn tail of a killed run: expected, skipped.
-                    self.torn_tail += 1
-                    obs.counter("persist.cache.torn_tail").inc()
-                else:
-                    self._quarantine(layer, "torn-write", lineno + 1)
+                record = None
+            if not isinstance(record, dict):
+                yield (index + 1, None, None,
+                       "torn-tail" if index == last else "torn-write")
                 continue
-            issue = self._vet(layer, record)
-            if issue is not None:
-                self._quarantine(layer, issue, lineno + 1,
-                                 key=record.get("key"))
-                continue
-            key = record["key"]
-            if record.get("deleted"):
-                segment.index.pop(key, None)
-                segment.fingerprints.pop(key, None)
-                continue
-            # Durability chaos: a seeded cache-corruption marks this
-            # record as rotted at rest; quarantine instead of serving.
-            if faults.fires(CACHE_SITE,
-                            faults.FaultKind.CACHE_CORRUPTION, key=key):
-                self._quarantine(layer, "cache-corruption", lineno + 1,
-                                 key=key)
-                segment.index.pop(key, None)
-                segment.fingerprints.pop(key, None)
-                continue
-            segment.index[key] = record["payload"]
-            segment.fingerprints[key] = record.get("fingerprint")
-            self._tick += 1
-            self._touch[(layer, key)] = self._tick
+            key = record.get("key")
+            yield (index + 1, key if isinstance(key, str) else None,
+                   record, self._vet(layer, record))
 
     @staticmethod
     def _vet(layer: str, record: dict) -> Optional[str]:
@@ -501,12 +362,9 @@ class PersistentStore:
         if isinstance(schema, int) and schema > SCHEMA_VERSION:
             return "newer-schema"
         key = record.get("key")
-        if not isinstance(key, str) or record.get("layer") != layer:
-            return "malformed"
-        if record.get("deleted"):
-            return None
         payload = record.get("payload")
-        if not isinstance(payload, dict):
+        if (not isinstance(key, str) or record.get("layer") != layer
+                or not isinstance(payload, dict)):
             return "malformed"
         expected = record_checksum(layer, key, record.get("fingerprint"),
                                    payload)
@@ -514,54 +372,53 @@ class PersistentStore:
             return "checksum"
         return None
 
-    def _quarantine(self, layer: str, reason: str, lineno: int,
-                    key: Optional[str] = None) -> None:
-        self.quarantined[reason] = self.quarantined.get(reason, 0) + 1
-        obs.counter("persist.cache.quarantined").inc()
-        obs.counter(f"persist.cache.quarantined.{reason}").inc()
-        obs.event("persist.quarantine", layer=layer, reason=reason,
-                  line=lineno, key=key)
+    def _ensure_loaded(self, layer: str) -> None:
+        """Index a segment on first access (caller holds the lock)."""
+        segment = self._segments[layer]
+        if segment.loaded:
+            return
+        segment.loaded = True
+        segment.bytes = self._segment_size(layer)
+        for lineno, key, record, issue in self._read(layer):
+            # Durability chaos: a seeded cache-corruption marks this
+            # record as rotted at rest; quarantine instead of serving.
+            if issue is None and faults.fires(
+                    CACHE_SITE, faults.FaultKind.CACHE_CORRUPTION,
+                    key=key):
+                issue = "cache-corruption"
+            if issue == "torn-tail":
+                self.torn_tail += 1
+                obs.counter("persist.cache.torn_tail").inc()
+            elif issue is not None:
+                self.quarantined[issue] = self.quarantined.get(issue, 0) + 1
+                obs.counter("persist.cache.quarantined").inc()
+                obs.counter(f"persist.cache.quarantined.{issue}").inc()
+                obs.event("persist.quarantine", layer=layer, reason=issue,
+                          line=lineno, key=key)
+                segment.index.pop(key, None)
+            else:
+                segment.index[key] = (record["payload"],
+                                      record.get("fingerprint"))
+                self._tick += 1
+                self._touch[(layer, key)] = self._tick
 
     # -- maintenance (the `feam cache` verbs) --------------------------
 
     def _scan(self, layer: str) -> tuple[list, dict]:
         """One segment's fsck: (ordered valid records, issue counts).
 
-        Reads the real bytes on disk -- independent of the in-memory
-        index and of any installed fault plan -- so ``verify`` reports
-        what a fresh process would find.
+        Independent of the in-memory index and of any installed fault
+        plan, so ``verify`` reports what a fresh process would find.
         """
-        segment = self._segments[layer]
         issues = {"torn_tail": 0, "torn_write": 0, "checksum": 0,
                   "newer_schema": 0, "malformed": 0}
         by_key: dict[str, dict] = {}
-        if not os.path.exists(segment.path):
-            return [], issues
-        with open(segment.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        last_content = max(
-            (i for i, line in enumerate(lines) if line.strip()),
-            default=-1)
-        for lineno, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("not an object")
-            except ValueError:
-                issues["torn_tail" if lineno == last_content
-                       else "torn_write"] += 1
-                continue
-            issue = self._vet(layer, record)
+        for _lineno, key, record, issue in self._read(layer):
             if issue is not None:
                 issues[issue.replace("-", "_")] += 1
-                continue
-            if record.get("deleted"):
-                by_key.pop(record["key"], None)
+                by_key.pop(key, None)
             else:
-                by_key[record["key"]] = record
+                by_key[key] = record
         return list(by_key.values()), issues
 
     def verify(self) -> dict:
@@ -584,7 +441,7 @@ class PersistentStore:
 
     def compact(self) -> dict:
         """Rewrite every segment: newest valid record per key survives,
-        corrupt/torn/superseded/tombstoned lines drop, and the
+        corrupt/torn/superseded lines drop, and the
         per-segment byte cap evicts least-recently-used entries first.
         Atomic per segment (temp file + rename)."""
         summary = {}
@@ -608,8 +465,7 @@ class PersistentStore:
                 if segment.loaded:
                     for key in list(segment.index):
                         if key not in kept:
-                            segment.index.pop(key, None)
-                            segment.fingerprints.pop(key, None)
+                            del segment.index[key]
                 segment.bytes = self._segment_size(layer)
                 summary[layer] = dict(
                     issues, kept=len(kept), evicted=evicted,
@@ -631,7 +487,6 @@ class PersistentStore:
                 if os.path.exists(segment.path):
                     os.remove(segment.path)
                 segment.index.clear()
-                segment.fingerprints.clear()
                 segment.bytes = 0
                 segment.loaded = True
             self._touch.clear()

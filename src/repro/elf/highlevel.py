@@ -40,13 +40,6 @@ class BinaryInfo:
     comment: tuple[str, ...]
     size: int
 
-    @property
-    def required_glibc_components(self) -> tuple[int, ...]:
-        """Numeric components of the required GLIBC version (or empty)."""
-        if self.required_glibc is None:
-            return ()
-        return self.required_glibc.components
-
 
 def required_glibc_version(elf: ElfFile) -> Optional[SymbolVersion]:
     """The newest GLIBC version referenced or defined by *elf*.

@@ -113,16 +113,3 @@ def missing_library_share(records: Iterable[MigrationRecord]) -> Optional[float]
     if not total:
         return None
     return breakdown.get("missing-shared-library", 0) / total
-
-
-def mpi_identification_accuracy(records: Iterable[MigrationRecord],
-                                expected_kinds: dict[str, str],
-                                identified_kinds: dict[str, Optional[str]],
-                                ) -> Optional[float]:
-    """Accuracy of Table I's MPI identification over corpus binaries."""
-    total = correct = 0
-    for binary_id, expected in expected_kinds.items():
-        total += 1
-        if identified_kinds.get(binary_id) == expected:
-            correct += 1
-    return _fraction(correct, total)

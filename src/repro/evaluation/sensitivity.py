@@ -32,12 +32,6 @@ class SweepPoint:
     before_success: dict[Suite, Optional[float]]
     after_success: dict[Suite, Optional[float]]
 
-    def extended_at_least_basic(self) -> bool:
-        return all(
-            (self.extended_accuracy[suite] or 0)
-            >= (self.basic_accuracy[suite] or 0) - 1e-9
-            for suite in Suite)
-
 
 def _run_point(parameter: str, value: float, seed: int,
                corpus_size: int, abi_scale: float = 1.0,

@@ -156,7 +156,9 @@ class Site:
         only the per-site identity -- hostname, scheduler, execution
         simulator -- is rebuilt around *name* and *seed*.  This is what
         makes standing up thousands of same-configuration fleet sites
-        tractable; building each from its spec costs ~100x more.
+        tractable: timed per call on the seed-7 150-site fleet (2-core
+        host, Python 3.11), a build from the spec takes about 8 ms and a
+        clone about 0.25 ms, so building costs about 30x more.
 
         *spec_overrides* may adjust fields that do not affect the
         installed filesystem (scheduler flavor, misconfigured stacks,

@@ -15,10 +15,15 @@ an equal library (clones included).  It keeps the image's parse for
 reading a library's headers costs one synthesis per fleet, not one per
 site.
 
-Path semantics: paths are absolute, ``/``-separated, normalised with
-``.``/``..`` components resolved lexically *after* symlink traversal of the
-parent chain, mirroring how the real kernel resolves them closely enough for
-our tools layer (``find``, ``ldd``, the loader) to behave realistically.
+Path semantics: paths are absolute and ``/``-separated.  A path is first
+normalised lexically (``posixpath.normpath``: ``.`` dropped, ``dir/..``
+collapsed) and only then walked, following symlinks along the parent chain.
+So ``..`` after a symlink climbs from the link's own directory, not from
+the directory it points to as the kernel does: with ``/a/link -> /b/c``
+and a file ``/b/x``, ``exists("/a/link/../x")`` is False here and True on
+Linux.  Paths built from ``$ORIGIN/..`` can therefore resolve differently
+from the real ``ld.so``; matching the kernel belongs to ROADMAP.md item 3
+(the simulated ``ld.so`` checked against the real one).
 """
 
 from __future__ import annotations

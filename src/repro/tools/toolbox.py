@@ -273,10 +273,6 @@ class Toolbox:
         self._require("cat")
         return self.machine.fs.read_text(path)
 
-    def file_exists(self, path: str) -> bool:
-        """Shell ``test -e``."""
-        return self.machine.fs.exists(path)
-
     def list_glob(self, directory: str, suffix: str = "") -> list[str]:
         """Shell globbing of ``directory/*suffix``."""
         if not self.machine.fs.is_dir(directory):

@@ -1,6 +1,7 @@
 """Bundle serialization round-trip and file-based two-phase workflow."""
 
 import io
+import json
 import tarfile
 
 import pytest
@@ -11,7 +12,30 @@ from repro.core.bundlefile import (
     pack_bundle,
     unpack_bundle,
 )
+from repro.core.discovery import EnvironmentDescription
+from repro.sites.site import Site
 from repro.toolchain.compilers import Language
+from tests.conftest import TEST_SEED, _mini_spec
+
+
+def _manifest(archive: bytes):
+    with tarfile.open(fileobj=io.BytesIO(archive), mode="r:gz") as tar:
+        return json.loads(tar.extractfile("MANIFEST.json").read())
+
+
+def _with_manifest(archive: bytes, manifest) -> bytes:
+    """*archive* with its manifest replaced by *manifest*."""
+    out = io.BytesIO()
+    with tarfile.open(fileobj=io.BytesIO(archive), mode="r:gz") as src, \
+            tarfile.open(fileobj=out, mode="w:gz") as dst:
+        for member in src.getmembers():
+            if member.name != "MANIFEST.json":
+                dst.addfile(member, src.extractfile(member))
+        blob = json.dumps(manifest).encode()
+        info = tarfile.TarInfo("MANIFEST.json")
+        info.size = len(blob)
+        dst.addfile(info, io.BytesIO(blob))
+    return out.getvalue()
 
 
 @pytest.fixture
@@ -19,13 +43,24 @@ def donor(make_site):
     return make_site("bf-donor")
 
 
-@pytest.fixture
-def bundle(donor):
+def _source_bundle(donor):
     stack = donor.find_stack("openmpi-1.4-intel")
     app = donor.compile_mpi_program("bf-app", Language.FORTRAN, stack)
     donor.machine.fs.write("/home/user/bf-app", app.image, mode=0o755)
     return Feam().run_source_phase(donor, "/home/user/bf-app",
                                    env=donor.env_with_stack(stack))
+
+
+@pytest.fixture
+def bundle(donor):
+    return _source_bundle(donor)
+
+
+@pytest.fixture(scope="module")
+def packed():
+    """One (bundle, archive) pair for the tests that only read them."""
+    bundle = _source_bundle(Site(_mini_spec("bf-donor"), TEST_SEED))
+    return bundle, pack_bundle(bundle)
 
 
 class TestRoundTrip:
@@ -87,21 +122,56 @@ class TestFormatErrors:
         with pytest.raises(BundleFormatError, match="libmpi.so.0"):
             unpack_bundle(out.getvalue())
 
-    def test_bad_version(self, bundle):
-        import json
-        archive = pack_bundle(bundle)
-        src = tarfile.open(fileobj=io.BytesIO(archive), mode="r:gz")
-        manifest = json.loads(src.extractfile("MANIFEST.json").read())
-        manifest["format_version"] = 99
-        out = io.BytesIO()
-        with tarfile.open(fileobj=out, mode="w:gz") as dst:
-            blob = json.dumps(manifest).encode()
-            info = tarfile.TarInfo("MANIFEST.json")
-            info.size = len(blob)
-            dst.addfile(info, io.BytesIO(blob))
-        src.close()
+    def test_bad_version(self, packed):
+        _bundle, archive = packed
+        manifest = dict(_manifest(archive), format_version=99)
         with pytest.raises(BundleFormatError, match="version"):
-            unpack_bundle(out.getvalue())
+            unpack_bundle(_with_manifest(archive, manifest))
+
+    @pytest.mark.parametrize("mutate, match", [
+        (lambda m: {"format_version": 1}, "libraries"),
+        (lambda m: dict(m, description={}), "description.*'path'"),
+        (lambda m: dict(m, libraries=[{"soname": "x"}]),
+         "libraries.*'located_path'"),
+        (lambda m: [m], "not a JSON object"),
+        (lambda m: dict(m, guaranteed_environment={"isa": "x86_64"}),
+         "guaranteed_environment.*'hostname'"),
+        (lambda m: dict(m, libraries=7), "libraries"),
+        (lambda m: dict(m, hello={"languages": ["c"]}), "hello"),
+    ], ids=["no-libraries", "empty-description", "library-without-path",
+            "list-manifest", "environment-without-hostname",
+            "libraries-not-a-list", "hello-without-members"])
+    def test_malformed_manifest(self, packed, mutate, match):
+        _bundle, archive = packed
+        manifest = mutate(_manifest(archive))
+        with pytest.raises(BundleFormatError, match=match):
+            unpack_bundle(_with_manifest(archive, manifest))
+
+
+class TestEnvironmentCodec:
+    def test_manifest_uses_the_shared_codec(self, packed):
+        bundle, archive = packed
+        environment = bundle.guaranteed_environment
+        manifest = _manifest(archive)
+        assert manifest["guaranteed_environment"] == environment.to_dict()
+        assert EnvironmentDescription.from_dict(
+            manifest["guaranteed_environment"]) == environment
+
+    def test_absent_optional_fields_decode_to_defaults(self, packed):
+        _bundle, archive = packed
+        manifest = _manifest(archive)
+        sparse = {key: manifest["guaranteed_environment"][key]
+                  for key in ("hostname", "isa", "os_type")}
+        sparse["stacks"] = [{"label": "openmpi-1.4-intel"}]
+        restored = unpack_bundle(_with_manifest(
+            archive, dict(manifest, guaranteed_environment=sparse)))
+        environment = restored.guaranteed_environment
+        assert environment.hostname == sparse["hostname"]
+        assert environment.libc_version is None
+        assert environment.loaded_stacks == ()
+        (stack,) = environment.stacks
+        assert stack.via == "path-search"
+        assert stack.module_name is None
 
 
 class TestFileBasedWorkflow:

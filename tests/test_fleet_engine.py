@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import EvaluationEngine, compile_test_binaries
+from repro.core.persist import PersistentStore
 from repro.obs.wide import WideEventSink
 from repro.sites.catalog import build_paper_sites
 from repro.sites.generator import resolve_sites
@@ -86,6 +87,27 @@ class TestContentSharing:
         result = engine.evaluate_matrix(binaries, sites)
         for cell in result.cells:
             assert cell.report.environment.hostname == cell.site_name
+
+    def test_disk_served_cells_are_rehosted(self, tmp_path):
+        # Stored evaluations carry no environment: a fresh engine over a
+        # warm store serves each cell with its own site's discovery.
+        sites, binaries = _fleet_inputs()
+        cold_engine = EvaluationEngine(
+            max_workers=1, persist=PersistentStore(str(tmp_path)))
+        cold = cold_engine.evaluate_matrix(binaries, sites)
+        cold_engine.close()
+        sites, binaries = _fleet_inputs()
+        warm_engine = EvaluationEngine(
+            max_workers=1, persist=PersistentStore(str(tmp_path)))
+        warm = warm_engine.evaluate_matrix(binaries, sites)
+        warm_engine.close()
+        assert warm_engine.stats.evaluation_misses == 0
+        assert {cell.report.cache.tier for cell in warm.cells} == \
+            {"disk", "memory"}
+        for cell in warm.cells:
+            assert cell.report.environment.hostname == cell.site_name
+        assert [cell.report.environment for cell in warm.cells] == \
+            [cell.report.environment for cell in cold.cells]
 
     def test_refresh_divergence_drops_the_content_key(self):
         sites, _ = _fleet_inputs()

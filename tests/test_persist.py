@@ -23,7 +23,12 @@ import pytest
 from repro import obs
 from repro.core import persist
 from repro.core.config import FeamConfig
-from repro.core.engine import EngineBinary, EvaluationEngine
+from repro.core.discovery import EnvironmentDescription
+from repro.core.engine import (
+    EngineBinary,
+    EvaluationEngine,
+    environment_fingerprint,
+)
 from repro.core.persist import PersistentStore
 from repro.sysmodel import faults
 from repro.toolchain.compilers import Language
@@ -49,22 +54,20 @@ def grid_lines(rendered: str) -> list[str]:
 
 
 class TestPayloadRoundTrips:
-    def test_description_roundtrip(self, make_site, compiled_app):
-        site = make_site("pp-desc")
-        site.machine.fs.write("/home/user/p-app", compiled_app.image,
-                              mode=0o755)
-        engine = EvaluationEngine()
-        description, _hit = engine.describe(site, "/home/user/p-app")
-        payload = persist.description_to_payload(description)
-        json.loads(dump_line(payload))  # JSON-serialisable
-        assert persist.description_from_payload(payload) == description
-
-    def test_environment_roundtrip(self, make_site):
+    def test_environment_roundtrip(self, tmp_path, make_site):
+        # The store's discovery records use the environment's one codec
+        # (the bundle archive's guaranteed environment uses it too).
         site = make_site("pp-env")
         engine = EvaluationEngine()
         environment, _hit, _retry = engine._discover(site)
-        payload = persist.environment_to_payload(environment)
-        assert persist.environment_from_payload(payload) == environment
+        with PersistentStore(str(tmp_path)) as store:
+            store.store("discovery", "k",
+                        {"environment": environment.to_dict()})
+        second = PersistentStore(str(tmp_path))
+        payload = second.load("discovery", "k")
+        second.close()
+        assert EnvironmentDescription.from_dict(
+            payload["environment"]) == environment
 
     def test_report_roundtrip_is_summary_grade(self, make_site,
                                                compiled_app):
@@ -72,15 +75,17 @@ class TestPayloadRoundTrips:
         engine = EvaluationEngine()
         report = engine.evaluate_cell(site, image=compiled_app.image,
                                       binary_id="p-app")
-        restored = persist.report_from_payload(
-            persist.report_to_payload(report))
+        payload = persist.report_to_payload(report)
+        # The environment lives in the site's discovery record only.
+        assert "environment" not in payload
+        restored = persist.report_from_payload(payload, report.environment)
         assert restored.ready == report.ready
         assert restored.prediction.mode == report.prediction.mode
         assert [(r.key, r.outcome) for r in
                 restored.prediction.determinants] == \
             [(r.key, r.outcome) for r in report.prediction.determinants]
         assert restored.prediction.reasons == report.prediction.reasons
-        assert restored.environment == report.environment
+        assert restored.environment is report.environment
         assert restored.feam_seconds == pytest.approx(
             report.feam_seconds, abs=1e-6)
         # Staging artefacts are deliberately not persisted.
@@ -102,9 +107,9 @@ class TestStoreBasics:
 
     def test_survives_process_boundary(self, tmp_path):
         with PersistentStore(str(tmp_path)) as store:
-            store.store("description", "k", {"deep": {"n": [1, 2]}})
+            store.store("discovery", "k", {"deep": {"n": [1, 2]}})
         second = PersistentStore(str(tmp_path))
-        assert second.load("description", "k") == {"deep": {"n": [1, 2]}}
+        assert second.load("discovery", "k") == {"deep": {"n": [1, 2]}}
         assert second.quarantined == {}
         second.close()
 
@@ -117,14 +122,6 @@ class TestStoreBasics:
         assert store.load("evaluation", "k", fingerprint="old") is None
         store.close()
 
-    def test_tombstone_survives_reopen(self, tmp_path):
-        with PersistentStore(str(tmp_path)) as store:
-            store.store("discovery", "k", {"x": 1})
-            assert store.drop("discovery", "k") is True
-        second = PersistentStore(str(tmp_path))
-        assert second.load("discovery", "k") is None
-        second.close()
-
     def test_newest_record_wins(self, tmp_path):
         with PersistentStore(str(tmp_path)) as store:
             store.store("evaluation", "k", {"v": 1})
@@ -135,11 +132,12 @@ class TestStoreBasics:
 
     def test_stats_counts_layers(self, tmp_path):
         store = PersistentStore(str(tmp_path))
-        store.store("description", "a", {})
+        store.store("discovery", "a", {})
         store.store("evaluation", "b", {})
         store.store("evaluation", "c", {})
         stats = store.stats()
-        assert stats["layers"]["description"]["entries"] == 1
+        assert set(stats["layers"]) == {"discovery", "evaluation"}
+        assert stats["layers"]["discovery"]["entries"] == 1
         assert stats["layers"]["evaluation"]["entries"] == 2
         assert stats["entries"] == 3
         assert stats["schema"] == persist.SCHEMA_VERSION
@@ -186,6 +184,50 @@ class TestDurabilityClassification:
         store = PersistentStore(str(tmp_path))
         assert store.load("evaluation", "k2") is None
         assert store.quarantined == {"checksum": 1}
+        store.close()
+
+    def test_quarantined_newest_record_is_a_miss(self, tmp_path):
+        # Newest record wins: when it is corrupt, the key is a miss for
+        # serving and for compaction, never the record it superseded.
+        with PersistentStore(str(tmp_path)) as store:
+            store.store("evaluation", "k", {"v": 1})
+            store.store("evaluation", "k", {"v": 2})
+            store.store("evaluation", "other", {"v": 3})
+        path = tmp_path / "evaluation.jsonl"
+        text = path.read_text().replace('"v": 2', '"v": 9', 1)
+        path.write_text(text)
+        store = PersistentStore(str(tmp_path))
+        assert store.load("evaluation", "k") is None
+        assert store.quarantined == {"checksum": 1}
+        assert store.compact()["evaluation"]["kept"] == 1
+        store.close()
+
+    def test_record_with_a_non_string_key_is_malformed(self, tmp_path):
+        path = self.seeded(tmp_path, keys=("k1",))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(dump_line({
+                "schema": persist.SCHEMA_VERSION, "layer": "evaluation",
+                "key": ["k1"], "payload": {}, "sum": "x"}) + "\n")
+            handle.write(dump_line({"pad": True}) + "\n")
+        store = PersistentStore(str(tmp_path))
+        assert store.load("evaluation", "k1") == {"key": "k1"}
+        assert store.quarantined["malformed"] == 2
+        assert store.verify()["layers"]["evaluation"]["malformed"] == 2
+        store.close()
+
+    def test_bytes_that_are_not_utf8_are_quarantined(self, tmp_path):
+        path = Path(self.seeded(tmp_path))
+        data = bytearray(path.read_bytes())
+        first_line_end = data.index(b"\n")
+        data[first_line_end // 2] = 0xFF
+        path.write_bytes(bytes(data))
+        store = PersistentStore(str(tmp_path))
+        assert store.verify()["ok"] is False
+        assert store.load("evaluation", "k1") is None
+        assert store.load("evaluation", "k2") == {"key": "k2"}
+        assert sum(store.quarantined.values()) == 1
+        store.compact()
+        assert store.verify()["ok"] is True
         store.close()
 
     def test_newer_schema_is_quarantined(self, tmp_path):
@@ -246,7 +288,8 @@ class TestEvictionAndCompaction:
         # Touch k0 so it is the most recently used.
         assert store.load("evaluation", "k0") is not None
         record_bytes = len(dump_line({
-            "schema": 1, "layer": "evaluation", "key": "k0",
+            "schema": persist.SCHEMA_VERSION, "layer": "evaluation",
+            "key": "k0",
             "fingerprint": None, "payload": {"i": 0},
             "sum": persist.record_checksum(
                 "evaluation", "k0", None, {"i": 0})})) + 1
@@ -358,10 +401,11 @@ class TestEngineWarmStart:
             [c.report.feam_seconds for c in slow_cold.cells]
         assert slow_warm.cells[0].report.feam_seconds != \
             default_cold.cells[0].report.feam_seconds
-        # Descriptions and discoveries do not read the config: still
-        # served from disk.
+        # Discoveries do not read the config: still served from disk.
+        # Descriptions are not persisted; each process describes the
+        # binary once.
         assert engine.stats.discovery_misses == 0
-        assert engine.stats.description_misses == 0
+        assert engine.stats.description_misses == 1
         # The default config's records are still there for its engines.
         _, default_warm = self.run_matrix(
             make_site, compiled_app.image, PersistentStore(str(tmp_path)))
@@ -437,13 +481,78 @@ class TestEngineWarmStart:
         assert warm.fingerprint_for(twin) == after
         warm.close()
 
+    def test_cold_store_keeps_each_fact_once(self, tmp_path, make_site,
+                                             compiled_app):
+        _, cold = self.run_matrix(make_site, compiled_app.image,
+                                  PersistentStore(str(tmp_path)))
+        assert sorted(os.listdir(tmp_path)) == \
+            ["discovery.jsonl", "evaluation.jsonl"]
+        records = [json.loads(line) for line in
+                   (tmp_path / "evaluation.jsonl").read_text().splitlines()]
+        assert len(records) == len(cold.cells)
+        for record in records:
+            assert record["schema"] == persist.SCHEMA_VERSION == 2
+            assert "environment" not in record["payload"]
+
+    def test_schema_1_store_stays_warm(self, tmp_path, make_site,
+                                       compiled_app, capsys):
+        # A directory in the schema-1 layout -- every evaluation record
+        # embedding its site's environment, plus a description segment
+        # -- is served whole by a fresh engine and passes verify.
+        _, cold = self.run_matrix(make_site, compiled_app.image,
+                                  PersistentStore(str(tmp_path)))
+        by_fingerprint = {
+            environment_fingerprint(cell.report.environment):
+                cell.report.environment for cell in cold.cells}
+
+        def rewrite(layer, payload_of):
+            path = tmp_path / f"{layer}.jsonl"
+            lines = []
+            for line in path.read_text().splitlines():
+                record = json.loads(line)
+                payload = payload_of(record)
+                record.update(schema=1, payload=payload,
+                              sum=persist.record_checksum(
+                                  layer, record["key"],
+                                  record["fingerprint"], payload))
+                lines.append(dump_line(record))
+            path.write_text("\n".join(lines) + "\n")
+
+        rewrite("discovery", lambda record: record["payload"])
+        rewrite("evaluation", lambda record: dict(
+            record["payload"], environment=by_fingerprint[
+                record["fingerprint"]].to_dict()))
+        description = {"path": "/home/user/migrated/p-app", "bits": 64}
+        old_segment = dump_line({
+            "schema": 1, "layer": "description", "key": "d",
+            "fingerprint": None, "payload": description,
+            "sum": persist.record_checksum("description", "d", None,
+                                           description)}) + "\n"
+        (tmp_path / "description.jsonl").write_text(old_segment)
+
+        engine, warm = self.run_matrix(make_site, compiled_app.image,
+                                       PersistentStore(str(tmp_path)))
+        assert [c.report.cache.tier for c in warm.cells] == \
+            ["disk"] * len(cold.cells)
+        assert engine.stats.discovery_misses == 0
+        assert grid_lines(warm.render()) == grid_lines(cold.render())
+        assert [c.report.environment for c in warm.cells] == \
+            [c.report.environment for c in cold.cells]
+        # The old description segment is ignored, neither read nor
+        # rewritten.
+        assert (tmp_path / "description.jsonl").read_text() == old_segment
+        from repro.__main__ import feam_main
+        assert feam_main(["cache", "verify", "--cache-dir",
+                          str(tmp_path)]) == 0
+        assert "store: OK" in capsys.readouterr().out
+
     def test_cold_fleet_runs_write_byte_identical_stores(self, tmp_path):
         # Two cold runs, each with a fresh default engine and its own
         # store, must append the same records in the same order.
         from repro.core.engine import compile_test_binaries
         from repro.sites.generator import resolve_sites
 
-        layers = ("description", "discovery", "evaluation")
+        layers = persist.LAYERS
         written = []
         for run in ("first", "second"):
             sites = resolve_sites("fleet:n=10,seed=4")
