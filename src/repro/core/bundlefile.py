@@ -121,7 +121,12 @@ def _record_from_json(data: dict, image: Optional[bytes]) -> LibraryRecord:
 # -- pack / unpack --------------------------------------------------------------
 
 def pack_bundle(bundle: SourceBundle) -> bytes:
-    """Serialize *bundle* to a gzipped tar archive."""
+    """Serialize *bundle* to a gzipped tar archive.
+
+    The archive is where library copies leave the process, so a copy
+    held by image identity is synthesised here, byte-identical to the
+    file it was gathered from.  :func:`unpack_bundle` yields bytes.
+    """
     manifest = {
         "format_version": FORMAT_VERSION,
         "created_at": bundle.created_at,
@@ -148,8 +153,8 @@ def pack_bundle(bundle: SourceBundle) -> bytes:
             add("MANIFEST.json",
                 json.dumps(manifest, indent=2, sort_keys=True).encode())
             for record in bundle.libraries:
-                if record.image is not None:
-                    add(f"libs/{record.soname}", record.image)
+                if record.copied:
+                    add(f"libs/{record.soname}", record.copy_data())
             if bundle.hello is not None:
                 for language, image in sorted(bundle.hello.images.items()):
                     add(f"hello/{language}", image)

@@ -19,11 +19,13 @@ back up the search when ``ldd`` does not cooperate.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Union
 
+from repro.elf.writer import LazyImage
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError
 from repro.sysmodel.library import parse_library_name
+from repro.sysmodel.machine import shared_image
 from repro.tools.toolbox import ObjdumpInfo, Toolbox, ToolUnavailable
 
 
@@ -110,8 +112,13 @@ class LibraryRecord:
     version_definitions: tuple[str, ...] = ()
     required_glibc: Optional[str] = None
     comment: tuple[str, ...] = ()
-    #: The gathered copy (source phase only).
-    image: Optional[bytes] = None
+    #: The gathered copy (source phase only), held by image identity:
+    #: the source file's :class:`~repro.elf.writer.LazyImage` when its
+    #: reads may bypass the filesystem
+    #: (:func:`~repro.sysmodel.machine.shared_image`), else the bytes
+    #: read.  Bytes of a lazy copy are made only where the copy leaves
+    #: the process (:func:`repro.core.bundlefile.pack_bundle`).
+    image: Union[LazyImage, bytes, None] = None
 
     @property
     def located(self) -> bool:
@@ -123,7 +130,16 @@ class LibraryRecord:
 
     @property
     def copy_size(self) -> int:
+        if isinstance(self.image, LazyImage):
+            return self.image.size
         return len(self.image) if self.image is not None else 0
+
+    def copy_data(self) -> bytes:
+        """The bytes of a gathered copy, synthesised when it is held as
+        an image."""
+        if isinstance(self.image, LazyImage):
+            return self.image()
+        return self.image
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,12 +322,14 @@ class BinaryDescriptionComponent:
             comment = self.toolbox.readelf_comment(path)
         except (ToolUnavailable, FsError):
             pass
-        image: Optional[bytes] = None
+        image: Union[LazyImage, bytes, None] = None
         if copy:
             fs = self.toolbox.machine.fs
             try:
-                from repro.util.intern import intern_bytes
-                image = intern_bytes(fs.read(fs.realpath(path)))
+                real, node = fs.resolve(path)
+                image = shared_image(fs, node)
+                if image is None:
+                    image = fs.read(real)
             except FsError:
                 image = None
         embedded = parse_library_name(info.soname) if info.soname else None

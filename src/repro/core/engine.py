@@ -702,19 +702,20 @@ class EvaluationEngine:
     # -- description cache -----------------------------------------------------------
 
     def describe(self, site, binary_path: str,
-                 image: Optional[bytes] = None,
+                 digest: Optional[str] = None,
                  ) -> tuple[BinaryDescription, bool]:
         """Describe the binary at *binary_path*, content-addressed.
 
         Returns (description, was it a cache hit).  The cache key is the
-        image digest plus the described path, so a cached description's
+        image's content digest (*digest*, when the caller has already
+        taken it) plus the described path, so a cached description's
         ``path`` field is always accurate; identical bytes at the same
         path -- the batch-matrix case -- are described once, at whichever
         site gets there first.
         """
-        if image is None:
-            image = site.machine.fs.read(binary_path)
-        key = (content_digest(image), binary_path)
+        if digest is None:
+            digest = content_digest(site.machine.fs.read(binary_path))
+        key = (digest, binary_path)
         cached = self._descriptions.get(key)
         if cached is not None:
             self._stats.description_hits += 1
@@ -830,32 +831,32 @@ class EvaluationEngine:
 
     def _evaluate_cell(self, site, binary_path, image, binary_id,
                        bundle, staging_tag) -> TargetReport:
+        if binary_path is not None and image is None:
+            image = site.machine.fs.read(binary_path)
+        digest = content_digest(image) if image is not None else None
         if binary_path is None and image is not None:
-            name = binary_id or content_digest(image)[:16]
+            name = binary_id or digest[:16]
             binary_path = posixpath.join(
                 _MIGRATION_ROOT, name.replace("/", "-"))
             if not site.machine.fs.is_file(binary_path):
                 site.machine.fs.write(binary_path, image, mode=0o755)
-        if binary_path is not None and image is None:
-            image = site.machine.fs.read(binary_path)
 
         environment, discovery_hit, discover_retry_seconds = \
             self._discover(site)
         fingerprint = self._fingerprints[site.name]
 
+        bdg = bundle_digest(bundle) if bundle is not None else None
         description_hit = False
         if binary_path is not None:
             description, description_hit = self.describe(
-                site, binary_path, image=image)
-            digest = content_digest(image)
+                site, binary_path, digest=digest)
         else:
             assert bundle is not None
             description = bundle.description
-            digest = bundle_digest(bundle)
+            digest = bdg
 
         tag = staging_tag or posixpath.basename(
             binary_path or bundle.description.path).replace("/", "-")
-        bdg = bundle_digest(bundle) if bundle is not None else None
         content = getattr(site, "content_key", None)
         # Content-group sites share one cell cache entry per binary; the
         # "content::" prefix keeps the keyspace disjoint from site names.

@@ -28,6 +28,7 @@ from repro.core.bundle import SourceBundle
 from repro.core.config import FeamConfig
 from repro.core.description import LibraryRecord
 from repro.core.discovery import EnvironmentDescription
+from repro.elf.writer import LazyImage
 from repro.sysmodel import faults
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError
@@ -211,16 +212,22 @@ class ResolutionModel:
             hostname = self.toolbox.machine.hostname
             try:
                 for soname, record in to_stage.items():
-                    assert record.image is not None
                     path = posixpath.join(staging_dir, soname)
                     faults.check(hostname, faults.FaultKind.COPY_FAILURE,
                                  key=path)
-                    fs.write(path, record.image, mode=0o755)
+                    # A copy held by image identity is installed the way
+                    # site builds install libraries, so the target's
+                    # loader reads it through the image's one parse.
+                    image = record.image
+                    if isinstance(image, LazyImage):
+                        fs.write_lazy(path, image, image.size, mode=0o755)
+                    else:
+                        fs.write(path, image, mode=0o755)
                     staged_paths[soname] = path
                     obs.event("resolution.staged", soname=soname,
-                              bytes=len(record.image), path=path)
+                              bytes=record.copy_size, path=path)
                     obs.counter("resolution.staged_bytes").inc(
-                        len(record.image))
+                        record.copy_size)
             except Exception as exc:
                 # A copy died mid-plan: a half-staged directory would be
                 # found by the loader and mask the failure.  Roll back

@@ -489,7 +489,10 @@ class LazyImage:
     calling it runs :func:`write_elf`, on every read.  :attr:`size` is
     the layout's arithmetic, and :attr:`elf` keeps the image's detached
     parse once :meth:`repro.sysmodel.machine.Machine.read_elf` has made
-    one, so every site holding this image shares one parse.
+    one, so every site holding this image shares one parse.  A source
+    phase's :class:`~repro.core.description.LibraryRecord` holds the
+    image itself as its copy, and staging installs it on a target as a
+    provider again; a record keeps the image alive just as a node does.
     """
 
     __slots__ = ("spec", "size", "elf", "__weakref__")
@@ -506,8 +509,8 @@ class LazyImage:
 
 
 #: The live image of each content key.  Held weakly, so an image lives
-#: exactly as long as some filesystem node references it and nothing
-#: outlives the sites that installed it.
+#: exactly as long as some filesystem node or bundle record references
+#: it, and nothing outlives the sites and bundles that hold it.
 _live_images: "weakref.WeakValueDictionary[tuple, LazyImage]" = \
     weakref.WeakValueDictionary()
 

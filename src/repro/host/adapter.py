@@ -186,15 +186,17 @@ class HostMachine:
     def uname_machine(self) -> str:
         return self.arch
 
-    def read_elf(self, path: str):
-        """Parse (and cache) a real ELF file."""
+    def read_elf(self, path: str, node: Optional[FileNode] = None):
+        """Parse (and cache) a real ELF file; *node* as in
+        :meth:`Machine.read_elf <repro.sysmodel.machine.Machine.read_elf>`."""
         from repro.elf.reader import parse_elf
-        real, node = self.fs.resolve(path)
-        cached = self._elf_cache.get(real)
+        if node is None:
+            path, node = self.fs.resolve(path)
+        cached = self._elf_cache.get(path)
         if cached is not None and cached[0] == node.size:
             return cached[1]
-        elf = parse_elf(self.fs.read(real)).detach()
-        self._elf_cache[real] = (node.size, elf)
+        elf = parse_elf(self.fs.read(path)).detach()
+        self._elf_cache[path] = (node.size, elf)
         return elf
 
 

@@ -15,15 +15,17 @@ an equal library (clones included).  It keeps the image's parse for
 reading a library's headers costs one synthesis per fleet, not one per
 site.
 
-Path semantics: paths are absolute and ``/``-separated.  A path is first
-normalised lexically (``posixpath.normpath``: ``.`` dropped, ``dir/..``
-collapsed) and only then walked, following symlinks along the parent chain.
-So ``..`` after a symlink climbs from the link's own directory, not from
-the directory it points to as the kernel does: with ``/a/link -> /b/c``
-and a file ``/b/x``, ``exists("/a/link/../x")`` is False here and True on
-Linux.  Paths built from ``$ORIGIN/..`` can therefore resolve differently
-from the real ``ld.so``; matching the kernel belongs to ROADMAP.md item 3
-(the simulated ``ld.so`` checked against the real one).
+Path semantics: paths are absolute and ``/``-separated, and are walked
+the way the kernel walks them.  ``.`` and empty components are no-ops;
+a symlink met along the way is replaced by its target; ``..`` climbs
+from wherever the walk has got to.  So ``..`` after a symlink climbs
+from the directory the link points to: with ``/a/link -> /b/c`` and a
+file ``/b/x``, ``exists("/a/link/../x")`` is True, as on Linux, and
+``realpath`` of it is ``/b/x``.  A missing component, or ``..`` under a
+regular file, fails the walk (``realpath`` alone goes on by name, as
+:func:`os.path.realpath` does).  Paths given to the mutating calls
+(``write``, ``symlink``, ``makedirs``, ``remove``) are normalised
+lexically instead; no simulated site writes through ``..``.
 """
 
 from __future__ import annotations
@@ -97,9 +99,15 @@ def _split(path: str) -> list[str]:
     return [p for p in path.split("/") if p not in ("", ".")]
 
 
-def _prefix(parts: list[str], count: int) -> str:
-    """The absolute path of the first *count* components."""
-    return "/" + "/".join(parts[:count])
+def _components(path: str) -> list[str]:
+    """*path*'s components with ``.`` and empty ones dropped, last first
+    (a stack for :meth:`VirtualFilesystem._walk` to pop)."""
+    return [p for p in reversed(path.split("/")) if p and p != "."]
+
+
+def _join(names: list[str]) -> str:
+    """The absolute path of *names*."""
+    return "/" + "/".join(names)
 
 
 class VirtualFilesystem:
@@ -117,36 +125,65 @@ class VirtualFilesystem:
     # -- node resolution ------------------------------------------------------
 
     def _walk(self, path: str, follow: bool = True,
-              _depth: int = 0) -> tuple[object, str]:
-        """Resolve *path* to ``(node, canonical path)``, traversing symlinks.
+              strict: bool = True) -> tuple[object, str]:
+        """Resolve *path* to ``(node, canonical path)`` the way the kernel
+        walks it.
 
-        The canonical path is *path* normalised with its trailing
-        symlink chain resolved, as :meth:`realpath` computes it.  With
+        Components are taken left to right.  A symlink met before the
+        last component -- or at it, with *follow* -- is replaced by its
+        target's components: an absolute target restarts from the root,
+        a relative one goes on from the link's directory.  ``..`` climbs
+        from wherever the walk has got to, so after a symlink it climbs
+        from the directory the link points to.  The canonical path is
+        where the walk ends, every symlink resolved.  With
         ``follow=False`` a trailing symlink is returned as the
         :class:`SymlinkNode` itself (lstat semantics).
+
+        Non-*strict* walks are :meth:`realpath`'s: a missing component
+        (or one under a regular file) yields a None node and the walk
+        goes on by name, as :func:`os.path.realpath` does.
         """
-        if _depth > _MAX_SYMLINK_DEPTH:
-            raise FsError(f"too many levels of symbolic links: {path!r}")
-        path = posixpath.normpath(path)
-        parts = _split(path)
-        node: object = self._root
-        last = len(parts) - 1
-        for i, part in enumerate(parts):
-            if not isinstance(node, DirNode):
-                raise FsError(f"not a directory: {_prefix(parts, i)!r}")
-            child = node.entries.get(part)
-            if child is None:
-                raise FsError(f"no such file or directory: "
-                              f"{_prefix(parts, i + 1)!r}")
-            if isinstance(child, SymlinkNode) and (follow or i < last):
-                target = child.target
-                if not target.startswith("/"):
-                    target = posixpath.join(_prefix(parts, i), target)
-                child, resolved = self._walk(target, True, _depth + 1)
-                if i == last:
-                    path = resolved
-            node = child
-        return node, path
+        if not path.startswith("/"):
+            raise FsError(f"path must be absolute: {path!r}")
+        names: list[str] = []
+        # The node at each proper prefix of names (the root first).
+        parents: list[object] = []
+        here: object = self._root
+        pending = _components(path)
+        links = 0
+        while pending:
+            part = pending.pop()
+            if part == "..":
+                if strict and not isinstance(here, DirNode):
+                    raise FsError(f"not a directory: {_join(names)!r}")
+                if names:
+                    names.pop()
+                    here = parents.pop()
+                continue
+            if isinstance(here, DirNode):
+                child = here.entries.get(part)
+                if child is None and strict:
+                    raise FsError(f"no such file or directory: "
+                                  f"{_join(names + [part])!r}")
+            elif strict:
+                raise FsError(f"not a directory: {_join(names)!r}")
+            else:
+                child = None
+            if isinstance(child, SymlinkNode) and (follow or pending):
+                links += 1
+                if links > _MAX_SYMLINK_DEPTH:
+                    raise FsError(
+                        f"too many levels of symbolic links: {path!r}")
+                if child.target.startswith("/"):
+                    names.clear()
+                    parents.clear()
+                    here = self._root
+                pending.extend(_components(child.target))
+                continue
+            names.append(part)
+            parents.append(here)
+            here = child
+        return here, _join(names)
 
     def _lookup(self, path: str, follow: bool = True) -> object:
         """Resolve *path* to a node (see :meth:`_walk`)."""
@@ -277,22 +314,10 @@ class VirtualFilesystem:
                     yield posixpath.join(dirpath, fname)
 
     def realpath(self, path: str) -> str:
-        """Canonical path with symlinks in the final component resolved.
-
-        Only the trailing symlink chain is rewritten (sufficient for the
-        loader's needs); intermediate directories are assumed canonical.
-        """
-        seen = 0
-        current = posixpath.normpath(path)
-        while self.is_symlink(current):
-            seen += 1
-            if seen > _MAX_SYMLINK_DEPTH:
-                raise FsError(f"too many levels of symbolic links: {path!r}")
-            target = self.readlink(current)
-            if not target.startswith("/"):
-                target = posixpath.join(posixpath.dirname(current), target)
-            current = posixpath.normpath(target)
-        return current
+        """Canonical path with every symlink resolved, as
+        :func:`os.path.realpath` computes it: missing components are kept
+        by name, and only a symlink loop raises."""
+        return self._walk(path, strict=False)[1]
 
     # -- mutation ---------------------------------------------------------------
 

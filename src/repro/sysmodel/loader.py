@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import dataclasses
 import posixpath
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING, Union
 
 from repro.elf.reader import ElfError, ElfFile, parse_elf
 from repro.sysmodel.errors import FailureKind
-from repro.sysmodel.fs import FsError, VirtualFilesystem
+from repro.sysmodel.fs import FileNode, FsError, VirtualFilesystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sysmodel.env import Environment
@@ -223,31 +223,35 @@ class DynamicLoader:
 
     def _candidate(self, directory: str, soname: str,
                    want_class: int, want_machine: int,
-                   ) -> tuple[Optional[str], bool]:
+                   ) -> tuple[Optional[str], Optional[FileNode], bool]:
         """Try ``directory/soname``.
 
-        Returns ``(path, arch_skip)``: *path* when a matching library was
-        found; ``arch_skip`` True when a file existed but had the wrong
-        architecture (search continues).
+        Returns ``(path, node, arch_skip)``: the canonical *path* and file
+        *node* when a matching library was found; ``arch_skip`` True when
+        a file existed but had the wrong architecture (search continues).
         """
         try:
-            real, _node = self._machine.fs.resolve(
+            real, node = self._machine.fs.resolve(
                 posixpath.join(directory, soname))
-            elf = self._machine.read_elf(real)
+            elf = self._machine.read_elf(real, node)
         except (FsError, ElfError):
-            return None, False
+            return None, None, False
         if (int(elf.header.elf_class) != want_class
                 or int(elf.header.machine) != want_machine):
-            return None, True
-        return real, False
+            return None, None, True
+        return real, node, False
 
     # -- resolution -------------------------------------------------------------
 
-    def resolve(self, binary: bytes, env: "Environment",
+    def resolve(self, binary: Union[bytes, ElfFile], env: "Environment",
                 origin: str = "<main>") -> ResolutionReport:
-        """Resolve the full dependency closure of *binary* under *env*."""
+        """Resolve the full dependency closure of *binary* under *env*.
+
+        *binary* is the root object's image, or the parse of it a caller
+        already holds (which is then not parsed again).
+        """
         report = ResolutionReport()
-        root = parse_elf(binary)
+        root = binary if isinstance(binary, ElfFile) else parse_elf(binary)
         report.loaded[origin] = root
         if not root.is_dynamic:
             return report
@@ -266,7 +270,7 @@ class DynamicLoader:
             arch_skips: list[str] = []
             found: Optional[str] = None
             for directory in search:
-                path, skipped = self._candidate(
+                path, node, skipped = self._candidate(
                     directory, soname, want_class, want_machine)
                 if skipped:
                     arch_skips.append(directory)
@@ -278,7 +282,7 @@ class DynamicLoader:
                 soname=soname, path=found, requested_by=requester,
                 arch_skipped=tuple(arch_skips)))
             if found is not None and found not in report.loaded:
-                lib = self._machine.read_elf(found)
+                lib = self._machine.read_elf(found, node)
                 report.loaded[found] = lib
                 for dep in lib.dynamic.needed:
                     queue.append((dep, found))

@@ -22,7 +22,7 @@ from repro.elf.writer import LazyImage
 from repro.sysmodel.distro import Distro
 from repro.sysmodel.env import Environment
 from repro.sysmodel.errors import ExecutionResult, FailureKind
-from repro.sysmodel.fs import VirtualFilesystem
+from repro.sysmodel.fs import FileNode, VirtualFilesystem
 from repro.sysmodel.loader import DynamicLoader, ResolutionReport
 
 
@@ -57,6 +57,23 @@ _ARCH_PROFILES: dict[str, tuple[IsaSupport, ...]] = {
 }
 
 
+def shared_image(fs, node: FileNode) -> Optional[LazyImage]:
+    """The :class:`~repro.elf.writer.LazyImage` behind *node*, when reads
+    of it may bypass *fs*.
+
+    A library node's provider is one object shared by every site holding
+    an equal library, so its bytes and its parse can be taken from the
+    image itself.  None for inline and host files, and for every file
+    while a fault hook is armed on *fs*: those reads go through
+    ``fs.read`` so the hook sees each one.  The one rule behind
+    :meth:`Machine.read_elf` and the source phase's library copies.
+    """
+    image = node.provider
+    if isinstance(image, LazyImage) and fs.fault_hook is None:
+        return image
+    return None
+
+
 class Machine:
     """A simulated Linux machine."""
 
@@ -82,35 +99,42 @@ class Machine:
 
     # -- ELF parse cache ----------------------------------------------------
 
-    def read_elf(self, path: str):
+    def read_elf(self, path: str, node: Optional[FileNode] = None):
         """Parse the ELF file at *path*, caching the (detached) result.
 
+        A caller that has already resolved the file passes its canonical
+        path as *path* and the :class:`~repro.sysmodel.fs.FileNode` as
+        *node*, which saves a second walk; every ELF read still comes
+        through here.
+
         Two tiers.  This machine's cache, keyed by canonical path and
-        size, answers first.  On a miss, a library file whose provider is
-        a :class:`~repro.elf.writer.LazyImage` takes the parse that image
-        keeps, making it if no site has yet: every live site holding an
-        equal library shares one synthesis and one parse.  That tier is
-        skipped while a fault hook is armed on the filesystem, and an
-        armed read never fills it: the read goes through
-        :meth:`VirtualFilesystem.read`, so the hook sees every
-        opportunity it would see without the shared parse.
+        size, answers first.  On a miss, a file whose
+        :func:`shared_image` is a :class:`~repro.elf.writer.LazyImage`
+        takes the parse that image keeps, making it if no site has yet:
+        every live site holding an equal library, and every target a
+        bundle staged it on, shares one synthesis and one parse.  Any
+        other file -- and every file while a fault hook is armed -- is
+        read through :meth:`VirtualFilesystem.read`, so the hook sees
+        every opportunity it would see without the shared parse, and an
+        armed read never fills the image's parse.
 
         The returned :class:`~repro.elf.reader.ElfFile` has its raw image
         dropped -- callers needing bytes must read the filesystem
         directly.
         """
-        real, node = self.fs.resolve(path)
-        cached = self._elf_cache.get(real)
+        if node is None:
+            path, node = self.fs.resolve(path)
+        cached = self._elf_cache.get(path)
         if cached is not None and cached[0] == node.size:
             return cached[1]
-        image = node.provider
-        if isinstance(image, LazyImage) and self.fs.fault_hook is None:
+        image = shared_image(self.fs, node)
+        if image is not None:
             if image.elf is None:
                 image.elf = parse_elf(node.read()).detach()
             elf = image.elf
         else:
-            elf = parse_elf(self.fs.read(real)).detach()
-        self._elf_cache[real] = (node.size, elf)
+            elf = parse_elf(self.fs.read(path)).detach()
+        self._elf_cache[path] = (node.size, elf)
         return elf
 
     # -- cloning ----------------------------------------------------------------
@@ -174,7 +198,7 @@ class Machine:
                 f"cannot execute {elf.header.machine.display_name}/"
                 f"{elf.header.bits}-bit binary on {self.arch}",
             ), None
-        report = self.loader.resolve(binary, effective_env)
+        report = self.loader.resolve(elf, effective_env)
         kind = report.first_failure_kind()
         if kind is FailureKind.MISSING_LIBRARY:
             missing = ", ".join(report.missing_sonames)

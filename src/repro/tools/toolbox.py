@@ -11,8 +11,8 @@ import dataclasses
 import posixpath
 from typing import Optional
 
-from repro.elf.highlevel import BinaryInfo, describe_elf, describe_parsed
-from repro.elf.reader import ElfError
+from repro.elf.highlevel import BinaryInfo, describe_parsed
+from repro.elf.reader import ElfError, parse_elf
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError
 from repro.sysmodel.library import parse_library_name
@@ -207,14 +207,14 @@ class Toolbox:
         """``ldd -v <path>`` under *env* (defaults to the login env)."""
         self._require("ldd")
         effective_env = env if env is not None else self.machine.env
-        data = self.machine.fs.read(self.machine.fs.realpath(path))
-        info = describe_elf(data)
+        elf = parse_elf(self.machine.fs.read(self.machine.fs.realpath(path)))
+        info = describe_parsed(elf)
         if not info.is_dynamic:
             return LddResult(recognised=False)
         if not self._ldd_recognises(info):
             return LddResult(recognised=False)
         report: ResolutionReport = self.machine.loader.resolve(
-            data, effective_env, origin=path)
+            elf, effective_env, origin=path)
         entries = []
         seen: set[str] = set()
         for e in report.entries:

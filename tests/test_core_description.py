@@ -155,7 +155,7 @@ class TestLocateAndCopy:
         from repro.elf import describe_elf
         records = bdc.gather_library_copies(bdc.describe(app_path))
         record = next(r for r in records if r.soname == "libmpi.so.0")
-        info = describe_elf(record.image)
+        info = describe_elf(record.copy_data())
         assert info.soname == "libmpi.so.0"
 
     def test_library_records_carry_glibc_requirement(self, bdc, app_path):

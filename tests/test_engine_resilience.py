@@ -194,17 +194,22 @@ class TestResolutionRollback:
         edc = EnvironmentDiscoveryComponent(target.toolbox())
         resolver = ResolutionModel(target.toolbox(), edc.discover())
         fs = target.machine.fs
-        real_write = fs.write
         writes = {"n": 0}
 
-        def dying_write(path, data, *args, **kwargs):
-            if path.startswith("/home/user/stage"):
-                writes["n"] += 1
-                if writes["n"] == 2:
-                    raise FsError("disk died mid-transfer")
-            return real_write(path, data, *args, **kwargs)
+        def dying(real_write):
+            def write(path, *args, **kwargs):
+                if path.startswith("/home/user/stage"):
+                    writes["n"] += 1
+                    if writes["n"] == 2:
+                        raise FsError("disk died mid-transfer")
+                return real_write(path, *args, **kwargs)
+            return write
 
-        monkeypatch.setattr(fs, "write", dying_write)
+        # A copy held by image identity stages through write_lazy, a
+        # byte copy through write: the second staging write dies either
+        # way.
+        monkeypatch.setattr(fs, "write", dying(fs.write))
+        monkeypatch.setattr(fs, "write_lazy", dying(fs.write_lazy))
         with obs.capture() as collector:
             with pytest.raises(FsError, match="disk died"):
                 resolver.resolve(

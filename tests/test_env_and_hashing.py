@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sysmodel.env import Environment
 from repro.util.hashing import stable_hash, stable_uniform
-from repro.util.intern import BlobStore
 
 
 class TestEnvironment:
@@ -88,19 +87,3 @@ class TestStableHash:
         mean = sum(draws) / len(draws)
         assert 0.45 < mean < 0.55
         assert 0.08 < sum(1 for d in draws if d < 0.1) / len(draws) < 0.12
-
-
-class TestBlobStore:
-    def test_interning_dedups(self):
-        store = BlobStore()
-        a = store.intern(bytes(b"x" * 100))
-        b = store.intern(bytes(b"x" * 100))
-        assert a is b
-        assert len(store) == 1
-        assert store.total_bytes == 100
-
-    def test_different_content_kept(self):
-        store = BlobStore()
-        store.intern(b"one")
-        store.intern(b"two")
-        assert len(store) == 2

@@ -1,5 +1,7 @@
 """Virtual filesystem tests."""
 
+import os
+
 import pytest
 
 from repro.sysmodel.fs import FsError, VirtualFilesystem
@@ -204,3 +206,86 @@ def test_makedirs_over_file_rejected(fs):
 def test_dot_and_dotdot_normalised(fs):
     fs.write("/a/b/file", b"x")
     assert fs.read("/a/./b/../b/file") == b"x"
+
+
+class TestDotDotAfterSymlinks:
+    """``..`` climbs from where a symlink points, as on Linux: the same
+    tree is built in the virtual filesystem and under ``tmp_path``, and
+    every answer is checked against :mod:`os.path` on the real one."""
+
+    #: (kind, path, content or symlink target); absolute targets are
+    #: rooted at the tree on disk.
+    TREE = (
+        ("dir", "/a"),
+        ("file", "/b/x"),
+        ("dir", "/b/c"),
+        ("link", "/a/link", "/b/c"),
+        # A chain of two links.
+        ("file", "/d/y"),
+        ("dir", "/d/e"),
+        ("link", "/a/l2", "/d/e"),
+        ("link", "/a/l1", "/a/l2"),
+        # Relative targets climbing with "..".
+        ("file", "/p/r/f"),
+        ("dir", "/p/q"),
+        ("link", "/p/q/rel", "../r/f"),
+        ("link", "/p/q/reldir", "../r"),
+    )
+
+    CASES = (
+        "/a/link/../x",          # the module docstring's example
+        "/a/link/..",
+        "/a/./link/./../x",
+        "/a/l1/../y",            # ".." after a chain of two links
+        "/a/l1/../e",
+        "/a/l1",
+        "/p/q/rel",              # ".." inside a relative link target
+        "/p/q/reldir/f",
+        "/p/q/reldir/../q/rel",
+        "/a/missing/../link",    # the kernel fails where normpath would not
+        "/b/x/..",
+        "/nope/../a",
+    )
+
+    @pytest.fixture
+    def trees(self, fs, tmp_path):
+        root = os.path.realpath(tmp_path)
+        for kind, path, *rest in self.TREE:
+            real = root + path
+            if kind == "dir":
+                fs.makedirs(path)
+                os.makedirs(real, exist_ok=True)
+                continue
+            os.makedirs(os.path.dirname(real), exist_ok=True)
+            if kind == "file":
+                fs.write(path, path.encode())
+                with open(real, "wb") as handle:
+                    handle.write(path.encode())
+            else:
+                target = rest[0]
+                fs.symlink(path, target)
+                os.symlink(root + target if target.startswith("/")
+                           else target, real)
+        return fs, root
+
+    @pytest.mark.parametrize("path", CASES)
+    def test_walk_agrees_with_the_kernel(self, trees, path):
+        fs, root = trees
+        real = root + path
+        assert fs.exists(path) == os.path.exists(real)
+        assert fs.is_file(path) == os.path.isfile(real)
+        assert fs.is_dir(path) == os.path.isdir(real)
+        assert root + fs.realpath(path) == os.path.realpath(real)
+        if os.path.isfile(real):
+            with open(real, "rb") as handle:
+                assert fs.read(path) == handle.read()
+            assert fs.resolve(path)[0] == fs.realpath(path)
+
+    def test_docstring_example(self, fs):
+        fs.makedirs("/a")
+        fs.makedirs("/b/c")
+        fs.write("/b/x", b"x")
+        fs.symlink("/a/link", "/b/c")
+        assert fs.exists("/a/link/../x")
+        assert fs.realpath("/a/link/../x") == "/b/x"
+        assert not fs.exists("/a/x")
