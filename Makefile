@@ -33,8 +33,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-matrix:
-	PYTHONPATH=src $(PYTHON) benchmarks/emit_bench.py BENCH_matrix.json \
-		benchmarks/BENCH_history.jsonl
+	PYTHONPATH=src $(PYTHON) benchmarks/emit_bench.py BENCH_matrix.json
 
 perf-gate: bench-matrix
 	PYTHONPATH=src $(PYTHON) benchmarks/check_regression.py
@@ -42,7 +41,7 @@ perf-gate: bench-matrix
 fleet-gate:
 	PYTHONPATH=src $(PYTHON) benchmarks/emit_bench.py \
 		--fleet fleet:n=1000,seed=7 --budget-seconds $(FLEET_BUDGET) \
-		BENCH_fleet.json benchmarks/BENCH_history.jsonl
+		BENCH_fleet.json
 
 telemetry-gate:
 	PYTHONPATH=src $(PYTHON) benchmarks/telemetry_gate.py \

@@ -1,10 +1,11 @@
 """Regression gate: current bench numbers vs the committed baseline.
 
-``make bench-matrix`` writes ``BENCH_matrix.json`` (and appends to the
-tracked ``benchmarks/BENCH_history.jsonl``); this script compares it
-against ``benchmarks/BENCH_baseline.json`` and exits **3** when the
-gate trips, so CI can tell a perf regression apart from an ordinary
-failure (1) or an SLO violation (2):
+``make bench-matrix`` writes the untracked run output
+``BENCH_matrix.json`` (and records the same payload as a ``bench``
+manifest in the run ledger); this script compares it against the
+committed ``benchmarks/BENCH_baseline.json``, which no gate writes, and
+exits **3** when the gate trips, so CI can tell a perf regression apart
+from an ordinary failure (1) or an SLO violation (2):
 
 * *shape* numbers (cells, binaries, sites, cache hit/miss tallies)
   must match **exactly** -- a drift there is a behavioural change

@@ -23,4 +23,4 @@ def experiment_result():
 
 @pytest.fixture(scope="session")
 def paper_sites():
-    return build_paper_sites(BENCH_SEED + 1, cached=False)
+    return build_paper_sites(BENCH_SEED + 1)

@@ -17,21 +17,18 @@ Run as a script (``make bench-matrix`` or
 
 With ``--fleet SPEC`` it instead benchmarks a generated fleet
 (:mod:`repro.sites.generator`), reporting build/evaluation wall time,
-cells per second and the mean per-cell cost in microseconds, writing
-``BENCH_fleet.json`` and appending a ``"kind": "fleet"`` line to the
-history.  ``--budget-seconds`` turns that into a gate: exit 3 when the
-evaluation blows the budget, exit 1 when any cell degraded in a run
-with no fault plan installed.
+cells per second and the mean per-cell cost in microseconds, and
+writing ``BENCH_fleet.json``.  ``--budget-seconds`` turns that into a
+gate: exit 3 when the evaluation blows the budget, exit 1 when any cell
+degraded in a run with no fault plan installed.
 
-The JSON it writes is consumed by CI (uploaded as an artifact alongside
-a sample trace), by ``benchmarks/check_regression.py`` (gated against
-the committed ``benchmarks/BENCH_baseline.json``) and by humans
-eyeballing cache efficacy.  Each run also appends one timestamped line
-to the tracked ``benchmarks/BENCH_history.jsonl``, so the perf
-trajectory is visible across PRs instead of evaporating with the
-working tree, and records a ``"kind": "bench"`` / ``"fleet-bench"``
-manifest into the run ledger (``feam runs`` / ``feam drift`` consume
-it; ``--no-ledger`` opts out, ``--ledger DIR`` redirects it).
+The JSON it writes is a run output, not a tracked file: CI uploads it
+as an artifact, ``benchmarks/check_regression.py`` gates it against the
+committed ``benchmarks/BENCH_baseline.json``, and humans read it for
+cache efficacy.  The trajectory across runs is the run ledger: each run
+records one ``"kind": "bench"`` / ``"fleet-bench"`` manifest holding
+the same payload (``feam runs`` / ``feam drift`` / ``feam compare``
+read it; ``--no-ledger`` opts out, ``--ledger DIR`` redirects it).
 """
 
 from __future__ import annotations
@@ -55,56 +52,13 @@ EXIT_FAILURE = 1      # degraded cells in a no-fault run
 EXIT_REGRESSION = 3   # fleet wall-time budget blown
 
 
-def append_history(payload: dict, history_path: str) -> dict:
-    """Append one timestamped trajectory line to *history_path*.
-
-    The entry keeps the comparable shape numbers (cells, speedup,
-    overhead) and the raw timings; exact per-run wall seconds are
-    machine-dependent, which is why the regression gate compares
-    against the committed baseline with a tolerance instead of against
-    history neighbours.
-    """
-    entry = {
-        "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "seed": payload["seed"],
-        "cells": payload["cells"],
-        "cold_seconds": payload["cold_seconds"],
-        "warm_seconds": payload["warm_seconds"],
-        "warm_speedup": payload["warm_speedup"],
-        "traced_seconds": payload["traced_seconds"],
-        "traced_overhead": payload["traced_overhead"],
-        "trace_spans": payload["trace_spans"],
-    }
-    with open(history_path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return entry
-
-
-def append_fleet_history(payload: dict, history_path: str) -> dict:
-    """Append one ``"kind": "fleet"`` trajectory line to *history_path*."""
-    entry = {
-        "ts": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "kind": "fleet",
-        "spec": payload["spec"],
-        "sites": payload["sites"],
-        "cells": payload["cells"],
-        "build_seconds": payload["build_seconds"],
-        "eval_seconds": payload["eval_seconds"],
-        "cells_per_second": payload["cells_per_second"],
-        "cell_microseconds": payload["cell_microseconds"],
-    }
-    with open(history_path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return entry
-
-
 def record_ledger(payload: dict, kind: str,
                   ledger_dir: str | None = None) -> dict | None:
     """Record one bench run into the run ledger (best effort).
 
-    The flat JSON history files stay for back-compat; the ledger entry
-    is what ``feam runs`` / ``feam drift`` consume.  A failure to write
-    must never fail the benchmark itself.
+    The manifest is the run's one record across runs: ``feam runs`` /
+    ``feam drift`` consume it.  A failure to write must never fail the
+    benchmark itself.
     """
     ledger = ledger_mod.RunLedger(ledger_dir)
     manifest = {
@@ -132,10 +86,9 @@ def _timed_matrix(engine, binaries, sites) -> float:
 
 
 def run(out_path: str = "BENCH_matrix.json",
-        history_path: str | None = None,
         ledger_dir: str | None = None,
         ledger: bool = True) -> dict:
-    sites = build_paper_sites(SEED, cached=False)
+    sites = build_paper_sites(SEED)
     binaries = compile_test_binaries(sites, BINARIES)
 
     engine = EvaluationEngine()
@@ -193,19 +146,15 @@ def run(out_path: str = "BENCH_matrix.json",
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if history_path:
-        append_history(payload, history_path)
     if ledger:
         record_ledger(payload, "bench", ledger_dir)
     print(f"cold {cold:.3f}s  warm {warm:.3f}s  "
           f"traced {traced:.3f}s (vs reference {reference:.3f}s)"
-          f"  -> {out_path}"
-          + (f" (+ {history_path})" if history_path else ""))
+          f"  -> {out_path}")
     return payload
 
 
 def run_fleet(spec: str, out_path: str = "BENCH_fleet.json",
-              history_path: str | None = None,
               count: int = BINARIES,
               ledger_dir: str | None = None,
               ledger: bool = True) -> dict:
@@ -253,14 +202,11 @@ def run_fleet(spec: str, out_path: str = "BENCH_fleet.json",
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if history_path:
-        append_fleet_history(payload, history_path)
     if ledger:
         record_ledger(payload, "fleet-bench", ledger_dir)
     print(f"fleet {spec}: {cells} cells in {elapsed:.1f}s "
           f"({payload['cells_per_second']} cells/s, "
-          f"{payload['cell_microseconds']} us/cell)  -> {out_path}"
-          + (f" (+ {history_path})" if history_path else ""))
+          f"{payload['cell_microseconds']} us/cell)  -> {out_path}")
     return payload
 
 
@@ -271,9 +217,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="output JSON path (default: "
                              "BENCH_matrix.json, or BENCH_fleet.json "
                              "with --fleet)")
-    parser.add_argument("history", nargs="?", default=None,
-                        help="also append a line to this "
-                             "BENCH_history.jsonl")
     parser.add_argument("--fleet", metavar="SPEC", default=None,
                         help="benchmark a generated fleet instead, e.g. "
                              "'fleet:n=1000,seed=7'")
@@ -290,7 +233,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.fleet:
         payload = run_fleet(args.fleet,
                             args.out or "BENCH_fleet.json",
-                            args.history,
                             ledger_dir=args.ledger,
                             ledger=not args.no_ledger)
         if payload["degraded_cells"]:
@@ -305,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"> budget {args.budget_seconds:.1f}s", file=sys.stderr)
             return EXIT_REGRESSION
         return EXIT_OK
-    run(args.out or "BENCH_matrix.json", args.history,
+    run(args.out or "BENCH_matrix.json",
         ledger_dir=args.ledger, ledger=not args.no_ledger)
     return EXIT_OK
 

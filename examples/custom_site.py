@@ -54,7 +54,7 @@ def main() -> None:
           "(FEAM's only required site input):")
     print(cedar.scheduler.parallel_template())
 
-    donors = {s.name: s for s in build_paper_sites(cached=False)}
+    donors = {s.name: s for s in build_paper_sites()}
     feam = Feam()
 
     candidates = [

@@ -27,8 +27,7 @@ def banner(title: str) -> None:
 
 
 def main() -> None:
-    india = next(s for s in build_paper_sites(cached=False)
-                 if s.name == "india")
+    india = next(s for s in build_paper_sites() if s.name == "india")
     stack = india.find_stack("mvapich2-1.7a2-intel")
     app = india.compile_mpi_program(
         "wavesolver", Language.FORTRAN, stack,

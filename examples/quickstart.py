@@ -18,7 +18,7 @@ from repro.toolchain.compilers import Language
 
 def main() -> None:
     print("building the five Table II sites...")
-    sites = {s.name: s for s in build_paper_sites(cached=False)}
+    sites = {s.name: s for s in build_paper_sites()}
     fir, ranger = sites["fir"], sites["ranger"]
 
     # A scientist compiles their application at Fir with Open MPI + Intel.

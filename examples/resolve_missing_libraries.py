@@ -16,7 +16,7 @@ from repro.toolchain.compilers import Language
 
 
 def main() -> None:
-    sites = {s.name: s for s in build_paper_sites(cached=False)}
+    sites = {s.name: s for s in build_paper_sites()}
     ranger, india = sites["ranger"], sites["india"]
 
     stack = ranger.find_stack("mvapich2-1.2-gnu")

@@ -17,7 +17,7 @@ from repro.toolchain.compilers import Language
 
 
 def main() -> None:
-    sites = {s.name: s for s in build_paper_sites(cached=False)}
+    sites = {s.name: s for s in build_paper_sites()}
     home = sites["india"]
 
     # The community code: MVAPICH2 + GNU Fortran, built at India.

@@ -26,7 +26,7 @@ Quick start::
     from repro.core import Feam
     from repro.toolchain.compilers import Language
 
-    sites = build_paper_sites(cached=False)
+    sites = build_paper_sites()
     fir, ranger = sites[4], sites[0]
 
     stack = fir.find_stack("openmpi-1.4-intel")

@@ -343,13 +343,12 @@ def _feam_parser() -> argparse.ArgumentParser:
     runs = verb(
         "runs", _feam_runs,
         "list/inspect the run ledger: 'feam runs' lists, 'feam runs "
-        "show REF' prints one manifest, 'feam runs import FILE' "
-        "migrates a legacy BENCH_history.jsonl",
+        "show REF' prints one manifest",
         ledger, as_json)
     runs.add_argument(
         "action", nargs="*", metavar="ACTION",
-        help="'list' (default), 'show REF' (run id, unique prefix, "
-             "'latest' or a negative index like -2), or 'import FILE'")
+        help="'list' (default) or 'show REF' (run id, unique prefix, "
+             "'latest' or a negative index like -2)")
     runs.add_argument(
         "--where", action="append", default=[], metavar="CLAUSE",
         help="filter clause over the flattened manifest, repeatable: "
@@ -851,7 +850,7 @@ def _feam_trace(args) -> int:
     if args.trace_out:
         _open_output("trace file", args.trace_out)
     print("building the paper's five sites...", file=sys.stderr)
-    sites = {s.name: s for s in build_paper_sites(args.seed, cached=False)}
+    sites = {s.name: s for s in build_paper_sites(args.seed)}
     for role, name in (("build", args.build_site),
                        ("target", args.target_site)):
         if name not in sites:
@@ -1130,56 +1129,6 @@ def _feam_query(args) -> int:
     return EXIT_OK
 
 
-def _runs_import(ledger, path: str) -> int:
-    """``feam runs import``: migrate a legacy BENCH_history.jsonl.
-
-    Legacy lines come in two shapes -- matrix-bench (no ``kind``) and
-    ``"kind": "fleet"`` -- and gain ``kind``/``schema`` tags plus a
-    run id derived from the line's content, so re-importing the same
-    file is a no-op (duplicates are skipped, not doubled).
-    """
-    from repro import obs
-    from repro.obs import ledger as ledger_mod
-    from repro.util.jsonl import dump_line, read_jsonl
-
-    try:
-        records = read_jsonl(path)
-    except OSError as exc:
-        raise CliError(f"cannot read history {path!r}: {exc}") from None
-    existing = {run.get("run_id") for run in ledger.runs()}
-    imported = skipped = 0
-    for record in records:
-        kind = ("legacy-fleet-bench" if record.get("kind") == "fleet"
-                else "legacy-bench")
-        ts = record.get("ts") or ledger_mod.utc_timestamp()
-        run_id = ledger_mod.make_run_id(ts, "import", dump_line(record))
-        if run_id in existing:
-            skipped += 1
-            continue
-        bench = {key: value for key, value in record.items()
-                 if key not in ("ts", "seed", "kind", "spec")}
-        manifest = {
-            "schema": ledger_mod.SCHEMA_VERSION,
-            "run_id": run_id,
-            "ts": ts,
-            "kind": kind,
-            "seed": record.get("seed"),
-            "sites_spec": record.get("spec"),
-            "bench": bench,
-        }
-        try:
-            ledger.record(manifest)
-        except OSError as exc:
-            raise CliError(f"cannot record into {ledger.path}: {exc}") \
-                from None
-        existing.add(run_id)
-        imported += 1
-    obs.counter("ledger.imported").inc(imported)
-    print(f"imported {imported} run(s) from {path} into {ledger.path} "
-          f"({skipped} already present)")
-    return EXIT_OK
-
-
 def _render_runs_table(shown: list, matched: int, total: int,
                        ledger) -> str:
     """The ``feam runs`` listing (oldest first, newest last)."""
@@ -1224,10 +1173,6 @@ def _feam_runs(args) -> int:
     ledger = ledger_mod.RunLedger(args.ledger)
     tokens = list(args.action)
     action = tokens[0] if tokens else "list"
-    if action == "import":
-        if len(tokens) != 2:
-            raise CliError("usage: feam runs import FILE")
-        return _runs_import(ledger, tokens[1])
     if action == "show":
         if len(tokens) != 2:
             raise CliError("usage: feam runs show REF")
@@ -1239,7 +1184,7 @@ def _feam_runs(args) -> int:
         return EXIT_OK
     if action != "list" or len(tokens) > 1:
         raise CliError(f"unknown feam runs action {tokens!r} (expected "
-                       f"'list', 'show REF' or 'import FILE')")
+                       f"'list' or 'show REF')")
     try:
         where = [store_mod.parse_where(clause) for clause in args.where]
     except ValueError as exc:

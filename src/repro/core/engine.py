@@ -64,7 +64,6 @@ from repro.core.description import (
     BinaryDescription,
     BinaryDescriptionComponent,
 )
-from repro.core.determinants import DeterminantRegistry
 from repro.core.discovery import EnvironmentDescription
 from repro.core.evaluation import (
     CellCacheInfo,
@@ -523,7 +522,6 @@ class EvaluationEngine:
     """
 
     def __init__(self, config: Optional[FeamConfig] = None,
-                 registry: Optional[DeterminantRegistry] = None,
                  max_workers: Optional[int] = None,
                  persist: Optional[persist_mod.PersistentStore] = None,
                  ) -> None:
@@ -535,7 +533,6 @@ class EvaluationEngine:
         #: Binds this engine's persisted evaluations to its config.
         self.config_fingerprint = persist_mod.config_fingerprint(
             self.config)
-        self.registry = registry
         self.retry = RetryPolicy()
         #: Optional on-disk tier under the in-memory caches; a disk hit
         #: back-fills the dict and counts as a hit, a clean fresh
@@ -572,7 +569,7 @@ class EvaluationEngine:
         tec = self._tecs.get(site.name)
         if tec is None:
             tec = self._tecs[site.name] = TargetEvaluationComponent(
-                site, self.config, registry=self.registry)
+                site, self.config)
         return tec
 
     def breaker_for(self, site_name: str) -> CircuitBreaker:

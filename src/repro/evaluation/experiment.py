@@ -163,7 +163,7 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
     """Run the full Section VI evaluation."""
     cfg = config or ExperimentConfig()
     if sites is None:
-        sites = build_paper_sites(cfg.seed, cached=False)
+        sites = build_paper_sites(cfg.seed)
     if corpus is None:
         corpus = build_corpus(sites, cfg.corpus)
     sites_by_name = {s.name: s for s in sites}

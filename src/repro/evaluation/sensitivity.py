@@ -37,7 +37,7 @@ def _run_point(parameter: str, value: float, seed: int,
                corpus_size: int, abi_scale: float = 1.0,
                transient: float = 0.02,
                curse: Optional[dict] = None) -> SweepPoint:
-    sites = build_paper_sites(seed, cached=False)
+    sites = build_paper_sites(seed)
     for site in sites:
         site.simulator.abi_scale = abi_scale
         site.simulator.transient_error_probability = transient

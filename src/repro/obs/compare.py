@@ -150,10 +150,10 @@ def compare_runs(base: dict, current: dict) -> dict:
             "ratio": _ratio(b_mean, c_mean),
         })
 
-    # Bench manifests (emit_bench.py, `feam runs import`) carry flat
-    # timings under "bench" instead of an engine rollup; diff those
-    # numerically so `check_regression.py --ledger` attribution has
-    # substance for them too.
+    # Bench manifests (emit_bench.py) carry flat timings under "bench"
+    # instead of an engine rollup; diff those numerically so
+    # `check_regression.py --ledger` attribution has substance for them
+    # too.
     bench = None
     if isinstance(base.get("bench"), dict) \
             or isinstance(current.get("bench"), dict):

@@ -19,7 +19,7 @@ the engine-side flattener lives in
 
 * identity -- ``run_id`` (UTC timestamp + content digest suffix),
   ``ts`` (ISO-8601 UTC), ``kind`` (``matrix`` / ``chaos`` / ``bench``
-  / ``fleet-bench`` / ``telemetry-gate`` / ``legacy-*``), ``schema``;
+  / ``fleet-bench`` / ``telemetry-gate``), ``schema``;
 * provenance -- ``seed``, ``sites_spec``, ``config_fingerprint`` and
   ``fault_profile``;
 * results -- the ``rollup`` (cell/outcome/cache/retry counts,
@@ -67,8 +67,7 @@ def make_run_id(ts: str, *fingerprint_parts) -> str:
     """A run id: sortable UTC stamp + 8-hex content digest suffix.
 
     The digest folds in the manifest's identifying content so two runs
-    recorded within the same second still get distinct ids, and a
-    legacy import derives *stable* ids (re-import is a no-op).
+    recorded within the same second still get distinct ids.
     """
     compact = ts.replace("-", "").replace(":", "")
     suffix = stable_digest(ts, *fingerprint_parts)[:8]
@@ -114,8 +113,7 @@ class RunLedger:
     Counters (no-ops when no collector is installed):
 
     * ``ledger.recorded`` -- manifests written by this process;
-    * ``ledger.evicted`` -- manifests dropped by the size cap;
-    * ``ledger.imported`` -- manifests created by ``feam runs import``.
+    * ``ledger.evicted`` -- manifests dropped by the size cap.
     """
 
     def __init__(self, directory: Optional[str] = None,

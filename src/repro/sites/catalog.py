@@ -21,8 +21,6 @@ combinations are sometimes unusable due to administrator misconfiguration
 
 from __future__ import annotations
 
-import functools
-
 from repro.mpi.implementations import mpich2, mvapich2, open_mpi
 from repro.mpi.stack import Interconnect
 from repro.sites.scheduler import SchedulerFlavor
@@ -153,20 +151,10 @@ def site_spec(name: str) -> SiteSpec:
     raise KeyError(f"unknown paper site: {name!r}")
 
 
-@functools.lru_cache(maxsize=4)
-def _cached_sites(seed: int) -> tuple[Site, ...]:
-    return tuple(Site(spec, seed) for spec in PAPER_SITE_SPECS)
-
-
-def build_paper_sites(seed: int = 20130101,
-                      cached: bool = True) -> list[Site]:
+def build_paper_sites(seed: int = 20130101) -> list[Site]:
     """Materialise all five Table II sites.
 
-    Building a site installs hundreds of ELF images; with ``cached=True``
-    (the default) repeated calls with the same seed share the instances.
-    Callers that mutate sites (e.g. FEAM staging library copies) should
-    pass ``cached=False``.
+    Every call builds fresh instances, so callers may mutate them (FEAM
+    stages library copies into a target's filesystem).
     """
-    if cached:
-        return list(_cached_sites(seed))
     return [Site(spec, seed) for spec in PAPER_SITE_SPECS]

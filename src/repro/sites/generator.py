@@ -320,7 +320,7 @@ def resolve_sites(spec_text: str, default_seed: int = 20130101,
     """
     text = spec_text.strip()
     if text == "paper":
-        return build_paper_sites(default_seed, cached=False)
+        return build_paper_sites(default_seed)
     if text.startswith("fleet:"):
         return SiteGenerator(parse_fleet_spec(text)).build()
     raise ValueError(

@@ -215,10 +215,13 @@ class DynamicLoader:
             dirs.extend(p for p in runpath.split(":") if p)
         dirs.extend(read_ld_so_conf(self._machine.fs))
         dirs.extend(DEFAULT_TRUSTED_DIRS)
-        # Deduplicate, preserving order.
+        # Deduplicate, preserving order, on the spelling as ld.so does:
+        # only trailing slashes are dropped.  ``..`` is left to the
+        # filesystem walk, which follows a symlink before climbing out
+        # of it, so ``/a/link/..`` is not ``/a``.
         seen: dict[str, None] = {}
         for d in dirs:
-            seen.setdefault(posixpath.normpath(d))
+            seen.setdefault(d.rstrip("/") or "/")
         return list(seen)
 
     def _candidate(self, directory: str, soname: str,

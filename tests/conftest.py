@@ -45,7 +45,7 @@ def _isolated_persistent_cache(monkeypatch):
 @pytest.fixture(scope="session")
 def paper_sites():
     """The five Table II sites (session-shared; treat as read-only)."""
-    return build_paper_sites(TEST_SEED, cached=False)
+    return build_paper_sites(TEST_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ from repro.__main__ import (
     EXIT_SLO_VIOLATION,
     feam_main,
 )
+from repro.obs.ledger import RunLedger
 
 _REPO = pathlib.Path(__file__).resolve().parents[1]
 _FLAGS_GOLDEN = _REPO / "tests" / "golden" / "feam_flags.json"
@@ -276,34 +277,28 @@ class TestCheckRegression:
         assert payload["warm_speedup"] > 1
 
 
-class TestBenchHistory:
-    def test_append_history_entry(self, tmp_path):
+class TestBenchLedger:
+    def test_fleet_run_records_one_manifest(self, tmp_path, monkeypatch):
+        """A bench run's one record across runs is its ledger manifest:
+        the run writes its out file and one ``fleet-bench`` manifest,
+        and nothing else."""
         spec = importlib.util.spec_from_file_location(
             "emit_bench", _REPO / "benchmarks" / "emit_bench.py")
         emit_bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(emit_bench)
-        payload = dict(TestCheckRegression.BASE)
-        history = tmp_path / "BENCH_history.jsonl"
-        entry = emit_bench.append_history(payload, str(history))
-        emit_bench.append_history(payload, str(history))
-        lines = history.read_text().splitlines()
-        assert len(lines) == 2
-        decoded = json.loads(lines[0])
-        assert decoded["warm_seconds"] == payload["warm_seconds"]
-        assert decoded["ts"].endswith("Z")  # timestamped, UTC
-        assert entry["cells"] == payload["cells"]
-
-    def test_history_file_is_tracked_and_parsable(self):
-        path = _REPO / "benchmarks" / "BENCH_history.jsonl"
-        lines = path.read_text().splitlines()
-        assert lines, "BENCH_history.jsonl must not be empty"
-        for line in lines:
-            entry = json.loads(line)
-            assert "ts" in entry
-            if entry.get("kind") == "fleet":
-                assert "cells_per_second" in entry
-            else:
-                assert "warm_seconds" in entry
+        monkeypatch.chdir(tmp_path)
+        payload = emit_bench.run_fleet("fleet:n=3,seed=7",
+                                       "BENCH_fleet.json", count=1,
+                                       ledger_dir=str(tmp_path))
+        written = sorted(str(path.relative_to(tmp_path))
+                         for path in tmp_path.rglob("*"))
+        assert written == ["BENCH_fleet.json", "runs.jsonl"]
+        assert json.loads((tmp_path / "BENCH_fleet.json").read_text()) \
+            == payload
+        (run,) = RunLedger(str(tmp_path)).runs()
+        assert run["kind"] == "fleet-bench"
+        assert run["sites_spec"] == "fleet:n=3,seed=7"
+        assert run["bench"]["cells"] == payload["cells"] == 3
 
 
 class _Parsed(Exception):

@@ -7,6 +7,7 @@ drift, prediction accuracy becomes an artefact of inconsistent models
 rather than of FEAM's design.
 """
 
+import os
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -123,3 +124,57 @@ def test_loader_honours_env_order(env_dirs):
     report = machine.loader.resolve(binary, env)
     entry = next(e for e in report.entries if e.soname == "libx.so.1")
     assert entry.path == f"{env_dirs[0]}/libx.so.1"
+
+
+def _dotdot_machine(name: str) -> Machine:
+    """``/a/link -> /b/c`` with ``libz.so.1`` in ``/b``."""
+    machine = Machine(name, "x86_64", CENTOS_5_6)
+    machine.fs.write("/lib64/libc.so.6",
+                     _lib_image("libc.so.6", ("GLIBC_2.5",)), mode=0o755)
+    machine.fs.makedirs("/a")
+    machine.fs.makedirs("/b/c")
+    machine.fs.symlink("/a/link", "/b/c")
+    machine.fs.write("/b/libz.so.1", _lib_image("libz.so.1"), mode=0o755)
+    return machine
+
+
+def test_dotdot_after_symlink_in_search_path(tmp_path):
+    """``LD_LIBRARY_PATH=/a/link/..`` is searched where the kernel's
+    walk lands (``/b``), not where a lexical ``normpath`` would
+    (``/a``).  The same tree on disk is the oracle; the loader, ``ldd``
+    and the loader-visible check must all agree with it."""
+    root = os.path.realpath(tmp_path)
+    os.makedirs(root + "/a")
+    os.makedirs(root + "/b/c")
+    os.symlink(root + "/b/c", root + "/a/link")
+    (tmp_path / "b" / "libz.so.1").write_bytes(_lib_image("libz.so.1"))
+    expected = os.path.realpath(root + "/a/link/../libz.so.1")[len(root):]
+    assert expected == "/b/libz.so.1"
+
+    machine = _dotdot_machine("dotdot")
+    env = Environment({"LD_LIBRARY_PATH": "/a/link/.."})
+    binary = write_elf(BinarySpec(needed=("libz.so.1", "libc.so.6"),
+                                  payload_size=32))
+    machine.fs.write("/home/app", binary, mode=0o755)
+    report = machine.loader.resolve(binary, env)
+    toolbox = Toolbox(machine)
+    ldd = toolbox.ldd("/home/app", env)
+    visible = toolbox.loader_visible_library("libz.so.1", env)
+
+    loader_resolved = {e.soname: e.path for e in report.entries}
+    assert loader_resolved["libz.so.1"] == expected
+    assert not report.missing_sonames
+    assert {e.soname: e.path for e in ldd.entries} == loader_resolved
+    assert not ldd.missing
+    assert visible is not None
+    assert machine.fs.realpath(visible) == expected
+
+
+def test_trailing_slash_spellings_are_searched_once():
+    machine = _dotdot_machine("slashes")
+    env = Environment({"LD_LIBRARY_PATH": "/b/:/b:/lib64/"})
+    binary = write_elf(BinarySpec(needed=("libz.so.1", "libc.so.6"),
+                                  payload_size=32))
+    order = machine.loader.resolve(binary, env).search_order
+    assert order[:2] == ["/b", "/lib64"]
+    assert len(order) == len(set(order))

@@ -81,7 +81,7 @@ class TestCorpusBuilder:
     @pytest.fixture(scope="class")
     def corpus_and_sites(self):
         from repro.sites.catalog import build_paper_sites
-        sites = build_paper_sites(555, cached=False)
+        sites = build_paper_sites(555)
         corpus = build_corpus(sites, CorpusConfig(seed=555))
         return corpus, sites
 
@@ -134,7 +134,7 @@ class TestCorpusBuilder:
 
     def test_trim_disabled_keeps_everything(self):
         from repro.sites.catalog import build_paper_sites
-        sites = build_paper_sites(556, cached=False)
+        sites = build_paper_sites(556)
         corpus = build_corpus(
             sites, CorpusConfig(seed=556, target_counts=None))
         counts = corpus.counts()
@@ -144,7 +144,7 @@ class TestCorpusBuilder:
     def test_deterministic_under_seed(self, corpus_and_sites):
         corpus, _sites = corpus_and_sites
         from repro.sites.catalog import build_paper_sites
-        again = build_corpus(build_paper_sites(555, cached=False),
+        again = build_corpus(build_paper_sites(555),
                              CorpusConfig(seed=555))
         assert [b.binary_id for b in again.binaries] == \
             [b.binary_id for b in corpus.binaries]

@@ -20,7 +20,7 @@ _GOLDEN = Path(__file__).parent / "golden" / "matrix_paper_5x4.txt"
 
 
 def _paper_inputs(seed=20130101, count=4):
-    sites = build_paper_sites(seed, cached=False)
+    sites = build_paper_sites(seed)
     return sites, compile_test_binaries(sites, count)
 
 

@@ -2,7 +2,7 @@
 
 The ledger-backed CLI surface CI's history-gate job drives: matrix and
 chaos invocations record manifests (two runs -> two entries), the
-listing/show/import verbs round-trip them, and the compare gate exits
+listing/show verbs round-trip them, and the compare gate exits
 3 on an attributed slowdown while staying 0 on identical runs.  Also
 pins the fail-fast paths: ``feam watch --attach`` against a dead
 server and ``feam query`` on a missing file exit 1 with one clean
@@ -21,7 +21,7 @@ from repro.__main__ import (
     EXIT_SLO_VIOLATION,
     feam_main,
 )
-from repro.obs.ledger import SCHEMA_VERSION, RunLedger, latency_digest
+from repro.obs.ledger import RunLedger, latency_digest
 
 
 def ledger_dir():
@@ -141,55 +141,9 @@ class TestRunsVerb:
         assert "(no runs)" in capsys.readouterr().out
 
     def test_unknown_action_fails(self, capsys):
-        assert feam_main(["runs", "frobnicate"]) == EXIT_FAILURE
-        assert "unknown feam runs action" in capsys.readouterr().err
-
-
-class TestRunsImport:
-    def legacy_history(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        lines = [
-            {"ts": "2026-01-01T00:00:00Z", "seed": 1,
-             "cells": 20, "cold_seconds": 1.0, "warm_seconds": 0.1},
-            {"ts": "2026-01-02T00:00:00Z", "kind": "fleet",
-             "spec": "fleet:n=10", "cells": 40, "eval_seconds": 2.0},
-        ]
-        path.write_text("".join(json.dumps(line) + "\n"
-                                for line in lines))
-        return path
-
-    def test_import_tags_kinds_and_is_idempotent(self, tmp_path,
-                                                 capsys):
-        history = self.legacy_history(tmp_path)
-        assert feam_main(["runs", "import", str(history)]) == EXIT_OK
-        assert "imported 2 run(s)" in capsys.readouterr().out
-        runs = RunLedger(ledger_dir()).runs()
-        assert [run["kind"] for run in runs] \
-            == ["legacy-bench", "legacy-fleet-bench"]
-        assert all(run["schema"] == SCHEMA_VERSION for run in runs)
-        assert runs[1]["sites_spec"] == "fleet:n=10"
-        # Re-import: every line already present, nothing doubled.
-        assert feam_main(["runs", "import", str(history)]) == EXIT_OK
-        assert "imported 0 run(s)" in capsys.readouterr().out
-        assert len(RunLedger(ledger_dir()).runs()) == 2
-
-    def test_imported_runs_feed_drift(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        history.write_text("".join(
-            json.dumps({"ts": f"2026-01-0{i}T00:00:00Z", "seed": 1,
-                        "cold_seconds": cold}) + "\n"
-            for i, cold in ((1, 1.0), (2, 2.0))))
-        assert feam_main(["runs", "import", str(history)]) == EXIT_OK
-        capsys.readouterr()
-        assert feam_main(["drift", "--tolerance", "0.25"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "legacy-bench" in out
-        assert "bench.cold_seconds" in out
-
-    def test_missing_history_fails_cleanly(self, tmp_path, capsys):
-        assert feam_main(["runs", "import",
-                          str(tmp_path / "nope.jsonl")]) == EXIT_FAILURE
-        assert "cannot read history" in capsys.readouterr().err
+        for action in (["frobnicate"], ["import", "history.jsonl"]):
+            assert feam_main(["runs", *action]) == EXIT_FAILURE
+            assert "unknown feam runs action" in capsys.readouterr().err
 
 
 class TestCompareVerb:
@@ -258,6 +212,18 @@ class TestCompareVerb:
 
 
 class TestDriftVerb:
+    def test_bench_runs_feed_drift(self, capsys):
+        # emit_bench.py records each bench run as one manifest with
+        # flat timings under "bench"; drift reads them like any run.
+        ledger = RunLedger(ledger_dir())
+        for cold in (1.0, 2.0):
+            ledger.record({"kind": "bench", "seed": 1,
+                           "bench": {"cold_seconds": cold}})
+        assert feam_main(["drift", "--tolerance", "0.25"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(bench) vs mean of last 1 bench run(s)" in out
+        assert "bench.cold_seconds" in out
+
     def test_stable_history_exits_ok(self, capsys):
         seeded_ledger()
         # Latest run is chaos with no chaos predecessors: degrade to

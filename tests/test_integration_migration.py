@@ -15,7 +15,7 @@ from repro.toolchain.compilers import Language
 @pytest.fixture(scope="module")
 def world():
     """A fresh five-site world plus a FEAM instance (module-scoped)."""
-    sites = build_paper_sites(424242, cached=False)
+    sites = build_paper_sites(424242)
     return {s.name: s for s in sites}, Feam()
 
 

@@ -17,7 +17,7 @@ from repro.toolchain.compilers import Language
 @pytest.fixture(scope="module")
 def traced_matrix():
     """All five paper sites x two binaries, evaluated under a collector."""
-    sites = build_paper_sites(424242, cached=False)
+    sites = build_paper_sites(424242)
     binaries = []
     for index, site_name in enumerate(["fir", "ranger"]):
         site = next(s for s in sites if s.name == site_name)

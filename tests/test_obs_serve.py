@@ -354,7 +354,7 @@ class TestServeDuringMatrix:
         from repro.sites.catalog import build_paper_sites
         from repro.toolchain.compilers import Language
 
-        sites = build_paper_sites(20130101, cached=False)[:3]
+        sites = build_paper_sites(20130101)[:3]
         binaries = []
         for index, site in enumerate(sites[:2]):
             stack = site.stacks[0]

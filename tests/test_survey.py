@@ -9,7 +9,7 @@ from repro.toolchain.compilers import Language
 @pytest.fixture(scope="module")
 def survey_world():
     from repro.sites.catalog import build_paper_sites
-    sites = build_paper_sites(20202, cached=False)
+    sites = build_paper_sites(20202)
     by_name = {s.name: s for s in sites}
     india = by_name["india"]
     stack = india.find_stack("openmpi-1.4-gnu")
