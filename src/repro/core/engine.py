@@ -89,11 +89,26 @@ from repro.core.resilience import (
 from repro.obs import ledger as ledger_mod
 from repro.obs import wide as wide_mod
 from repro.sysmodel import faults
+from repro.sysmodel.fs import FsError
 from repro.toolchain.compilers import Language
 from repro.util.hashing import content_digest, stable_digest
 
 #: Where the engine stages binaries it migrates to a site itself.
 _MIGRATION_ROOT = "/home/user/migrated"
+
+
+def _stage(fs, path: str, image: bytes) -> None:
+    """Put *image* at *path* on *fs* unless exactly it is there already.
+
+    Compared through the node, so an armed fault hook sees no read it
+    would not see without the check."""
+    try:
+        _real, node = fs.resolve(path)
+        if node.content is image or node.read() == image:
+            return
+    except FsError:
+        pass
+    fs.write(path, image, mode=0o755)
 
 
 @dataclasses.dataclass
@@ -544,6 +559,9 @@ class EvaluationEngine:
         self._breakers: dict[str, CircuitBreaker] = {}
         #: (image digest, described path) -> description
         self._descriptions: dict[tuple, BinaryDescription] = {}
+        #: id(image) -> (image, content digest).  Holding the image
+        #: keeps its id from being reused while the entry lives.
+        self._digests: dict[int, tuple[bytes, str]] = {}
         #: cell key -> report
         self._reports: dict[tuple, TargetReport] = {}
         #: content key -> shared environment description (fleet sites)
@@ -743,9 +761,16 @@ class EvaluationEngine:
         """Evaluate one (binary, site) cell through every cache layer.
 
         The binary may be given as a path already present at the site, as
-        raw *image* bytes (the engine stages them under a content-derived
-        path), or implicitly via the *bundle* (both-phases mode, binary
-        not at the target).
+        raw *image* bytes, or implicitly via the *bundle* (both-phases
+        mode, binary not at the target).  Image bytes are staged at
+        ``/home/user/migrated/<binary_id>`` (the first 16 hex digits of
+        their digest without a *binary_id*); a file already there is
+        rewritten unless it holds exactly these bytes, so a binary id
+        reused for another image never evaluates the old one.
+
+        Each image object is hashed once per engine: the engine keeps
+        every image it hashed with its digest, as its description cache
+        keeps every binary's description.
         """
         if binary_path is None and image is None and bundle is None:
             raise ValueError(
@@ -826,17 +851,23 @@ class EvaluationEngine:
             cache=CellCacheInfo(),
             failure=provenance)
 
+    def _digest(self, image: bytes) -> str:
+        """The content digest of *image*, hashed once per image object."""
+        held = self._digests.get(id(image))
+        if held is None:
+            held = self._digests[id(image)] = (image, content_digest(image))
+        return held[1]
+
     def _evaluate_cell(self, site, binary_path, image, binary_id,
                        bundle, staging_tag) -> TargetReport:
         if binary_path is not None and image is None:
             image = site.machine.fs.read(binary_path)
-        digest = content_digest(image) if image is not None else None
+        digest = self._digest(image) if image is not None else None
         if binary_path is None and image is not None:
             name = binary_id or digest[:16]
             binary_path = posixpath.join(
                 _MIGRATION_ROOT, name.replace("/", "-"))
-            if not site.machine.fs.is_file(binary_path):
-                site.machine.fs.write(binary_path, image, mode=0o755)
+            _stage(site.machine.fs, binary_path, image)
 
         environment, discovery_hit, discover_retry_seconds = \
             self._discover(site)

@@ -39,14 +39,27 @@ def _wall_phase(phase: str) -> bool:
     return not phase.endswith(".sim")
 
 
+#: Suffixes of a bench manifest's timings (``cold_seconds``,
+#: ``traced_overhead``, ``warm_speedup``, ``cells_per_second``,
+#: ``cell_microseconds``, ...): each is a wall-clock measure or a ratio
+#: of two.
+_BENCH_WALL_SUFFIXES = ("_seconds", "_overhead", "_speedup",
+                        "_per_second", "_microseconds")
+
+
 def wall_clock_metric(metric: str) -> bool:
-    """Is the flattened manifest *metric* a wall-clock latency value?
+    """Is the flattened manifest *metric* a wall-clock value?
 
     Those are every ``phases.<p>.*`` of a wall phase, ``rollup.wall.*``
     and ``rollup.determinants.<d>.wall.*``, except each digest's
-    ``.count``.  Host noise moves them between identical runs, so
-    neither :func:`drift` nor :func:`gate` judges them.
+    ``.count``, and a bench run's timings: ``bench.*`` keys ending
+    ``_seconds``, ``_overhead``, ``_speedup``, ``_per_second`` or
+    ``_microseconds``.  Host noise moves them between identical runs,
+    so neither :func:`drift` nor :func:`gate` judges them;
+    ``feam compare`` still renders them.
     """
+    if metric.startswith("bench."):
+        return metric.endswith(_BENCH_WALL_SUFFIXES)
     digest, _, stat = metric.rpartition(".")
     if stat == "count":
         return False

@@ -26,6 +26,20 @@ regular file, fails the walk (``realpath`` alone goes on by name, as
 :func:`os.path.realpath` does).  Paths given to the mutating calls
 (``write``, ``symlink``, ``makedirs``, ``remove``) are normalised
 lexically instead; no simulated site writes through ``..``.
+
+Change stamps: every mutator that changes a directory's entries
+(``makedirs`` when it creates a directory, ``write``, ``write_lazy``,
+``symlink``, ``remove``, ``copy_file``, ``install_from``) advances the
+filesystem's :attr:`~VirtualFilesystem.generation` counter and stamps
+that directory with it.  While :attr:`~VirtualFilesystem.visits` is a
+set, every directory a walk or ``listdir`` looks into is added to it.
+The two give callers an exact validity rule for anything computed from
+walks: a walk's outcome depends only on the entries of the directories
+it looks into, because a file node never changes once written (apart
+from ``chmod``'s mode), so a result stays valid while none of those
+directories' stamps is newer than the generation it was computed at.
+:meth:`Machine.check_loadable
+<repro.sysmodel.machine.Machine.check_loadable>` memoises closures by it.
 """
 
 from __future__ import annotations
@@ -85,12 +99,19 @@ class SymlinkNode:
     target: str
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class DirNode:
-    """A directory mapping entry names to child nodes."""
+    """A directory mapping entry names to child nodes.
+
+    Compared and hashed by identity, so a set of visited directories
+    holds the nodes themselves.  *stamp* is the filesystem's
+    :attr:`~VirtualFilesystem.generation` when the entries last changed
+    (0 until then).
+    """
 
     entries: dict[str, object] = dataclasses.field(default_factory=dict)
     mode: int = 0o755
+    stamp: int = 0
 
 
 def _split(path: str) -> list[str]:
@@ -121,6 +142,17 @@ class VirtualFilesystem:
         #: :class:`FsError` or return mutated bytes.  None (the default)
         #: costs one attribute check per read.
         self.fault_hook: Optional[Callable[[str, bytes], bytes]] = None
+        #: Counts changes to directory entries; each change stamps its
+        #: directory with the new value (see :meth:`_changed`).
+        self.generation = 0
+        #: None, or the set every directory a walk or :meth:`listdir`
+        #: looks into is added to.  One attribute rather than a
+        #: collector passed down every call, because the loader reaches
+        #: the filesystem through several query methods.  Safe because
+        #: a site's filesystem is walked by one thread at a time (the
+        #: engine runs each site's cells on one worker), so a recording
+        #: never picks up another thread's walks.
+        self.visits: Optional[set[DirNode]] = None
 
     # -- node resolution ------------------------------------------------------
 
@@ -151,6 +183,7 @@ class VirtualFilesystem:
         here: object = self._root
         pending = _components(path)
         links = 0
+        visits = self.visits
         while pending:
             part = pending.pop()
             if part == "..":
@@ -161,6 +194,8 @@ class VirtualFilesystem:
                     here = parents.pop()
                 continue
             if isinstance(here, DirNode):
+                if visits is not None:
+                    visits.add(here)
                 child = here.entries.get(part)
                 if child is None and strict:
                     raise FsError(f"no such file or directory: "
@@ -282,6 +317,8 @@ class VirtualFilesystem:
         node = self._lookup(path)
         if not isinstance(node, DirNode):
             raise FsError(f"not a directory: {path!r}")
+        if self.visits is not None:
+            self.visits.add(node)
         return sorted(node.entries)
 
     def walk(self, top: str = "/") -> Iterator[tuple[str, list[str], list[str]]]:
@@ -321,6 +358,11 @@ class VirtualFilesystem:
 
     # -- mutation ---------------------------------------------------------------
 
+    def _changed(self, directory: DirNode) -> None:
+        """Stamp *directory*, whose entries just changed."""
+        self.generation += 1
+        directory.stamp = self.generation
+
     def makedirs(self, path: str) -> None:
         """Create directory *path* and any missing ancestors (mkdir -p)."""
         parts = _split(posixpath.normpath(path))
@@ -330,6 +372,7 @@ class VirtualFilesystem:
             if child is None:
                 child = DirNode()
                 node.entries[part] = child
+                self._changed(node)
             if isinstance(child, SymlinkNode):
                 raise FsError(f"symlink in makedirs path: {path!r}")
             if not isinstance(child, DirNode):
@@ -340,6 +383,7 @@ class VirtualFilesystem:
         """Create or replace the file at *path* with inline *content*."""
         parent, name = self._parent_dir(path, create=True)
         parent.entries[name] = FileNode(content=content, mode=mode)
+        self._changed(parent)
 
     def write_text(self, path: str, text: str, mode: int = 0o644) -> None:
         self.write(path, text.encode("utf-8"), mode=mode)
@@ -349,11 +393,13 @@ class VirtualFilesystem:
         """Create a file whose bytes are produced on demand by *provider*."""
         parent, name = self._parent_dir(path, create=True)
         parent.entries[name] = FileNode(provider=provider, size=size, mode=mode)
+        self._changed(parent)
 
     def symlink(self, link_path: str, target: str) -> None:
         """Create a symlink at *link_path* pointing at *target*."""
         parent, name = self._parent_dir(link_path, create=True)
         parent.entries[name] = SymlinkNode(target=target)
+        self._changed(parent)
 
     def chmod(self, path: str, mode: int) -> None:
         node = self._lookup(path, follow=True)
@@ -373,6 +419,7 @@ class VirtualFilesystem:
         if isinstance(node, DirNode):
             raise FsError(f"is a directory: {path!r}")
         del parent.entries[name]
+        self._changed(parent)
 
     def copy_file(self, src: str, dst: str) -> None:
         """Copy a regular file (content/provider and mode) from src to dst."""
@@ -383,6 +430,7 @@ class VirtualFilesystem:
         parent.entries[name] = FileNode(
             content=node.content, provider=node.provider,
             size=node.size, mode=node.mode)
+        self._changed(parent)
 
     def install_from(self, other: "VirtualFilesystem", src: str, dst: str) -> None:
         """Copy a regular file across filesystems (site-to-site migration)."""
@@ -393,6 +441,7 @@ class VirtualFilesystem:
         parent.entries[name] = FileNode(
             content=node.content, provider=node.provider,
             size=node.size, mode=node.mode)
+        self._changed(parent)
 
     # -- cloning -----------------------------------------------------------------
 
@@ -405,7 +454,8 @@ class VirtualFilesystem:
         which is what makes cloning a fully-installed site filesystem
         cheap -- hundreds of multi-megabyte ELF images cost one node
         object each, not a copy of their bytes.  The fault hook is not
-        carried over: a clone starts unperturbed.
+        carried over: a clone starts unperturbed.  Stamps start again
+        from 0 on the clone's fresh directory nodes.
         """
         copy = VirtualFilesystem()
         copy._root = _clone_node(self._root)

@@ -17,12 +17,12 @@ import dataclasses
 from typing import Optional
 
 from repro.elf.constants import ElfClass, ElfMachine
-from repro.elf.reader import ElfError, parse_elf
+from repro.elf.reader import ElfError, ElfFile, parse_elf
 from repro.elf.writer import LazyImage
 from repro.sysmodel.distro import Distro
 from repro.sysmodel.env import Environment
 from repro.sysmodel.errors import ExecutionResult, FailureKind
-from repro.sysmodel.fs import FileNode, VirtualFilesystem
+from repro.sysmodel.fs import DirNode, FileNode, VirtualFilesystem
 from repro.sysmodel.loader import DynamicLoader, ResolutionReport
 
 
@@ -74,6 +74,76 @@ def shared_image(fs, node: FileNode) -> Optional[LazyImage]:
     return None
 
 
+def _dynamic_view(root: ElfFile) -> tuple:
+    """Every input :meth:`DynamicLoader.resolve` reads from a root object.
+
+    Linkage, ELF class and machine, ``DT_NEEDED``, ``DT_RPATH``,
+    ``DT_RUNPATH`` and the verneed entries as (file, version names).
+    The report labels the root ``<main>`` whatever its path, so roots
+    with equal views resolve to one closure under one environment.
+    ``is_dynamic`` is part of it: a static root and a dynamic root with
+    no ``DT_NEEDED`` build different reports.
+    """
+    dynamic = root.dynamic
+    return (root.is_dynamic, root.header.elf_class, root.header.machine,
+            dynamic.needed, dynamic.rpath, dynamic.runpath,
+            tuple((req.filename, tuple(v.name for v in req.versions))
+                  for req in root.version_requirements))
+
+
+def _first_failure(report: ResolutionReport) -> Optional[ExecutionResult]:
+    """The failure the real loader reports first for *report*, if any."""
+    kind = report.first_failure_kind()
+    if kind is FailureKind.MISSING_LIBRARY:
+        missing = ", ".join(report.missing_sonames)
+        return ExecutionResult.fail(
+            kind,
+            f"error while loading shared libraries: {missing}: cannot "
+            f"open shared object file: No such file or directory")
+    if kind is not None:
+        return ExecutionResult.fail(kind, report.version_errors[0].message())
+    return None
+
+
+class _Closure:
+    """One memoised resolution: what it found and what it looked at.
+
+    Holds the report's parts that do not depend on the root's path --
+    entries, version errors, search order and the library parses --
+    plus the first failure (an :class:`ExecutionResult` is frozen, so
+    every caller can share it), the filesystem generation it was
+    resolved at and the directories its walks looked into.
+    """
+
+    __slots__ = ("generation", "visited", "failure", "entries",
+                 "version_errors", "search_order", "libraries")
+
+    def __init__(self, generation: int, visited: tuple[DirNode, ...],
+                 report: ResolutionReport) -> None:
+        self.generation = generation
+        self.visited = visited
+        self.failure = _first_failure(report)
+        self.entries = tuple(report.entries)
+        self.version_errors = tuple(report.version_errors)
+        self.search_order = tuple(report.search_order)
+        self.libraries = tuple(
+            (path, elf) for path, elf in report.loaded.items()
+            if path != "<main>")
+
+    def valid(self) -> bool:
+        """Has no visited directory's entries changed since?"""
+        return all(d.stamp <= self.generation for d in self.visited)
+
+    def report(self, root: ElfFile) -> ResolutionReport:
+        """A fresh report for *root*: no caller can alter the memo."""
+        loaded = {"<main>": root}
+        loaded.update(self.libraries)
+        return ResolutionReport(
+            entries=list(self.entries),
+            version_errors=list(self.version_errors),
+            loaded=loaded, search_order=list(self.search_order))
+
+
 class Machine:
     """A simulated Linux machine."""
 
@@ -92,10 +162,14 @@ class Machine:
         distro.materialise(self.fs)
         self.fs.makedirs("/tmp")
         self.fs.makedirs("/home")
-        #: Parse cache: path -> (file size, detached ElfFile).  Files in the
-        #: simulation are immutable once written (new content gets a new
-        #: path), so (path, size) identifies an image.
-        self._elf_cache: dict[str, tuple[int, "ElfFileType"]] = {}
+        #: Parse cache: canonical path -> (content source, detached
+        #: ElfFile).  The source is the node's inline bytes or its
+        #: provider, both immutable, so a hit is the same image even
+        #: when the path was rewritten with another one of equal size.
+        self._elf_cache: dict[str, tuple[object, ElfFile]] = {}
+        #: Closure memo of :meth:`check_loadable`: (root's dynamic view,
+        #: LD_LIBRARY_PATH) -> :class:`_Closure`.
+        self._closures: dict[tuple, _Closure] = {}
 
     # -- ELF parse cache ----------------------------------------------------
 
@@ -108,7 +182,9 @@ class Machine:
         through here.
 
         Two tiers.  This machine's cache, keyed by canonical path and
-        size, answers first.  On a miss, a file whose
+        checked against the node's content source (its inline bytes or
+        its provider), answers first; a path rewritten with another
+        image misses, even at equal size.  On a miss, a file whose
         :func:`shared_image` is a :class:`~repro.elf.writer.LazyImage`
         takes the parse that image keeps, making it if no site has yet:
         every live site holding an equal library, and every target a
@@ -124,8 +200,9 @@ class Machine:
         """
         if node is None:
             path, node = self.fs.resolve(path)
+        source = node.content if node.content is not None else node.provider
         cached = self._elf_cache.get(path)
-        if cached is not None and cached[0] == node.size:
+        if cached is not None and cached[0] is source:
             return cached[1]
         image = shared_image(self.fs, node)
         if image is not None:
@@ -134,7 +211,7 @@ class Machine:
             elf = image.elf
         else:
             elf = parse_elf(self.fs.read(path)).detach()
-        self._elf_cache[path] = (node.size, elf)
+        self._elf_cache[path] = (source, elf)
         return elf
 
     # -- cloning ----------------------------------------------------------------
@@ -144,8 +221,10 @@ class Machine:
 
         The filesystem tree is copied node-by-node (contents shared, see
         :meth:`VirtualFilesystem.clone`); the ELF parse cache is carried
-        over since cache entries are keyed by (path, size) and every
-        image in the simulation is immutable once written.
+        over, since its entries are checked against content sources the
+        clone's nodes share.  The closure memo is not: its entries hold
+        the template's directory nodes, which the clone does not have,
+        so the clone starts with an empty one.
         """
         copy = Machine(hostname, self.arch, self.distro,
                        fs=self.fs.clone(), env=self.env.copy())
@@ -184,6 +263,19 @@ class Machine:
         an :class:`ExecutionResult` describing the first failure the real
         system would report.  *report* is the loader's resolution report
         (None when the image failed before loading).
+
+        The image is parsed and ISA-checked on every call.  Its closure
+        comes from a per-machine memo keyed by the root's dynamic view
+        (:func:`_dynamic_view`) and ``LD_LIBRARY_PATH``: every input
+        :meth:`DynamicLoader.resolve` reads from them.  An entry records
+        each directory its resolution's walks looked into, and is served
+        only while none of them has been stamped since (see
+        :mod:`repro.sysmodel.fs`); staging a copy into a searched
+        directory re-resolves, writing elsewhere does not.  While a
+        fault hook is armed every call resolves afresh and stores
+        nothing, so the hook sees every read.  Each call gets a fresh
+        report: its lists are copies and ``loaded`` holds this call's
+        root.
         """
         effective_env = env if env is not None else self.env
         try:
@@ -198,19 +290,26 @@ class Machine:
                 f"cannot execute {elf.header.machine.display_name}/"
                 f"{elf.header.bits}-bit binary on {self.arch}",
             ), None
-        report = self.loader.resolve(elf, effective_env)
-        kind = report.first_failure_kind()
-        if kind is FailureKind.MISSING_LIBRARY:
-            missing = ", ".join(report.missing_sonames)
-            return ExecutionResult.fail(
-                kind,
-                f"error while loading shared libraries: {missing}: cannot "
-                f"open shared object file: No such file or directory",
-            ), report
-        if kind is not None:
-            first = report.version_errors[0]
-            return ExecutionResult.fail(kind, first.message()), report
-        return None, report
+        if self.fs.fault_hook is not None:
+            report = self.loader.resolve(elf, effective_env)
+            return _first_failure(report), report
+        key = (_dynamic_view(elf), tuple(effective_env.ld_library_path))
+        closure = self._closures.get(key)
+        if closure is None or not closure.valid():
+            closure = self._closures[key] = self._resolve_recorded(
+                elf, effective_env)
+        return closure.failure, closure.report(elf)
+
+    def _resolve_recorded(self, root: ElfFile, env: Environment) -> _Closure:
+        """Resolve *root* under *env*, recording the directories looked
+        into."""
+        generation = self.fs.generation
+        self.fs.visits = visited = set()
+        try:
+            report = self.loader.resolve(root, env)
+        finally:
+            self.fs.visits = None
+        return _Closure(generation, tuple(visited), report)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Machine({self.hostname!r}, arch={self.arch!r}, "

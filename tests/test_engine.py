@@ -3,12 +3,17 @@
 import pytest
 
 from repro.core import Feam
+from repro.core import engine as engine_mod
 from repro.core.engine import (
     EngineBinary,
     EvaluationEngine,
+    compile_test_binaries,
     environment_fingerprint,
 )
+from repro.sites.catalog import build_paper_sites
 from repro.toolchain.compilers import Language
+
+from tests.conftest import TEST_SEED
 
 
 @pytest.fixture
@@ -153,3 +158,39 @@ class TestMatrixShape:
         result = engine.evaluate_matrix(
             [("tuple-app", compiled_app.image)], [make_site("mt-a")])
         assert result.cell("tuple-app", "mt-a") is not None
+
+
+class TestImages:
+    @pytest.fixture
+    def world(self):
+        """Fresh paper sites (cells stage files) and four binaries."""
+        sites = build_paper_sites(TEST_SEED)
+        return sites, compile_test_binaries(sites, 4)
+
+    def test_a_reused_binary_id_evaluates_the_new_image(self, world):
+        sites, binaries = world
+        ranger = sites[0]
+        images = [binaries[0].image, binaries[3].image]
+        alone = [EvaluationEngine().evaluate_cell(
+                     ranger, image=image, binary_id=f"alone-{index}").ready
+                 for index, image in enumerate(images)]
+        assert alone[0] != alone[1]
+        engine = EvaluationEngine()
+        for index in (0, 1, 0):
+            report = engine.evaluate_cell(ranger, image=images[index],
+                                          binary_id="reused")
+            assert report.ready is alone[index]
+
+    def test_each_image_is_hashed_once(self, world, monkeypatch):
+        sites, binaries = world
+        hashed = []
+        original = engine_mod.content_digest
+
+        def counting(data):
+            hashed.append(data)
+            return original(data)
+
+        monkeypatch.setattr(engine_mod, "content_digest", counting)
+        result = EvaluationEngine().evaluate_matrix(binaries, sites)
+        assert len(result.cells) == 20
+        assert len(hashed) == 4

@@ -214,15 +214,18 @@ class TestCompareVerb:
 class TestDriftVerb:
     def test_bench_runs_feed_drift(self, capsys):
         # emit_bench.py records each bench run as one manifest with
-        # flat timings under "bench"; drift reads them like any run.
+        # flat values under "bench"; drift judges its deterministic
+        # counts and leaves its wall-clock timings alone.
         ledger = RunLedger(ledger_dir())
-        for cold in (1.0, 2.0):
+        for spans, cold in ((100, 1.0), (200, 2.0)):
             ledger.record({"kind": "bench", "seed": 1,
-                           "bench": {"cold_seconds": cold}})
+                           "bench": {"trace_spans": spans,
+                                     "cold_seconds": cold}})
         assert feam_main(["drift", "--tolerance", "0.25"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "(bench) vs mean of last 1 bench run(s)" in out
-        assert "bench.cold_seconds" in out
+        assert "bench.trace_spans" in out
+        assert "bench.cold_seconds" not in out
 
     def test_stable_history_exits_ok(self, capsys):
         seeded_ledger()

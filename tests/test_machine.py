@@ -109,6 +109,21 @@ def test_elf_cache_invalidated_on_size_change(machine):
     assert b.dynamic.soname == "libb.so.1"
 
 
+def test_elf_cache_invalidated_on_equal_size_rewrite(machine):
+    images = {soname: write_elf(BinarySpec(etype=ElfType.DYN,
+                                           needed=(soname,)))
+              for soname in ("liba.so.1", "libb.so.1")}
+    assert len(set(map(len, images.values()))) == 1
+    for soname, image in images.items():
+        machine.fs.write("/f.so", image, mode=0o755)
+        assert machine.read_elf("/f.so").dynamic.needed == (soname,)
+
+
+def test_elf_cache_hits_carry_over_to_clones(machine):
+    parsed = machine.read_elf("/lib64/libc.so.6")
+    assert machine.clone("node2").read_elf("/lib64/libc.so.6") is parsed
+
+
 def test_elf_cache_follows_symlinks(machine):
     machine.fs.write("/lib64/libx.so.1.0", write_elf(BinarySpec(
         etype=ElfType.DYN, soname="libx.so.1")), mode=0o755)

@@ -281,6 +281,14 @@ class TestDrift:
         ("rollup.determinants.mpi-stack.sim.sum", False),
         ("rollup.sim.mean", False),
         ("rollup.cells", False),
+        ("bench.cold_seconds", True),
+        ("bench.traced_overhead", True),
+        ("bench.warm_speedup", True),
+        ("bench.cells_per_second", True),
+        ("bench.cell_microseconds", True),
+        ("bench.trace_spans", False),
+        ("bench.overhead", False),
+        ("bench.cache.evaluation_hits", False),
     ])
     def test_wall_clock_metric(self, metric, wall):
         assert compare_mod.wall_clock_metric(metric) is wall
