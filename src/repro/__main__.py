@@ -1140,7 +1140,8 @@ def _render_runs_table(shown: list, matched: int, total: int,
     for run in shown:
         rollup = run.get("rollup") or {}
         outcomes = rollup.get("outcomes") or {}
-        cells = rollup.get("cells")
+        # Bench manifests carry no rollup; their payload counts cells.
+        cells = (rollup or run.get("bench") or {}).get("cells")
         summary = (f"{outcomes.get('ready', 0)}r/"
                    f"{outcomes.get('unknown', 0)}u/"
                    f"{outcomes.get('no', 0)}n" if outcomes else "-")

@@ -199,6 +199,12 @@ class HostMachine:
         self._elf_cache[path] = (node.size, elf)
         return elf
 
+    def resolve(self, root, env: Environment, origin: str = "<main>"):
+        """:meth:`Machine.resolve
+        <repro.sysmodel.machine.Machine.resolve>` without the memo: the
+        real filesystem keeps no change stamps, so every call resolves."""
+        return self.loader.resolve(root, env, origin=origin)
+
 
 def host_machine(env: Optional[Environment] = None) -> HostMachine:
     """The current machine as a :class:`HostMachine`."""

@@ -132,6 +132,8 @@ class Site:
         self.scheduler = Scheduler(spec.scheduler_flavor, spec.name, seed)
         self.modules: Optional[EnvironmentModules] = None
         self.softenv: Optional[SoftEnv] = None
+        #: Links made by :meth:`compile_with_wrapper`, by link input.
+        self._wrapper_links: dict[LinkInput, LinkedObject] = {}
         self._install()
         #: The machine jobs actually run on.  Identical to the login
         #: machine unless the spec declares compute-node divergence.
@@ -174,6 +176,7 @@ class Site:
         site.spec = dataclasses.replace(template.spec, name=name,
                                         **spec_overrides)
         site.seed = seed
+        site._wrapper_links = {}
         site.machine = template.machine.clone(name)
         site.libc = template.libc
         site.compiler_installs = dict(template.compiler_installs)
@@ -359,8 +362,20 @@ class Site:
         missing (FEAM then falls back to imported test binaries), and
         :class:`StaticLibrariesUnavailable` when ``static=True`` but the
         stack was installed without static archives (the paper's
-        Section VI.C remark).
+        Section VI.C remark).  Every call links afresh.
         """
+        inp = self._link_input(name, language, stack, glibc_ceiling,
+                               payload_size, extra_deps, static)
+        return self._registered(link_program(inp), stack, name)
+
+    def _link_input(self, name: str, language: Language,
+                    stack: MpiStackInstall,
+                    glibc_ceiling: tuple[int, ...] = (2, 2, 5),
+                    payload_size: int = 40_000,
+                    extra_deps: tuple = (),
+                    static: bool = False) -> LinkInput:
+        """What linking *name* with *stack* takes, once the wrapper and
+        driver checks of :meth:`compile_mpi_program` pass."""
         if static and not stack.has_static_libs:
             raise StaticLibrariesUnavailable(
                 f"{stack.spec.slug} at {self.name} was installed without "
@@ -376,14 +391,18 @@ class Site:
             from repro.sysmodel.fs import FsError
             raise FsError(f"compiler driver missing: {driver}")
         machine_kind, elf_class, data = self._elf_target
-        linked = link_program(LinkInput(
+        return LinkInput(
             name=name, language=language, compiler=stack.spec.compiler,
             libc=self.libc, glibc_ceiling=glibc_ceiling,
             mpi_deps=stack.spec.release.app_deps(language),
             extra_deps=extra_deps,
             machine=machine_kind, elf_class=elf_class, data=data,
             payload_size=payload_size, static=static,
-            build_tag=f"{self.name}/{stack.spec.slug}"))
+            build_tag=f"{self.name}/{stack.spec.slug}")
+
+    def _registered(self, linked: LinkedObject, stack: MpiStackInstall,
+                    name: str) -> LinkedObject:
+        """Record *linked*'s build in the provenance registry."""
         GLOBAL_REGISTRY.register(linked.image, BuildProvenance(
             stack=stack.spec, build_site=self.name, binary_name=name))
         return linked
@@ -396,11 +415,26 @@ class Site:
         This is what FEAM does when it runs ``<prefix>/bin/mpicc
         hello.c``: it knows the wrapper's location (from discovery), not
         which installed stack object owns it.
+
+        FEAM links the same hello-world for every candidate stack at
+        every evaluation, so the link is served from a per-site memo
+        keyed by the full :class:`~repro.toolchain.linker.LinkInput`:
+        :func:`~repro.toolchain.linker.link_program` is a pure function
+        of it, and the image bytes are deterministic.  The wrapper and
+        driver checks still run on every call (a removed wrapper raises
+        ``FsError`` as before), and every call registers the build's
+        provenance, as a fresh link does.  :meth:`compile_mpi_program`,
+        which builds distinct programs, is not memoised: holding its
+        images would pin every binary a corpus build discards.
         """
         prefix = posixpath.dirname(posixpath.dirname(wrapper_path))
         stack = self.stack_by_prefix(prefix)
-        return self.compile_mpi_program(
-            name, language, stack, payload_size=payload_size)
+        inp = self._link_input(name, language, stack,
+                               payload_size=payload_size)
+        linked = self._wrapper_links.get(inp)
+        if linked is None:
+            linked = self._wrapper_links[inp] = link_program(inp)
+        return self._registered(linked, stack, name)
 
     # -- execution ----------------------------------------------------------------------
 

@@ -38,8 +38,8 @@ walks: a walk's outcome depends only on the entries of the directories
 it looks into, because a file node never changes once written (apart
 from ``chmod``'s mode), so a result stays valid while none of those
 directories' stamps is newer than the generation it was computed at.
-:meth:`Machine.check_loadable
-<repro.sysmodel.machine.Machine.check_loadable>` memoises closures by it.
+:meth:`Machine.resolve <repro.sysmodel.machine.Machine.resolve>`
+memoises closures by it.
 """
 
 from __future__ import annotations

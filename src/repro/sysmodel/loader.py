@@ -168,14 +168,19 @@ LD_SO_CONF = "/etc/ld.so.conf"
 def read_ld_so_conf(fs: VirtualFilesystem) -> list[str]:
     """Extra trusted directories configured in ``/etc/ld.so.conf``.
 
-    Supports plain directory lines and ``include`` of ``/etc/ld.so.conf.d``
-    fragments (one level, as on real systems).
+    Supports plain directory lines and ``include`` of fragment files
+    (``include /etc/ld.so.conf.d/*.conf``).  An ``include`` inside a
+    fragment is followed too, as ``ldconfig`` follows it, but each file
+    is parsed at most once per call, so a fragment that includes its own
+    pattern contributes its lines once and the walk ends.
     """
     dirs: list[str] = []
+    parsed: set[str] = set()
 
     def parse(path: str) -> None:
-        if not fs.is_file(path):
+        if path in parsed or not fs.is_file(path):
             return
+        parsed.add(path)
         for line in fs.read_text(path).splitlines():
             line = line.strip()
             if not line or line.startswith("#"):

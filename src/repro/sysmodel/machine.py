@@ -108,11 +108,12 @@ def _first_failure(report: ResolutionReport) -> Optional[ExecutionResult]:
 class _Closure:
     """One memoised resolution: what it found and what it looked at.
 
-    Holds the report's parts that do not depend on the root's path --
-    entries, version errors, search order and the library parses --
-    plus the first failure (an :class:`ExecutionResult` is frozen, so
-    every caller can share it), the filesystem generation it was
-    resolved at and the directories its walks looked into.
+    Holds the report's parts, resolved with the root labelled
+    ``<main>`` -- entries, version errors, search order and the library
+    parses by path -- plus the first failure (an
+    :class:`ExecutionResult` is frozen, so every caller can share it),
+    the filesystem generation it was resolved at and the directories
+    its walks looked into.
     """
 
     __slots__ = ("generation", "visited", "failure", "entries",
@@ -126,7 +127,7 @@ class _Closure:
         self.entries = tuple(report.entries)
         self.version_errors = tuple(report.version_errors)
         self.search_order = tuple(report.search_order)
-        self.libraries = tuple(
+        self.libraries = dict(
             (path, elf) for path, elf in report.loaded.items()
             if path != "<main>")
 
@@ -134,13 +135,27 @@ class _Closure:
         """Has no visited directory's entries changed since?"""
         return all(d.stamp <= self.generation for d in self.visited)
 
-    def report(self, root: ElfFile) -> ResolutionReport:
-        """A fresh report for *root*: no caller can alter the memo."""
-        loaded = {"<main>": root}
+    def report(self, root: ElfFile, origin: str) -> ResolutionReport:
+        """A fresh report for *root* labelled *origin*: no caller can
+        alter the memo.
+
+        The root's direct entries and version errors name *origin* as
+        their requester, as a resolution from *origin* would.
+        """
+        entries = list(self.entries)
+        version_errors = list(self.version_errors)
+        if origin != "<main>":
+            entries = [
+                dataclasses.replace(e, requested_by=origin)
+                if e.requested_by == "<main>" else e for e in entries]
+            version_errors = [
+                dataclasses.replace(ve, required_by=origin)
+                if ve.required_by == "<main>" else ve
+                for ve in version_errors]
+        loaded = {origin: root}
         loaded.update(self.libraries)
         return ResolutionReport(
-            entries=list(self.entries),
-            version_errors=list(self.version_errors),
+            entries=entries, version_errors=version_errors,
             loaded=loaded, search_order=list(self.search_order))
 
 
@@ -167,9 +182,11 @@ class Machine:
         #: provider, both immutable, so a hit is the same image even
         #: when the path was rewritten with another one of equal size.
         self._elf_cache: dict[str, tuple[object, ElfFile]] = {}
-        #: Closure memo of :meth:`check_loadable`: (root's dynamic view,
+        #: Closure memo of :meth:`resolve`: (root's dynamic view,
         #: LD_LIBRARY_PATH) -> :class:`_Closure`.
         self._closures: dict[tuple, _Closure] = {}
+        #: (image, parse) of the last image :meth:`check_loadable` parsed.
+        self._last_launch: Optional[tuple[bytes, ElfFile]] = None
 
     # -- ELF parse cache ----------------------------------------------------
 
@@ -224,7 +241,8 @@ class Machine:
         over, since its entries are checked against content sources the
         clone's nodes share.  The closure memo is not: its entries hold
         the template's directory nodes, which the clone does not have,
-        so the clone starts with an empty one.
+        so the clone starts with an empty one.  Nor is the last launch's
+        parse.
         """
         copy = Machine(hostname, self.arch, self.distro,
                        fs=self.fs.clone(), env=self.env.copy())
@@ -264,41 +282,70 @@ class Machine:
         system would report.  *report* is the loader's resolution report
         (None when the image failed before loading).
 
-        The image is parsed and ISA-checked on every call.  Its closure
-        comes from a per-machine memo keyed by the root's dynamic view
-        (:func:`_dynamic_view`) and ``LD_LIBRARY_PATH``: every input
-        :meth:`DynamicLoader.resolve` reads from them.  An entry records
-        each directory its resolution's walks looked into, and is served
-        only while none of them has been stamped since (see
-        :mod:`repro.sysmodel.fs`); staging a copy into a searched
-        directory re-resolves, writing elsewhere does not.  While a
-        fault hook is armed every call resolves afresh and stores
-        nothing, so the hook sees every read.  Each call gets a fresh
-        report: its lists are copies and ``loaded`` holds this call's
-        root.
+        The image is ISA-checked on every call.  It is parsed unless it
+        *is* the image this machine last parsed here: a retried launch
+        (the paper's five spaced attempts, the two-attempt hello probes)
+        reuses that parse, which is exact because bytes are immutable.
+        Only that one (image, parse) pair is kept, so no discarded image
+        stays pinned; an image that fails to parse is not kept.  The
+        parse is not detached, so ``report.loaded["<main>"]`` holds the
+        image.  The closure comes from :meth:`resolve`.
         """
         effective_env = env if env is not None else self.env
-        try:
-            elf = parse_elf(binary)
-        except ElfError as exc:
-            return ExecutionResult.fail(
-                FailureKind.EXEC_FORMAT, f"cannot execute binary file: {exc}"
-            ), None
+        last = self._last_launch
+        if last is not None and last[0] is binary:
+            elf = last[1]
+        else:
+            try:
+                elf = parse_elf(binary)
+            except ElfError as exc:
+                return ExecutionResult.fail(
+                    FailureKind.EXEC_FORMAT,
+                    f"cannot execute binary file: {exc}"), None
+            self._last_launch = (binary, elf)
         if not self.supports_isa(elf.header.machine, elf.header.elf_class):
             return ExecutionResult.fail(
                 FailureKind.EXEC_FORMAT,
                 f"cannot execute {elf.header.machine.display_name}/"
                 f"{elf.header.bits}-bit binary on {self.arch}",
             ), None
-        if self.fs.fault_hook is not None:
-            report = self.loader.resolve(elf, effective_env)
-            return _first_failure(report), report
-        key = (_dynamic_view(elf), tuple(effective_env.ld_library_path))
-        closure = self._closures.get(key)
-        if closure is None or not closure.valid():
-            closure = self._closures[key] = self._resolve_recorded(
-                elf, effective_env)
-        return closure.failure, closure.report(elf)
+        return self._resolve(elf, effective_env, "<main>")
+
+    def resolve(self, root: ElfFile, env: Environment,
+                origin: str = "<main>") -> ResolutionReport:
+        """What ``DynamicLoader.resolve(root, env, origin=origin)``
+        returns, served from this machine's closure memo.
+
+        The memo is keyed by the root's dynamic view
+        (:func:`_dynamic_view`) and ``LD_LIBRARY_PATH``: every input the
+        loader reads from them.  An entry records each directory its
+        resolution's walks looked into, and is served only while none
+        of them has been stamped since (see :mod:`repro.sysmodel.fs`);
+        staging a copy into a searched directory re-resolves, writing
+        elsewhere does not.  Entries are resolved as ``<main>``; each
+        call gets a fresh report relabelled to *origin* (the root's key
+        in ``loaded``, its direct entries' ``requested_by`` and its
+        version errors' ``required_by``).  When *origin* is the path of
+        a library in the closure the loader would take that library for
+        the already-loaded root, so the call resolves afresh.  While a
+        fault hook is armed every call resolves afresh and stores
+        nothing, so the hook sees every read.
+        """
+        return self._resolve(root, env, origin)[1]
+
+    def _resolve(self, root: ElfFile, env: Environment, origin: str,
+                 ) -> tuple[Optional[ExecutionResult], ResolutionReport]:
+        """:meth:`resolve`, with the report's first failure."""
+        if self.fs.fault_hook is None:
+            key = (_dynamic_view(root), tuple(env.ld_library_path))
+            closure = self._closures.get(key)
+            if closure is None or not closure.valid():
+                closure = self._closures[key] = self._resolve_recorded(
+                    root, env)
+            if origin not in closure.libraries:
+                return closure.failure, closure.report(root, origin)
+        report = self.loader.resolve(root, env, origin=origin)
+        return _first_failure(report), report
 
     def _resolve_recorded(self, root: ElfFile, env: Environment) -> _Closure:
         """Resolve *root* under *env*, recording the directories looked

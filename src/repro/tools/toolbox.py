@@ -11,8 +11,7 @@ import dataclasses
 import posixpath
 from typing import Optional
 
-from repro.elf.highlevel import BinaryInfo, describe_parsed
-from repro.elf.reader import ElfError, parse_elf
+from repro.elf.reader import ElfError, ElfFile, parse_elf
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError
 from repro.sysmodel.library import parse_library_name
@@ -23,6 +22,11 @@ from repro.toolchain.libc import parse_banner
 
 class ToolUnavailable(RuntimeError):
     """The requested utility is not installed at this site."""
+
+
+def _verdef_names(elf: ElfFile) -> tuple[str, ...]:
+    """The names under ``objdump -p``'s "Version definitions"."""
+    return tuple(d.name.name for d in elf.version_definitions)
 
 
 #: Common library locations searched by FEAM's ``find`` fallback
@@ -156,33 +160,30 @@ class Toolbox:
         if tool not in self.available:
             raise ToolUnavailable(f"{tool}: command not found")
 
-    def _read_elf_info(self, path: str) -> BinaryInfo:
-        return describe_parsed(self.machine.read_elf(path))
-
     # -- objdump -p -----------------------------------------------------------
 
     def objdump_p(self, path: str) -> ObjdumpInfo:
         """``objdump -p <path>``: file-format specific information."""
         self._require("objdump")
         try:
-            info = self._read_elf_info(path)
+            elf = self.machine.read_elf(path)
         except (FsError, ElfError) as exc:
             raise FsError(f"objdump: {path}: {exc}") from exc
-        version_refs = tuple(
-            (req.filename, v.name)
-            for req in info.version_requirements
-            for v in req.versions)
+        isa_name = elf.header.machine.display_name
+        dynamic = elf.dynamic
         return ObjdumpInfo(
-            file_format=f"elf{info.bits}-{info.isa_name}",
-            machine=info.isa_name,
-            bits=info.bits,
-            is_dynamic=info.is_dynamic,
-            needed=info.needed,
-            soname=info.soname,
-            rpath=info.rpath,
-            runpath=info.runpath,
-            version_references=version_refs,
-            version_definitions=info.version_definitions,
+            file_format=f"elf{elf.header.bits}-{isa_name}",
+            machine=isa_name,
+            bits=elf.header.bits,
+            is_dynamic=elf.is_dynamic,
+            needed=dynamic.needed,
+            soname=dynamic.soname,
+            rpath=dynamic.rpath,
+            runpath=dynamic.runpath,
+            version_references=tuple(
+                (req.filename, v.name)
+                for req in elf.version_requirements for v in req.versions),
+            version_definitions=_verdef_names(elf),
         )
 
     # -- readelf -p .comment -----------------------------------------------------
@@ -191,29 +192,32 @@ class Toolbox:
         """``readelf -p .comment <path>``: toolchain banner strings."""
         self._require("readelf")
         try:
-            info = self._read_elf_info(path)
+            return self.machine.read_elf(path).comment
         except (FsError, ElfError) as exc:
             raise FsError(f"readelf: {path}: {exc}") from exc
-        return info.comment
 
     # -- ldd -v ----------------------------------------------------------------------
 
-    def _ldd_recognises(self, info: BinaryInfo) -> bool:
-        """The paper's Section V.A quirk: ldd does not recognise some
-        binaries as dynamically linked (emulated for PGI toolchains)."""
-        return not any("PGI" in c for c in info.comment)
-
     def ldd(self, path: str, env: Optional[Environment] = None) -> LddResult:
-        """``ldd -v <path>`` under *env* (defaults to the login env)."""
+        """``ldd -v <path>`` under *env* (defaults to the login env).
+
+        The closure comes from :meth:`Machine.resolve
+        <repro.sysmodel.machine.Machine.resolve>` with *path* as the
+        origin: the machine's closure memo, relabelled to *path*, so an
+        ``ldd`` of a binary whose closure a launch (or an earlier
+        ``ldd``) already resolved is a lookup.  The root itself is read
+        and parsed on every call.
+        """
         self._require("ldd")
         effective_env = env if env is not None else self.machine.env
         elf = parse_elf(self.machine.fs.read(self.machine.fs.realpath(path)))
-        info = describe_parsed(elf)
-        if not info.is_dynamic:
+        if not elf.is_dynamic:
             return LddResult(recognised=False)
-        if not self._ldd_recognises(info):
+        # The paper's Section V.A quirk: ldd does not recognise some
+        # binaries as dynamically linked (emulated for PGI toolchains).
+        if any("PGI" in c for c in elf.comment):
             return LddResult(recognised=False)
-        report: ResolutionReport = self.machine.loader.resolve(
+        report: ResolutionReport = self.machine.resolve(
             elf, effective_env, origin=path)
         entries = []
         seen: set[str] = set()
@@ -411,10 +415,10 @@ class Toolbox:
         if not fs.is_file(path):
             return None
         try:
-            info = self._read_elf_info(path)
+            comments = self.machine.read_elf(path).comment
         except (FsError, ElfError):
             return None
-        for comment in info.comment:
+        for comment in comments:
             version = parse_banner(comment)
             if version is not None:
                 return comment
@@ -427,7 +431,7 @@ class Toolbox:
         installed library's ELF image.
         """
         try:
-            info = self._read_elf_info(path)
+            verdefs = _verdef_names(self.machine.read_elf(path))
         except (FsError, ElfError):
             return None
         def numeric(name: str) -> Optional[tuple[int, ...]]:
@@ -438,7 +442,7 @@ class Toolbox:
                 # e.g. GLIBC_PRIVATE, GLIBC_ABI_DT_RELR on real glibc.
                 return None
 
-        glibc_defs = [(numeric(v), v) for v in info.version_definitions
+        glibc_defs = [(numeric(v), v) for v in verdefs
                       if v.startswith("GLIBC_")]
         glibc_defs = [(key, v) for key, v in glibc_defs if key is not None]
         if not glibc_defs:
@@ -464,7 +468,7 @@ class Toolbox:
     def compiler_banner(self, driver_path: str) -> Optional[str]:
         """``<driver> -V``: the compiler's identification banner."""
         try:
-            info = self._read_elf_info(driver_path)
+            comments = self.machine.read_elf(driver_path).comment
         except (FsError, ElfError):
             return None
-        return info.comment[0] if info.comment else None
+        return comments[0] if comments else None

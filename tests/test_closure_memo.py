@@ -1,10 +1,11 @@
-"""The closure memo of ``Machine.check_loadable``.
+"""The closure memo behind ``Machine.check_loadable`` and ``Toolbox.ldd``.
 
 Each closure is resolved once per directory state: an entry is keyed by
 the root's dynamic view plus ``LD_LIBRARY_PATH`` and served while none
 of the directories its walks looked into has changed.  Served results
 must equal a fresh ``DynamicLoader.resolve``, whatever the filesystem
-went through in between.
+went through in between, and ``ldd`` must print what it prints with
+the memo bypassed.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.elf import BinarySpec, write_elf
 from repro.elf.constants import ElfClass, ElfMachine, ElfType
-from repro.elf.reader import parse_elf
+from repro.elf.reader import ElfError, parse_elf
 from repro.elf.writer import lazy_image
 from repro.sysmodel.distro import CENTOS_5_6
 from repro.sysmodel.env import Environment
@@ -20,13 +21,15 @@ from repro.sysmodel.errors import FailureKind
 from repro.sysmodel.fs import FsError, VirtualFilesystem
 from repro.sysmodel.loader import DynamicLoader
 from repro.sysmodel.machine import Machine
+from repro.tools.toolbox import Toolbox
 
 
 def _lib(soname, needed=(), verdefs=(), elf_class=ElfClass.ELF64,
-         machine=ElfMachine.X86_64, seed=""):
+         machine=ElfMachine.X86_64, seed="", verneed=None):
     return BinarySpec(machine=machine, elf_class=elf_class,
                       etype=ElfType.DYN, soname=soname, needed=tuple(needed),
-                      version_definitions=tuple(verdefs), payload_size=64,
+                      version_definitions=tuple(verdefs),
+                      version_requirements=verneed or {}, payload_size=64,
                       payload_seed=seed)
 
 
@@ -49,6 +52,11 @@ LIB_SPECS = (
          elf_class=ElfClass.ELF32, machine=ElfMachine.X86),
     _lib("libc.so.6", verdefs=("libc.so.6", "GLIBC_2.0")),
     LIBC,
+    # A dependency cycle with a version only liba defines: ``ldd`` of
+    # this liba by its canonical path is a root inside its own closure.
+    _lib("liba.so.1", needed=("libb.so.1",), verdefs=("liba.so.1", "A_1.0")),
+    _lib("libb.so.1", needed=("liba.so.1",), verdefs=("libb.so.1", "B_1.0"),
+         verneed={"liba.so.1": ("A_1.0",)}),
 )
 LIB_IMAGES = tuple(write_elf(spec) for spec in LIB_SPECS)
 
@@ -89,6 +97,11 @@ LINK_TARGETS = ("/opt/x/lib", "/opt/y/lib", "/opt/y", "y/lib", "../y/lib",
                 "/nowhere")
 CONF_LINES = ("/opt/y/lib", "/opt/x/lib", "include /etc/ld.so.conf.d/*.conf",
               "# comment", "/opt/missing/lib")
+#: Where ``ldd`` is pointed: roots written outside the search path and
+#: inside it, library paths, and a library reached through a symlinked
+#: directory (an origin that is no library's canonical path).
+LDD_PATHS = ("/home/user/app", "/opt/x/lib/app", "/opt/y/lib/liba.so.1",
+             "/opt/x/lib/libb.so.1", "/opt/link/liba.so.1")
 
 
 def _machine():
@@ -129,10 +142,36 @@ def _assert_exact(machine, app, env):
     return got, tuple(report.entries), tuple(report.search_order)
 
 
+def _assert_ldd_exact(machine, path, env):
+    """``ldd`` agrees with itself with a no-op fault hook armed, which
+    resolves afresh and stores nothing."""
+    toolbox = Toolbox(machine)
+
+    def ldd():
+        try:
+            return toolbox.ldd(path, env)
+        except (FsError, ElfError) as exc:
+            return type(exc)
+
+    served = ldd()
+    machine.fs.fault_hook = lambda _path, data: data
+    try:
+        assert served == ldd()
+    finally:
+        machine.fs.fault_hook = None
+
+
 def _apply(fs, op):
     kind, *args = op
     try:
-        if kind == "write":
+        if kind == "root":
+            path, index = args
+            fs.write(path, APPS[index], mode=0o755)
+        elif kind == "cycle":
+            liba_dir, libb_dir = args
+            fs.write(f"{liba_dir}/liba.so.1", LIB_IMAGES[-2])
+            fs.write(f"{libb_dir}/libb.so.1", LIB_IMAGES[-1])
+        elif kind == "write":
             directory, name, index = args
             fs.write(f"{directory}/{name}", LIB_IMAGES[index])
         elif kind == "lazy":
@@ -176,15 +215,23 @@ _ops = st.one_of(
                                "/var/other/deep", "/etc/ld.so.conf.d"))),
     st.tuples(st.just("conf"), st.just("/etc/ld.so.conf"),
               st.lists(st.sampled_from(CONF_LINES), max_size=3)),
-    # Fragments hold no include: the loader follows one nested in a
-    # fragment without bound.
+    # A fragment may include its own pattern: each file is read once.
     st.tuples(st.just("conf"),
               st.sampled_from(("/etc/ld.so.conf.d/extra.conf",
                                "/etc/ld.so.conf.d/extra.txt")),
-              st.lists(st.sampled_from(CONF_LINES[:2]), max_size=2)),
+              st.lists(st.sampled_from(CONF_LINES), max_size=2)),
+    st.tuples(st.just("root"), st.sampled_from(LDD_PATHS[:2]),
+              st.integers(0, len(APPS) - 1)),
+    st.tuples(st.just("cycle"), st.sampled_from(("/opt/y/lib", "/opt/x/lib")),
+              st.sampled_from(("/opt/x/lib", "/opt/y/lib",
+                               "/home/user/stage"))),
 )
-_checks = st.tuples(st.just("check"), st.integers(0, len(APPS) - 1),
-                    st.integers(0, len(ENVS) - 1))
+_checks = st.one_of(
+    st.tuples(st.just("check"), st.integers(0, len(APPS) - 1),
+              st.integers(0, len(ENVS) - 1)),
+    st.tuples(st.just("ldd"), st.sampled_from(LDD_PATHS),
+              st.integers(0, len(ENVS) - 1)),
+)
 
 
 @settings(max_examples=400, deadline=None)
@@ -194,11 +241,16 @@ def test_memo_equals_a_fresh_resolution(steps):
     for step in steps:
         if step[0] == "check":
             _assert_exact(machine, APPS[step[1]], ENVS[step[2]])
+        elif step[0] == "ldd":
+            _assert_ldd_exact(machine, step[1], ENVS[step[2]])
         else:
             _apply(machine.fs, step)
     for app in APPS:
         for env in ENVS:
             _assert_exact(machine, app, env)
+    for path in LDD_PATHS:
+        for env in ENVS:
+            _assert_ldd_exact(machine, path, env)
 
 
 def _other_fs():

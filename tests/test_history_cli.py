@@ -136,6 +136,24 @@ class TestRunsVerb:
         assert feam_main(["runs", "show", "nope"]) == EXIT_FAILURE
         assert "no run matches" in capsys.readouterr().err
 
+    def test_bench_runs_show_their_cells(self, capsys):
+        # Bench manifests have no rollup: the cells come from the bench
+        # payload, as benchmarks/emit_bench.py records it.
+        ledger = RunLedger(ledger_dir())
+        for kind, cells in (("bench", 20), ("fleet-bench", 4000)):
+            ledger.record({"kind": kind, "seed": 20130101,
+                           "sites_spec": None,
+                           "bench": {"cells": cells, "sites": 5,
+                                     "cold_seconds": 0.4}})
+        assert feam_main(["runs", "--where", "kind=bench"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "1/2 run(s) match" in out
+        row = out.splitlines()[-1].split()
+        assert row[1:5] == ["bench", row[2], "20130101", "20"]
+        assert feam_main(["runs"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert [row.split()[4] for row in rows] == ["20", "4000"]
+
     def test_empty_ledger_lists_nothing(self, capsys):
         assert feam_main(["runs"]) == EXIT_OK
         assert "(no runs)" in capsys.readouterr().out

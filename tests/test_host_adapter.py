@@ -125,6 +125,17 @@ class TestHostToolboxAndBdc:
         assert description.required_glibc is not None
         assert description.mpi_implementation is None
 
+    @pytest.mark.skipif(shutil.which("ldd") is None, reason="no real ldd")
+    def test_toolbox_ldd_agrees_with_real_ldd(self):
+        result = host_toolbox().ldd(REAL)
+        assert result.recognised
+        assert "libc.so.6" in {entry.soname for entry in result.entries}
+        out = subprocess.run(["ldd", REAL], capture_output=True,
+                             text=True).stdout
+        real_missing = {line.split("=>")[0].strip()
+                        for line in out.splitlines() if "not found" in line}
+        assert set(result.missing) == real_missing
+
     def test_locate_disabled(self):
         from repro.tools.toolbox import ToolUnavailable
         toolbox = host_toolbox()

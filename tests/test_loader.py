@@ -181,6 +181,32 @@ def test_ld_so_conf_extra_dirs(machine):
     assert report.ok
 
 
+def test_fragment_including_its_own_pattern_is_read_once(machine):
+    # A fragment that includes its own pattern: the walk ends, each file
+    # contributes its lines once, and a nested include is still followed.
+    machine.fs.write_text("/etc/ld.so.conf",
+                          "include /etc/ld.so.conf.d/*.conf\n")
+    machine.fs.write_text("/etc/ld.so.conf.d/loop.conf",
+                          "include /etc/ld.so.conf.d/*.conf\n/srv/libs\n")
+    machine.fs.write_text("/etc/ld.so.conf.d/nested.conf",
+                          "include /etc/nested.d/*.conf\n")
+    machine.fs.write_text("/etc/nested.d/deep.conf", "/srv/deep\n")
+    machine.fs.write("/srv/libs/libextra.so.2", lib_image("libextra.so.2"),
+                     mode=0o755)
+    machine.fs.write("/srv/deep/libdeep.so.1", lib_image("libdeep.so.1"),
+                     mode=0o755)
+    assert sorted(read_ld_so_conf(machine.fs)) == ["/srv/deep", "/srv/libs"]
+    report = machine.loader.resolve(
+        app_image(["libextra.so.2", "libdeep.so.1", "libc.so.6"]),
+        machine.env)
+    assert report.ok
+    assert [report.search_order.count(d)
+            for d in ("/srv/libs", "/srv/deep")] == [1, 1]
+    failure, _report = machine.check_loadable(
+        app_image(["libextra.so.2", "libc.so.6"]))
+    assert failure is None
+
+
 def test_verneed_for_unloaded_file_ignored(machine):
     # A verneed whose file never loads is not checked (real ld.so
     # behaviour: only loaded objects' definitions are consulted).

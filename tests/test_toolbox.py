@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.elf.highlevel import describe_parsed
+from repro.elf.reader import ElfError
 from repro.toolchain.compilers import Language
-from repro.tools.toolbox import Toolbox, ToolUnavailable
+from repro.tools.toolbox import ObjdumpInfo, Toolbox, ToolUnavailable
 
 
 @pytest.fixture
@@ -178,3 +180,29 @@ class TestWrapperInspection:
     def test_compiler_banner(self, toolbox):
         banner = toolbox.compiler_banner("/opt/intel-11.1/bin/icc")
         assert banner is not None and "11.1" in banner
+
+
+def test_tool_output_matches_the_binary_description(paper_sites):
+    """``objdump -p`` and ``readelf -p .comment`` print, for every ELF
+    file of a paper site, what the condensed description of its parse
+    says."""
+    machine = paper_sites[0].machine
+    toolbox = Toolbox(machine)
+    checked = 0
+    for path in machine.fs.find_files("/"):
+        try:
+            info = describe_parsed(machine.read_elf(path))
+        except ElfError:
+            continue
+        assert toolbox.objdump_p(path) == ObjdumpInfo(
+            file_format=f"elf{info.bits}-{info.isa_name}",
+            machine=info.isa_name, bits=info.bits,
+            is_dynamic=info.is_dynamic, needed=info.needed,
+            soname=info.soname, rpath=info.rpath, runpath=info.runpath,
+            version_references=tuple(
+                (req.filename, v.name)
+                for req in info.version_requirements for v in req.versions),
+            version_definitions=info.version_definitions)
+        assert toolbox.readelf_comment(path) == info.comment
+        checked += 1
+    assert checked > 50
