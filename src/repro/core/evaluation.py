@@ -55,6 +55,7 @@ from repro.core.prediction import (
 )
 from repro.core.resolution import ResolutionModel, ResolutionPlan
 from repro.sysmodel.env import Environment
+from repro.sysmodel.errors import ExecutionResult
 from repro.sysmodel.fs import FsError
 from repro.toolchain.compilers import Language
 
@@ -180,6 +181,18 @@ class TargetEvaluationComponent:
     def _hello_dir(self) -> str:
         return posixpath.join(self.config.output_root, "hello")
 
+    def _run_hello(self, kind: str, stack: DiscoveredStack, image: bytes,
+                   env: Environment) -> ExecutionResult:
+        """Launch one hello probe (*kind* ``native``, ``imported`` or
+        ``retest``) under *stack*: two attempts absorb transient
+        scheduler faults."""
+        return self.site.run_with_retries(
+            f"feam:hello-{kind}:{stack.label}", image,
+            self.site.stack_by_prefix(stack.prefix), env=env, attempts=2,
+            nprocs=self.config.hello_nprocs,
+            queue=self.config.parallel_queue,
+            launcher=self.config.mpiexec_for(stack.kind))
+
     def assess_stack(self, stack: DiscoveredStack,
                      bundle: Optional[SourceBundle]) -> StackAssessment:
         """Functional tests for one candidate stack (Section V.C)."""
@@ -210,19 +223,10 @@ class TargetEvaluationComponent:
             path = posixpath.join(
                 self._hello_dir(), f"native-{stack.label.replace('/', '-')}")
             self.site.machine.fs.write(path, hello.image, mode=0o755)
-            native_ok = False
-            for attempt in range(2):  # absorb transient scheduler faults
-                record = self.site.execute(
-                    f"feam:hello-native:{stack.label}", hello.image,
-                    self.site.stack_by_prefix(stack.prefix), env=env,
-                    attempt=attempt, nprocs=self.config.hello_nprocs,
-                    queue=self.config.parallel_queue,
-                    launcher=self.config.mpiexec_for(stack.kind))
-                if record.result.ok:
-                    native_ok = True
-                    break
+            result = self._run_hello("native", stack, hello.image, env)
+            native_ok = result.ok
             if not native_ok:
-                notes.append(f"native hello failed: {record.result.failure}")
+                notes.append(f"native hello failed: {result.failure}")
         if bundle is not None and bundle.hello is not None:
             image = bundle.hello.best()
             if image is not None:
@@ -230,30 +234,19 @@ class TargetEvaluationComponent:
                     self._hello_dir(),
                     f"imported-{stack.label.replace('/', '-')}")
                 self.site.machine.fs.write(path, image, mode=0o755)
-                record = None
-                for attempt in range(2):  # absorb transient faults
-                    record = self.site.execute(
-                        f"feam:hello-imported:{stack.label}", image,
-                        self.site.stack_by_prefix(stack.prefix), env=env,
-                        attempt=attempt, nprocs=self.config.hello_nprocs,
-                        queue=self.config.parallel_queue,
-                        launcher=self.config.mpiexec_for(stack.kind))
-                    if record.result.ok:
-                        break
-                if record.result.ok:
+                result = self._run_hello("imported", stack, image, env)
+                if result.ok:
                     imported_ok = True
-                elif _loader_failure(record.result.failure.detail):
+                elif _loader_failure(result.failure.detail):
                     # The probe shares the binary's library needs; a
                     # loader failure here is resolvable, not a stack
                     # incompatibility.  Re-tested after resolution.
                     imported_ok = None
                     notes.append(
-                        f"imported hello inconclusive: "
-                        f"{record.result.failure}")
+                        f"imported hello inconclusive: {result.failure}")
                 else:
                     imported_ok = False
-                    notes.append(
-                        f"imported hello failed: {record.result.failure}")
+                    notes.append(f"imported hello failed: {result.failure}")
         return StackAssessment(
             stack=stack, native_hello_ok=native_ok,
             imported_hello_ok=imported_ok, notes="; ".join(notes))
@@ -357,20 +350,11 @@ class TargetEvaluationComponent:
                                     posixpath.join(staging_dir, "hello"))
             for var, path in plan.env_additions:
                 probe_env.prepend_path(var, path)
-        last_detail = ""
-        for attempt in range(2):
-            record = self.site.execute(
-                f"feam:hello-retest:{stack.label}", image,
-                self.site.stack_by_prefix(stack.prefix), env=probe_env,
-                attempt=attempt, nprocs=self.config.hello_nprocs,
-                queue=self.config.parallel_queue,
-                launcher=self.config.mpiexec_for(stack.kind))
-            if record.result.ok:
-                return True, ""
-            last_detail = record.result.failure.detail
-        if _loader_failure(last_detail):
-            return None, last_detail
-        return False, last_detail
+        result = self._run_hello("retest", stack, image, probe_env)
+        if result.ok:
+            return True, ""
+        detail = result.failure.detail
+        return (None if _loader_failure(detail) else False), detail
 
     # -- reporting -----------------------------------------------------------------------
 

@@ -7,10 +7,11 @@ running on:
 
 * :class:`~repro.host.adapter.HostFilesystem` -- a read-only view of the
   real filesystem behind the virtual-filesystem interface;
-* :class:`~repro.host.adapter.HostMachine` -- hostname/architecture/
-  distro detection over the real ``/proc`` and ``/etc`` files, with our
-  loader simulation resolving against the real ``/etc/ld.so.conf`` and
-  trusted directories;
+* :class:`~repro.host.adapter.HostMachine` -- a ``Machine`` supplying
+  only its construction (identity from the real ``/proc`` and ``/etc``
+  files) and a memo-free closure step: ``read_elf``, the ISA profile and
+  the loader resolving against the real ``/etc/ld.so.conf`` and trusted
+  directories are the simulated machine's own;
 * :func:`~repro.host.adapter.host_toolbox` -- a toolbox whose ``objdump``
   / ``readelf`` / ``ldd`` equivalents parse the real ELF bytes on disk.
 

@@ -18,6 +18,7 @@ from repro.sysmodel.distro import Distro
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FileNode, FsError
 from repro.sysmodel.loader import DynamicLoader
+from repro.sysmodel.machine import Machine, _first_failure
 from repro.tools.toolbox import Toolbox
 
 #: Directory-walk depth cap: the host filesystem is unbounded, and FEAM's
@@ -27,6 +28,12 @@ MAX_WALK_DEPTH = 6
 
 class HostFilesystem:
     """Read-only view of the real filesystem (virtual-fs interface)."""
+
+    fault_hook = None  # no fault injection on the real filesystem
+
+    def __init__(self) -> None:
+        #: realpath -> (stat signature, node) of each file resolved.
+        self._nodes: dict[str, tuple[tuple, FileNode]] = {}
 
     # -- queries ---------------------------------------------------------------
 
@@ -56,7 +63,9 @@ class HostFilesystem:
 
     def resolve(self, path: str) -> tuple[str, FileNode]:
         """``(realpath(path), node)`` of the regular file *path* names:
-        a lazy node whose provider reads the real file."""
+        a lazy node whose provider reads the real file, the same node
+        while the file's stat signature is unchanged, so ``read_elf``
+        parses a rewritten file afresh."""
         real = os.path.realpath(path)
         try:
             info = os.stat(real)
@@ -64,9 +73,14 @@ class HostFilesystem:
             raise FsError(str(exc)) from exc
         if not stat.S_ISREG(info.st_mode):
             raise FsError(f"not a regular file: {path!r}")
-        return real, FileNode(provider=functools.partial(self.read, real),
-                              size=info.st_size,
-                              mode=stat.S_IMODE(info.st_mode))
+        signature = (info.st_dev, info.st_ino, info.st_size,
+                     info.st_mtime_ns, info.st_mode)
+        known = self._nodes.get(real)
+        if known is None or known[0] != signature:
+            known = self._nodes[real] = (signature, FileNode(
+                provider=functools.partial(self.read, real),
+                size=info.st_size, mode=stat.S_IMODE(info.st_mode)))
+        return real, known[1]
 
     def size(self, path: str) -> int:
         try:
@@ -145,17 +159,18 @@ def _detect_distro(fs: HostFilesystem) -> Distro:
                   gcc_banner="host toolchain")
 
 
-class HostMachine:
-    """The real machine behind the :class:`~repro.sysmodel.machine.Machine`
-    interface FEAM's tools layer consumes.
+class HostMachine(Machine):
+    """The real machine as a :class:`~repro.sysmodel.machine.Machine`:
+    its own construction and a memo-free closure step, nothing more.
 
-    The loader attribute is *our* ld.so simulation resolving against the
-    real filesystem -- real trusted directories, the real
+    The loader is *our* ld.so simulation resolving against the real
+    filesystem -- real trusted directories, the real
     ``/etc/ld.so.conf``, real ELF bytes -- which makes its verdicts
     directly comparable with the system's ``ldd``.
     """
 
     def __init__(self, env: Optional[Environment] = None) -> None:
+        # Not Machine.__init__: that installs a distro into the filesystem.
         self.hostname = platform.node() or "localhost"
         self.arch = platform.machine() or "x86_64"
         self.fs = HostFilesystem()
@@ -164,46 +179,13 @@ class HostMachine:
             if key in ("PATH", "LD_LIBRARY_PATH")})
         self.distro = _detect_distro(self.fs)
         self.loader = DynamicLoader(self)
-        self._elf_cache: dict[str, tuple[int, object]] = {}
+        self._elf_cache = {}
+        self._last_launch = None
 
-    @property
-    def isa_support(self):
-        from repro.sysmodel.machine import _ARCH_PROFILES
-        profile = _ARCH_PROFILES.get(self.arch)
-        if profile is None:
-            # Unknown host architecture: report an empty profile rather
-            # than guessing.
-            return ()
-        return profile
-
-    def supports_isa(self, machine, elf_class) -> bool:
-        return any(s.machine is machine and s.elf_class is elf_class
-                   for s in self.isa_support)
-
-    def uname_processor(self) -> str:
-        return self.arch
-
-    def uname_machine(self) -> str:
-        return self.arch
-
-    def read_elf(self, path: str, node: Optional[FileNode] = None):
-        """Parse (and cache) a real ELF file; *node* as in
-        :meth:`Machine.read_elf <repro.sysmodel.machine.Machine.read_elf>`."""
-        from repro.elf.reader import parse_elf
-        if node is None:
-            path, node = self.fs.resolve(path)
-        cached = self._elf_cache.get(path)
-        if cached is not None and cached[0] == node.size:
-            return cached[1]
-        elf = parse_elf(self.fs.read(path)).detach()
-        self._elf_cache[path] = (node.size, elf)
-        return elf
-
-    def resolve(self, root, env: Environment, origin: str = "<main>"):
-        """:meth:`Machine.resolve
-        <repro.sysmodel.machine.Machine.resolve>` without the memo: the
-        real filesystem keeps no change stamps, so every call resolves."""
-        return self.loader.resolve(root, env, origin=origin)
+    def _resolve(self, root, env: Environment, origin: str):
+        """Every call resolves: real directories carry no change stamps."""
+        report = self.loader.resolve(root, env, origin=origin)
+        return _first_failure(report), report
 
 
 def host_machine(env: Optional[Environment] = None) -> HostMachine:

@@ -71,6 +71,15 @@ def _gauge(snap: dict, name: str) -> Optional[float]:
     return snap.get("metrics", {}).get("gauges", {}).get(name)
 
 
+def _hit_rate(snap: dict, layer: str) -> Optional[float]:
+    """A cache layer's hit rate from its live counters (the gauge is
+    published only when a matrix ends, so it answers only without them)."""
+    hits = _counter(snap, f"engine.cache.{layer}.hits")
+    lookups = hits + _counter(snap, f"engine.cache.{layer}.misses")
+    return (hits / lookups if lookups
+            else _gauge(snap, f"engine.cache.{layer}.hit_rate"))
+
+
 def _breaker_words(snap: dict) -> dict[str, int]:
     """Breaker-state word -> site count, folded from the state gauges."""
     words = {"closed": 0, "half-open": 0, "open": 0}
@@ -130,7 +139,7 @@ def render_frame(snap: dict, before: dict, interval: float,
         f"{rate:8.1f} cells/s"
     ]
 
-    rates = {layer: _gauge(snap, f"engine.cache.{layer}.hit_rate")
+    rates = {layer: _hit_rate(snap, layer)
              for layer in ("description", "discovery", "evaluation")}
     lines.append("cache    " + "  ".join(
         f"{layer}={_fmt_rate(rate)}" for layer, rate in rates.items()))

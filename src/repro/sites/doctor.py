@@ -83,8 +83,10 @@ def _check_stacks_resolve(site: "Site") -> list[Finding]:
                     "error", "stack-compile",
                     f"{stack.spec.slug}/{language.value}: {exc}"))
                 continue
-            report = site.machine.loader.resolve(linked.image, env)
-            if not report.ok:
+            failure, report = site.machine.check_loadable(linked.image, env)
+            # The site's own target always passes the ISA check, so a
+            # failure here is the loader's and comes with its report.
+            if failure is not None:
                 findings.append(Finding(
                     "error", "stack-resolution",
                     f"{stack.spec.slug}/{language.value}: missing "

@@ -23,8 +23,8 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.elf.constants import ElfClass, ElfMachine
 from repro.elf.reader import ElfError
+from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError, VirtualFilesystem
-from repro.sysmodel.loader import DEFAULT_TRUSTED_DIRS, read_ld_so_conf
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sysmodel.machine import Machine
@@ -50,7 +50,7 @@ class CacheEntry:
 def scan_trusted_directories(machine: "Machine") -> list[CacheEntry]:
     """Index every shared library in the loader's trusted directories."""
     fs = machine.fs
-    directories = read_ld_so_conf(fs) + list(DEFAULT_TRUSTED_DIRS)
+    directories = machine.loader.search_directories(None, Environment())
     entries: list[CacheEntry] = []
     seen: set[tuple[str, str]] = set()
     for directory in directories:

@@ -207,12 +207,14 @@ class DynamicLoader:
 
     # -- search ---------------------------------------------------------------
 
-    def search_directories(self, root: ElfFile,
+    def search_directories(self, root: Optional[ElfFile],
                            env: "Environment") -> list[str]:
-        """The effective search order for *root* under *env*."""
+        """The search order for *root* under *env*: the loader's, the
+        loader-visible check's and ``ldconfig``'s.  *root* None is an
+        object without ``DT_RPATH`` or ``DT_RUNPATH``."""
         dirs: list[str] = []
-        rpath = root.dynamic.rpath
-        runpath = root.dynamic.runpath
+        rpath = root.dynamic.rpath if root is not None else None
+        runpath = root.dynamic.runpath if root is not None else None
         if rpath and not runpath:
             dirs.extend(p for p in rpath.split(":") if p)
         dirs.extend(env.ld_library_path)

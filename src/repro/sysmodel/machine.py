@@ -253,8 +253,8 @@ class Machine:
 
     @property
     def isa_support(self) -> tuple[IsaSupport, ...]:
-        """The ELF (machine, class) combinations this machine executes."""
-        return _ARCH_PROFILES[self.arch]
+        """The ELF (machine, class) pairs this machine executes, if any."""
+        return _ARCH_PROFILES.get(self.arch, ())
 
     def supports_isa(self, machine: ElfMachine, elf_class: ElfClass) -> bool:
         """Can this machine execute images of the given machine/class?"""

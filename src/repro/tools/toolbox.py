@@ -15,7 +15,7 @@ from repro.elf.reader import ElfError, ElfFile, parse_elf
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError
 from repro.sysmodel.library import parse_library_name
-from repro.sysmodel.loader import ResolutionReport
+from repro.sysmodel.loader import ResolutionReport, undefined_symbols
 from repro.sysmodel.machine import Machine
 from repro.toolchain.libc import parse_banner
 
@@ -160,15 +160,26 @@ class Toolbox:
         if tool not in self.available:
             raise ToolUnavailable(f"{tool}: command not found")
 
+    def _env(self, env: Optional[Environment]) -> Environment:
+        return env if env is not None else self.machine.env
+
+    def _read_elf(self, path: str,
+                  tool: Optional[str] = None) -> Optional[ElfFile]:
+        """``machine.read_elf(path)``; the one place an unreadable file
+        is decided: absent (None) to a probe, an error to a *tool*."""
+        try:
+            return self.machine.read_elf(path)
+        except (FsError, ElfError) as exc:
+            if tool is None:
+                return None
+            raise FsError(f"{tool}: {path}: {exc}") from exc
+
     # -- objdump -p -----------------------------------------------------------
 
     def objdump_p(self, path: str) -> ObjdumpInfo:
         """``objdump -p <path>``: file-format specific information."""
         self._require("objdump")
-        try:
-            elf = self.machine.read_elf(path)
-        except (FsError, ElfError) as exc:
-            raise FsError(f"objdump: {path}: {exc}") from exc
+        elf = self._read_elf(path, "objdump")
         isa_name = elf.header.machine.display_name
         dynamic = elf.dynamic
         return ObjdumpInfo(
@@ -191,10 +202,7 @@ class Toolbox:
     def readelf_comment(self, path: str) -> tuple[str, ...]:
         """``readelf -p .comment <path>``: toolchain banner strings."""
         self._require("readelf")
-        try:
-            return self.machine.read_elf(path).comment
-        except (FsError, ElfError) as exc:
-            raise FsError(f"readelf: {path}: {exc}") from exc
+        return self._read_elf(path, "readelf").comment
 
     # -- ldd -v ----------------------------------------------------------------------
 
@@ -209,7 +217,6 @@ class Toolbox:
         and parsed on every call.
         """
         self._require("ldd")
-        effective_env = env if env is not None else self.machine.env
         elf = parse_elf(self.machine.fs.read(self.machine.fs.realpath(path)))
         if not elf.is_dynamic:
             return LddResult(recognised=False)
@@ -218,7 +225,7 @@ class Toolbox:
         if any("PGI" in c for c in elf.comment):
             return LddResult(recognised=False)
         report: ResolutionReport = self.machine.resolve(
-            elf, effective_env, origin=path)
+            elf, self._env(env), origin=path)
         entries = []
         seen: set[str] = set()
         for e in report.entries:
@@ -251,16 +258,16 @@ class Toolbox:
               env: Optional[Environment] = None) -> tuple["LddResult", list]:
         """``ldd -r``: relocation (symbol-level) checking on top of ldd.
 
-        Returns ``(ldd result, unsatisfied imported symbols)``.
+        Returns ``(ldd result, unsatisfied imported symbols)``.  The
+        report comes from :meth:`Machine.resolve
+        <repro.sysmodel.machine.Machine.resolve>`, as :meth:`ldd`'s
+        does, so it is the closure :meth:`ldd` just resolved.
         """
         result = self.ldd(path, env)
         if not result.recognised:
             return result, []
-        from repro.sysmodel.loader import undefined_symbols
-        effective_env = env if env is not None else self.machine.env
-        data = self.machine.fs.read(self.machine.fs.realpath(path))
-        report = self.machine.loader.resolve(data, effective_env,
-                                             origin=path)
+        root = parse_elf(self.machine.fs.read(self.machine.fs.realpath(path)))
+        report = self.machine.resolve(root, self._env(env), origin=path)
         return result, undefined_symbols(report, origin=path)
 
     # -- uname ------------------------------------------------------------------------
@@ -314,9 +321,12 @@ class Toolbox:
                 return hits
         except ToolUnavailable:
             pass
-        effective_env = env if env is not None else self.machine.env
-        dirs = list(COMMON_LIB_DIRS) + effective_env.ld_library_path
-        return self.find_in_dirs(soname, dirs)
+        return self.find_in_dirs(soname, self._find_dirs(env))
+
+    def _find_dirs(self, env: Optional[Environment]) -> list[str]:
+        """Where FEAM's ``find`` fallback looks: the common library
+        locations, then ``LD_LIBRARY_PATH``."""
+        return list(COMMON_LIB_DIRS) + self._env(env).ld_library_path
 
     def loader_visible_library(self, soname: str,
                                env: Optional[Environment] = None,
@@ -328,14 +338,13 @@ class Toolbox:
         LD_LIBRARY_PATH, ``/etc/ld.so.conf`` directories, and the trusted
         default directories.  Presence elsewhere (an unloaded ``/opt``
         prefix) does not make a binary runnable, so readiness checks must
-        use this test.
+        use this test.  The order is
+        :meth:`DynamicLoader.search_directories
+        <repro.sysmodel.loader.DynamicLoader.search_directories>` for an
+        object without RPATH or RUNPATH, the loader's own list.
         """
-        from repro.sysmodel.loader import DEFAULT_TRUSTED_DIRS, read_ld_so_conf
-        effective_env = env if env is not None else self.machine.env
-        dirs = list(effective_env.ld_library_path)
-        dirs += read_ld_so_conf(self.machine.fs)
-        dirs += list(DEFAULT_TRUSTED_DIRS)
-        for directory in dirs:
+        for directory in self.machine.loader.search_directories(
+                None, self._env(env)):
             candidate = posixpath.join(directory, soname)
             if self.machine.fs.is_file(candidate):
                 return candidate
@@ -348,11 +357,9 @@ class Toolbox:
             parsed = parse_library_name(fname)
             return parsed is not None and parsed.stem == stem
 
-        effective_env = env if env is not None else self.machine.env
-        dirs = list(COMMON_LIB_DIRS) + effective_env.ld_library_path
         self._require("find")
         hits = []
-        for directory in dirs:
+        for directory in self._find_dirs(env):
             hits.extend(self.machine.fs.find_files(
                 directory, name_filter=matches))
         return sorted(set(hits))
@@ -365,11 +372,7 @@ class Toolbox:
         Returns a tuple of :class:`repro.elf.structs.DynamicSymbol`.
         """
         self._require("nm")
-        try:
-            elf = self.machine.read_elf(path)
-        except (FsError, ElfError) as exc:
-            raise FsError(f"nm: {path}: {exc}") from exc
-        return elf.symbols
+        return self._read_elf(path, "nm").symbols
 
     def nm_render(self, path: str) -> str:
         """``nm -D`` text output."""
@@ -411,14 +414,10 @@ class Toolbox:
         executed; the emulation recovers the banner the build embedded in
         the image's ``.comment`` section.
         """
-        fs = self.machine.fs
-        if not fs.is_file(path):
+        elf = self._read_elf(path) if self.machine.fs.is_file(path) else None
+        if elf is None:
             return None
-        try:
-            comments = self.machine.read_elf(path).comment
-        except (FsError, ElfError):
-            return None
-        for comment in comments:
+        for comment in elf.comment:
             version = parse_banner(comment)
             if version is not None:
                 return comment
@@ -430,10 +429,11 @@ class Toolbox:
         Emulated by reading the newest GLIBC_* version definition from the
         installed library's ELF image.
         """
-        try:
-            verdefs = _verdef_names(self.machine.read_elf(path))
-        except (FsError, ElfError):
+        elf = self._read_elf(path)
+        if elf is None:
             return None
+        verdefs = _verdef_names(elf)
+
         def numeric(name: str) -> Optional[tuple[int, ...]]:
             parts = name[len("GLIBC_"):].split(".")
             try:
@@ -467,8 +467,5 @@ class Toolbox:
 
     def compiler_banner(self, driver_path: str) -> Optional[str]:
         """``<driver> -V``: the compiler's identification banner."""
-        try:
-            comments = self.machine.read_elf(driver_path).comment
-        except (FsError, ElfError):
-            return None
-        return comments[0] if comments else None
+        elf = self._read_elf(driver_path)
+        return elf.comment[0] if elf is not None and elf.comment else None

@@ -188,3 +188,42 @@ class TestTargetPhaseExtended:
         report = feam.run_target_phase(twin, binary_path="/home/user/app",
                                        bundle=bundle, staging_tag="x3")
         assert report.feam_seconds < 300.0
+
+
+class TestHelloProbeAttempts:
+    def test_each_probe_kind_is_submitted_twice(self, donor, make_site,
+                                                feam, monkeypatch):
+        """Every hello probe gets two attempts, named and numbered per
+        kind, and a probe that fails both reports the last failure."""
+        from repro.core.evaluation import TargetEvaluationComponent
+        stack, _app, path = _build_app(donor)
+        bundle = feam.run_source_phase(donor, path,
+                                       env=donor.env_with_stack(stack))
+        target = make_site("flaky-target")
+        target.simulator.transient_error_probability = 1.0
+        submitted = []
+        execute = target.execute
+
+        def recording(name, *args, attempt=0, **kwargs):
+            submitted.append((name, attempt))
+            return execute(name, *args, attempt=attempt, **kwargs)
+
+        monkeypatch.setattr(target, "execute", recording)
+        tec = TargetEvaluationComponent(target)
+        candidate = next(s for s in tec.environment().stacks
+                         if s.label == "openmpi/1.4-intel")
+        assessment = tec.assess_stack(candidate, bundle)
+        retest = tec.run_imported_hello(
+            candidate, bundle, tec.edc.env_for_stack(candidate),
+            "/home/user/feam/stage")
+        label = candidate.label
+        assert submitted == [
+            (f"feam:hello-{kind}:{label}", attempt)
+            for kind in ("native", "imported", "retest")
+            for attempt in (0, 1)]
+        failure = "system-error: mpiexec: transient daemon spawn failure"
+        assert assessment.native_hello_ok is False
+        assert assessment.imported_hello_ok is False
+        assert assessment.notes == (f"native hello failed: {failure}; "
+                                    f"imported hello failed: {failure}")
+        assert retest == (False, "mpiexec: transient daemon spawn failure")

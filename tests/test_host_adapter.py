@@ -80,6 +80,49 @@ class TestHostFilesystem:
         assert fs.realpath(str(link)) == str(target)
 
 
+class TestHostReadElf:
+    """``read_elf`` on the host follows the simulated machine's rule: a
+    parse is served while the file's content source is unchanged."""
+
+    @staticmethod
+    def _write(path, needed, mtime_ns):
+        from repro.elf import BinarySpec, write_elf
+        path.write_bytes(write_elf(BinarySpec(needed=(needed,))))
+        # Coarse filesystem clocks can give two quick writes one mtime;
+        # pin distinct ones so the rewrite is visible to stat.
+        os.utime(path, ns=(mtime_ns, mtime_ns))
+
+    def test_equal_size_rewrite_parses_afresh(self, tmp_path):
+        target = tmp_path / "app"
+        machine = host_machine()
+        self._write(target, "liba_dep.so.1", 1_000_000_000)
+        size = target.stat().st_size
+        assert machine.read_elf(str(target)).dynamic.needed == \
+            ("liba_dep.so.1",)
+        self._write(target, "libb_dep.so.1", 2_000_000_000)
+        assert target.stat().st_size == size
+        assert machine.read_elf(str(target)).dynamic.needed == \
+            ("libb_dep.so.1",)
+
+    def test_unchanged_file_is_parsed_once(self, tmp_path, monkeypatch):
+        import repro.sysmodel.machine as machine_mod
+        parses = []
+        parse_elf = machine_mod.parse_elf
+
+        def counting(data):
+            parses.append(len(data))
+            return parse_elf(data)
+
+        monkeypatch.setattr(machine_mod, "parse_elf", counting)
+        target = tmp_path / "app"
+        self._write(target, "liba_dep.so.1", 1_000_000_000)
+        machine = host_machine()
+        first = machine.read_elf(str(target))
+        assert machine.read_elf(str(target)) is first
+        assert machine.read_elf(str(tmp_path / "." / "app")) is first
+        assert len(parses) == 1
+
+
 @needs_elf_host
 class TestHostMachine:
     def test_identity(self):

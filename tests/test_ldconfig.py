@@ -56,6 +56,17 @@ def test_scan_skips_non_elf_files(mini_site):
     assert not any(e.soname == "libfake.so.9" for e in entries)
 
 
+def test_fragment_repeating_a_trusted_directory_leaves_the_index(mini_site):
+    """The scan takes the loader's search order, deduplicated by
+    spelling: ``/lib64/`` in a fragment is ``/lib64``, scanned once."""
+    machine = mini_site.machine
+    run_ldconfig(machine)
+    before = machine.fs.read_text(CACHE_PATH)
+    machine.fs.write_text("/etc/ld.so.conf.d/repeat.conf", "/lib64/\n")
+    run_ldconfig(machine)
+    assert machine.fs.read_text(CACHE_PATH) == before
+
+
 def test_read_cache_absent_and_corrupt(mini_site):
     fs = mini_site.machine.fs
     fs.write_text(CACHE_PATH, "garbage header\nmore garbage")

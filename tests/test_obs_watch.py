@@ -123,6 +123,21 @@ class TestRenderFrame:
         assert "p50=2.0ms" in frame and "max=1.20s" in frame
         assert "\x1b" not in frame           # no control codes in frames
 
+    def test_cache_panel_reads_live_counters_mid_run(self):
+        # Mid-run, as at 388 of 600 cells of fleet:n=150,seed=7: the
+        # per-layer counters move, the end-of-matrix gauges are absent.
+        snap = _snap(cells=388, counters={
+            "engine.cache.description.hits": 385,
+            "engine.cache.description.misses": 4,
+            "engine.cache.discovery.hits": 332,
+            "engine.cache.discovery.misses": 57,
+            "engine.cache.evaluation.hits": 164,
+            "engine.cache.evaluation.misses": 224})
+        frame = render_frame(snap, {}, interval=1.0, elapsed=1.0,
+                             total_cells=600)
+        assert ("cache    description=0.99  discovery=0.85  "
+                "evaluation=0.42") in frame
+
     def test_frame_without_optional_sections_stays_small(self):
         frame = render_frame(_snap(), {}, interval=1.0, elapsed=0.0)
         assert "breakers" not in frame

@@ -112,3 +112,40 @@ def test_toolbox_ldd_r(mini_site):
         "/home/user/lddr-app", mini_site.env_with_stack(stack))
     assert result.recognised and result.missing == ()
     assert missing == []
+
+
+def test_toolbox_ldd_r_matches_the_loader_and_reuses_ldds_closure(
+        machine, monkeypatch):
+    """``ldd -r`` reports what :func:`undefined_symbols` finds over the
+    loader's own resolution, and after an ``ldd`` of the same path its
+    report comes from the closure memo: no further loader resolution."""
+    from repro.sysmodel.loader import DynamicLoader
+    from repro.tools.toolbox import Toolbox
+
+    path = "/home/user/widget-app"
+    binary = write_elf(BinarySpec(
+        needed=("libwidget.so.1", "libc.so.6"),
+        version_requirements={"libc.so.6": ("GLIBC_2.0",)},
+        symbols=(DynamicSymbol("widget_new", False),
+                 DynamicSymbol("widget_resize", False),
+                 DynamicSymbol("printf", False, "GLIBC_2.0"))))
+    machine.fs.write(path, binary, mode=0o755)
+    oracle = undefined_symbols(
+        machine.loader.resolve(binary, machine.env, origin=path),
+        origin=path)
+    assert [s.name for s in oracle] == ["widget_resize"]
+
+    toolbox = Toolbox(machine)
+    toolbox.ldd(path)
+    calls = []
+    resolve = DynamicLoader.resolve
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return resolve(self, *args, **kwargs)
+
+    monkeypatch.setattr(DynamicLoader, "resolve", counting)
+    result, missing = toolbox.ldd_r(path)
+    assert result.recognised and result.missing == ()
+    assert missing == oracle
+    assert calls == []
