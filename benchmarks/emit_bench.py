@@ -34,6 +34,7 @@ read it; ``--no-ledger`` opts out, ``--ledger DIR`` redirects it).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -99,7 +100,7 @@ def run(out_path: str = "BENCH_matrix.json",
     # Best of three: the warm path is a few milliseconds, so a single
     # sample is too noisy for the ±25% regression gate.
     warm = min(_timed_matrix(engine, binaries, sites) for _ in range(3))
-    stats = engine.stats.snapshot()
+    stats = engine.stats
 
     # Tracing overhead needs an apples-to-apples pair: fresh engines,
     # all after process warmup, untraced (reference) vs under the
@@ -134,14 +135,7 @@ def run(out_path: str = "BENCH_matrix.json",
         "trace_spans": len(collector.spans),
         "faults_injected": counters.get("resilience.faults.injected", 0),
         "retries": counters.get("resilience.retries.total", 0),
-        "cache": {
-            "description_hits": stats.description_hits,
-            "description_misses": stats.description_misses,
-            "discovery_hits": stats.discovery_hits,
-            "discovery_misses": stats.discovery_misses,
-            "evaluation_hits": stats.evaluation_hits,
-            "evaluation_misses": stats.evaluation_misses,
-        },
+        "cache": dataclasses.asdict(stats),
     }
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -190,14 +184,7 @@ def run_fleet(spec: str, out_path: str = "BENCH_fleet.json",
         if cells else None,
         "degraded_cells": degraded,
         "quarantined_sites": len(result.quarantined),
-        "cache": {
-            "description_hits": stats.description_hits,
-            "description_misses": stats.description_misses,
-            "discovery_hits": stats.discovery_hits,
-            "discovery_misses": stats.discovery_misses,
-            "evaluation_hits": stats.evaluation_hits,
-            "evaluation_misses": stats.evaluation_misses,
-        },
+        "cache": dataclasses.asdict(stats),
     }
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

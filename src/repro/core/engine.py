@@ -55,7 +55,7 @@ import contextlib
 import dataclasses
 import posixpath
 import time
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro import obs
 from repro.core.bundle import SourceBundle
@@ -95,6 +95,15 @@ from repro.util.hashing import content_digest, stable_digest
 
 #: Where the engine stages binaries it migrates to a site itself.
 _MIGRATION_ROOT = "/home/user/migrated"
+
+#: The engine's three cache layers, in reporting order.
+_LAYERS = ("description", "discovery", "evaluation")
+
+#: (layer, hit) -> (:class:`CacheStats` field, live counter name).
+_COUNT_NAMES = {
+    (layer, hit): (f"{layer}_{word}", f"engine.cache.{layer}.{word}")
+    for layer in _LAYERS
+    for hit, word in ((True, "hits"), (False, "misses"))}
 
 
 def _stage(fs, path: str, image: bytes) -> None:
@@ -369,6 +378,35 @@ def run_rollup(result: "MatrixResult",
     return {"rollup": rollup, "phases": phases}
 
 
+def publish_matrix_metrics(reports: Sequence[TargetReport],
+                           stats: CacheStats) -> None:
+    """Publish a run's matrix-level gauges (SLO rules, ``/metrics``).
+
+    The one publisher for :meth:`EvaluationEngine.evaluate_matrix` (its
+    cells' reports) and ``run_experiment`` (its basic and extended
+    evaluations): the cell total, the ready/unknown/faulted percentages
+    by :attr:`TargetReport.outcome_word`, and the all-layer and
+    per-layer hit rates of *stats*.  No-ops with no collector installed.
+    """
+    total = len(reports)
+    obs.gauge("matrix.cells.total").set(total)
+    if total:
+        words = [report.outcome_word for report in reports]
+        faulted = sum(1 for report in reports if report.faulted)
+        obs.gauge("matrix.ready_cells.pct").set(
+            100.0 * words.count("ready") / total)
+        obs.gauge("matrix.unknown_cells.pct").set(
+            100.0 * words.count("unknown") / total)
+        obs.gauge("matrix.faulted_cells.pct").set(100.0 * faulted / total)
+    if stats.hit_rate is not None:
+        obs.gauge("engine.cache.hit_rate").set(stats.hit_rate)
+    for layer in _LAYERS:
+        hits = getattr(stats, f"{layer}_hits")
+        lookups = hits + getattr(stats, f"{layer}_misses")
+        if lookups:
+            obs.gauge(f"engine.cache.{layer}.hit_rate").set(hits / lookups)
+
+
 @dataclasses.dataclass(frozen=True)
 class MatrixCell:
     """One evaluated (binary, site) pair."""
@@ -388,22 +426,12 @@ class MatrixCell:
     @property
     def faulted(self) -> bool:
         """True when the cell degraded to UNKNOWN instead of evaluating."""
-        return self.report.failure is not None
+        return self.report.faulted
 
     @property
     def outcome_word(self) -> str:
-        """Grid cell word: ``ready`` / ``unknown`` / ``no``.
-
-        ``unknown`` marks a cell whose verdict is optimistic -- no
-        determinant failed, but at least one could not be determined.
-        It must never render the same as a clean pass or as a
-        determined incompatibility.
-        """
-        if not self.report.ready:
-            return "no"
-        if self.report.prediction.unknown_determinants:
-            return "unknown"
-        return "ready"
+        """Grid cell word (:attr:`TargetReport.outcome_word`)."""
+        return self.report.outcome_word
 
 
 @dataclasses.dataclass
@@ -572,6 +600,13 @@ class EvaluationEngine:
         """A snapshot of the hit/miss counters of all three layers."""
         return self._stats.snapshot()
 
+    def _count(self, layer: str, hit: bool) -> None:
+        """Book one *layer* lookup in :class:`CacheStats` and on the live
+        ``engine.cache.<layer>.hits``/``misses`` counter."""
+        field, name = _COUNT_NAMES[layer, hit]
+        setattr(self._stats, field, getattr(self._stats, field) + 1)
+        obs.counter(name).inc()
+
     def close(self) -> None:
         """Flush the persistent tier (compacting if over cap), if any.
 
@@ -660,17 +695,12 @@ class EvaluationEngine:
                         {"environment": environment.to_dict()})
             obs.histogram("engine.discover.seconds").observe(
                 time.perf_counter() - started)
-        if hit:
-            self._stats.discovery_hits += 1
-        else:
-            self._stats.discovery_misses += 1
+        self._count("discovery", hit)
         if disk_hit:
             obs.counter("engine.cache.discovery.disk_hits").inc()
         if site.name not in self._fingerprints:
             self._fingerprints[site.name] = environment_fingerprint(
                 environment)
-        obs.counter("engine.cache.discovery."
-                    + ("hits" if hit else "misses")).inc()
         return environment, hit, retry_seconds
 
     def fingerprint_for(self, site) -> str:
@@ -689,7 +719,7 @@ class EvaluationEngine:
         old = self._fingerprints.get(site.name)
         tec = self.tec_for(site)
         tec.invalidate_environment()
-        self._stats.discovery_misses += 1
+        self._count("discovery", False)
         environment = tec.environment()
         new = environment_fingerprint(environment)
         self._fingerprints[site.name] = new
@@ -733,8 +763,7 @@ class EvaluationEngine:
         key = (digest, binary_path)
         cached = self._descriptions.get(key)
         if cached is not None:
-            self._stats.description_hits += 1
-            obs.counter("engine.cache.description.hits").inc()
+            self._count("description", True)
             return cached, True
         with obs.span("engine.describe", site=site.name, path=binary_path,
                       hit=False):
@@ -747,8 +776,7 @@ class EvaluationEngine:
             obs.histogram("engine.describe.seconds").observe(
                 time.perf_counter() - started)
         self._descriptions[key] = description
-        self._stats.description_misses += 1
-        obs.counter("engine.cache.description.misses").inc()
+        self._count("description", False)
         return description, False
 
     # -- cell evaluation ---------------------------------------------------------------
@@ -766,7 +794,9 @@ class EvaluationEngine:
         ``/home/user/migrated/<binary_id>`` (the first 16 hex digits of
         their digest without a *binary_id*); a file already there is
         rewritten unless it holds exactly these bytes, so a binary id
-        reused for another image never evaluates the old one.
+        reused for another image never evaluates the old one.  The
+        *staging_tag* defaults to the file name of the binary or of the
+        bundle's described binary.
 
         Each image object is hashed once per engine: the engine keeps
         every image it hashed with its digest, as its description cache
@@ -897,8 +927,7 @@ class EvaluationEngine:
         # fingerprint, or same content group re-homed to this host).
         cached = self._reports.get(key)
         if cached is not None:
-            self._stats.evaluation_hits += 1
-            obs.counter("engine.cache.evaluation.hits").inc()
+            self._count("evaluation", True)
             return dataclasses.replace(
                 cached, environment=environment,
                 cache=CellCacheInfo(
@@ -924,8 +953,7 @@ class EvaluationEngine:
                     discovery_hit=discovery_hit,
                     evaluation_hit=True, tier="disk")
                 self._reports[key] = report
-                self._stats.evaluation_hits += 1
-                obs.counter("engine.cache.evaluation.hits").inc()
+                self._count("evaluation", True)
                 return report
 
         tec = self.tec_for(site)
@@ -949,8 +977,7 @@ class EvaluationEngine:
             discovery_hit=discovery_hit,
             evaluation_hit=False)
         self._reports[key] = report
-        self._stats.evaluation_misses += 1
-        obs.counter("engine.cache.evaluation.misses").inc()
+        self._count("evaluation", False)
         if (self.persist is not None
                 and not retry_seconds and not discover_retry_seconds):
             # Write-behind -- clean evaluations only.  A cell that
@@ -966,15 +993,12 @@ class EvaluationEngine:
 
     # -- the matrix ----------------------------------------------------------------------
 
-    def evaluate_matrix(self, binaries: Sequence, sites: Sequence,
-                        bundles: Optional[dict] = None,
-                        wide_sink=None) -> MatrixResult:
+    def evaluate_matrix(self, binaries: Sequence[EngineBinary],
+                        sites: Sequence, wide_sink=None) -> MatrixResult:
         """Evaluate every binary against every site.
 
-        *binaries* holds :class:`EngineBinary` items or anything with
-        ``binary_id`` and ``image`` attributes (e.g. the corpus's
-        ``CompiledBinary``); *bundles* optionally maps binary ids to
-        source-phase bundles for extended-mode cells.
+        A binary carrying a source-phase ``bundle`` is evaluated in
+        extended mode.
 
         A site whose evaluation loop dies never aborts the matrix: its
         remaining cells degrade to UNKNOWN with provenance.  With a
@@ -994,8 +1018,6 @@ class EvaluationEngine:
         every run writes its wide events and persistent-store records
         in the same order.
         """
-        specs = [self._coerce(b, bundles) for b in binaries]
-
         # Work units: site positions keyed by content group (hand-built
         # sites by their own position), in order of first appearance.
         units: dict[object, list[int]] = {}
@@ -1017,19 +1039,19 @@ class EvaluationEngine:
             with obs.span("engine.site", site=site.name) as site_span:
                 cells: list[MatrixCell] = []
                 try:
-                    for spec in specs:
+                    for binary in binaries:
                         # Content-group sites use a site-independent
                         # staging tag so their cells share one cache
                         # entry; hand-built sites keep per-site tags.
-                        tag = (spec.binary_id if content is not None
-                               else f"{spec.binary_id}-{site.name}")
+                        tag = (binary.binary_id if content is not None
+                               else f"{binary.binary_id}-{site.name}")
                         cell_started = time.perf_counter()
                         report = self.evaluate_cell(
-                            site, image=spec.image,
-                            binary_id=spec.binary_id, bundle=spec.bundle,
+                            site, image=binary.image,
+                            binary_id=binary.binary_id, bundle=binary.bundle,
                             staging_tag=tag.replace("/", "-"))
                         cell = MatrixCell(
-                            binary_id=spec.binary_id, site_name=site.name,
+                            binary_id=binary.binary_id, site_name=site.name,
                             report=report,
                             wall_seconds=time.perf_counter() - cell_started)
                         cells.append(cell)
@@ -1045,9 +1067,9 @@ class EvaluationEngine:
                     obs.event("resilience.worker_failed", site=site.name,
                               error=str(exc), completed=len(cells))
                     obs.counter("resilience.workers.failed").inc()
-                    for spec in specs[len(cells):]:
+                    for binary in binaries[len(cells):]:
                         cell = MatrixCell(
-                            binary_id=spec.binary_id, site_name=site.name,
+                            binary_id=binary.binary_id, site_name=site.name,
                             report=self.degraded_report(site, provenance))
                         cells.append(cell)
                         finish_cell(cell, content=content)
@@ -1057,69 +1079,20 @@ class EvaluationEngine:
                 time.perf_counter() - site_started)
             return cells
 
-        with obs.span("engine.matrix", binaries=len(specs),
+        with obs.span("engine.matrix", binaries=len(binaries),
                       sites=len(sites), units=len(units)) as matrix_span:
             per_site: list = [None] * len(sites)
             for positions in units.values():
                 for position in positions:
                     per_site[position] = run_site(sites[position])
-            matrix_span.set_attrs(cells=len(specs) * len(sites))
+            matrix_span.set_attrs(cells=len(binaries) * len(sites))
         # Deterministic assembly: binary-major, site order as given.
         cells = [per_site[s][b]
-                 for b in range(len(specs)) for s in range(len(sites))]
-        self._publish_matrix_metrics(cells)
+                 for b in range(len(binaries)) for s in range(len(sites))]
+        stats = self.stats
+        publish_matrix_metrics([cell.report for cell in cells], stats)
         quarantined = tuple(
             name for name, state in self.site_health().items()
             if state != BreakerState.CLOSED.value)
-        return MatrixResult(cells=cells, stats=self.stats,
+        return MatrixResult(cells=cells, stats=stats,
                             quarantined=quarantined)
-
-    def _publish_matrix_metrics(self, cells: list[MatrixCell]) -> None:
-        """Matrix-level gauges for the SLO layer and ``/metrics``.
-
-        These are the aggregates threshold rules speak about
-        (:data:`repro.obs.slo.DEFAULT_RULES`): cell totals, the
-        unknown/ready percentages, and the all-layer cache hit rate.
-        No-ops when no collector is installed.
-        """
-        total = len(cells)
-        obs.gauge("matrix.cells.total").set(total)
-        if total:
-            ready = sum(1 for c in cells if c.outcome_word == "ready")
-            unknown = sum(1 for c in cells if c.outcome_word == "unknown")
-            faulted = sum(1 for c in cells if c.faulted)
-            obs.gauge("matrix.ready_cells.pct").set(100.0 * ready / total)
-            obs.gauge("matrix.unknown_cells.pct").set(
-                100.0 * unknown / total)
-            obs.gauge("matrix.faulted_cells.pct").set(
-                100.0 * faulted / total)
-        stats = self.stats
-        if stats.hit_rate is not None:
-            obs.gauge("engine.cache.hit_rate").set(stats.hit_rate)
-        for layer, layer_hits, layer_misses in (
-                ("description", stats.description_hits,
-                 stats.description_misses),
-                ("discovery", stats.discovery_hits,
-                 stats.discovery_misses),
-                ("evaluation", stats.evaluation_hits,
-                 stats.evaluation_misses)):
-            layer_lookups = layer_hits + layer_misses
-            if layer_lookups:
-                obs.gauge(f"engine.cache.{layer}.hit_rate").set(
-                    layer_hits / layer_lookups)
-
-    @staticmethod
-    def _coerce(binary, bundles: Optional[dict]) -> EngineBinary:
-        if isinstance(binary, EngineBinary):
-            spec = binary
-        elif isinstance(binary, tuple):
-            binary_id, image = binary
-            spec = EngineBinary(binary_id=binary_id, image=image)
-        else:
-            spec = EngineBinary(binary_id=binary.binary_id,
-                                image=binary.image)
-        if bundles and spec.bundle is None:
-            bundle = bundles.get(spec.binary_id)
-            if bundle is not None:
-                spec = dataclasses.replace(spec, bundle=bundle)
-        return spec

@@ -139,6 +139,22 @@ class TargetReport:
     def faulted(self) -> bool:
         return self.failure is not None
 
+    @property
+    def outcome_word(self) -> str:
+        """The verdict as one word: ``ready`` / ``unknown`` / ``no``.
+
+        The one definition behind the grid, the wide event, the ledger
+        rollup and the matrix gauges.  ``unknown`` marks an optimistic
+        verdict -- no determinant failed, but at least one could not be
+        determined -- and never renders like a clean pass or a
+        determined incompatibility.
+        """
+        if not self.prediction.ready:
+            return "no"
+        if self.prediction.unknown_determinants:
+            return "unknown"
+        return "ready"
+
 
 class TargetEvaluationComponent:
     """The TEC, bound to one target site."""

@@ -168,11 +168,6 @@ class Feam:
         if binary_path is None and bundle is None:
             raise ValueError(
                 "target phase needs a binary at the site or a source bundle")
-        tag = staging_tag or posixpath.basename(
-            binary_path or bundle.description.path).replace("/", "-")
         return self.engine.evaluate_cell(
-            site, binary_path=binary_path, bundle=bundle, staging_tag=tag)
-
-    def evaluate_matrix(self, binaries, sites, bundles=None):
-        """Batch-evaluate binaries x sites through the engine."""
-        return self.engine.evaluate_matrix(binaries, sites, bundles=bundles)
+            site, binary_path=binary_path, bundle=bundle,
+            staging_tag=staging_tag)

@@ -30,7 +30,7 @@ from typing import Optional
 from repro import obs
 from repro.core.bundle import SourceBundle
 from repro.core.config import FeamConfig
-from repro.core.engine import CacheStats
+from repro.core.engine import CacheStats, publish_matrix_metrics
 from repro.core.feam import Feam
 from repro.corpus.builder import (
     CompiledBinary,
@@ -192,9 +192,9 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
         for site, merged in merged_bundles.items() if merged is not None}
 
     records: list[MigrationRecord] = []
+    # The run's "cells": every basic and extended target evaluation.
+    reports = []
     max_target_seconds = 0.0
-    ready_evals = 0
-    unknown_evals = 0
     for index, binary in enumerate(corpus.binaries):
         bundle = bundles[binary.binary_id]
         for target in sites:
@@ -251,11 +251,7 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
                                 target, binary, feam_stack, env_after,
                                 curse, cfg.execution_attempts, "after")
 
-                for report in (basic, extended):
-                    ready_evals += bool(report.ready)
-                    if (report.ready
-                            and report.prediction.unknown_determinants):
-                        unknown_evals += 1
+                reports.extend((basic, extended))
                 migrate_span.set_attrs(
                     basic_ready=basic.ready, extended_ready=extended.ready,
                     before_ok=before.ok, after_ok=after.ok)
@@ -298,18 +294,7 @@ def run_experiment(config: Optional[ExperimentConfig] = None,
             print(f"  migrated {index + 1}/{len(corpus.binaries)} binaries")
 
     stats = feam.engine.stats
-    # The same matrix-level gauges EvaluationEngine.evaluate_matrix
-    # publishes, so SLO rules speak one vocabulary for both runners
-    # (here a "cell" is one basic or extended target evaluation).
-    total_evals = 2 * len(records)
-    obs.gauge("matrix.cells.total").set(total_evals)
-    if total_evals:
-        obs.gauge("matrix.ready_cells.pct").set(
-            100.0 * ready_evals / total_evals)
-        obs.gauge("matrix.unknown_cells.pct").set(
-            100.0 * unknown_evals / total_evals)
-    if stats.hit_rate is not None:
-        obs.gauge("engine.cache.hit_rate").set(stats.hit_rate)
+    publish_matrix_metrics(reports, stats)
     return ExperimentResult(
         records=records,
         corpus=corpus,

@@ -74,6 +74,15 @@ def make_run_id(ts: str, *fingerprint_parts) -> str:
     return f"{compact}-{suffix}"
 
 
+def order_statistic(values: Sequence[float], q: float) -> float:
+    """The exact *q* quantile of sorted, non-empty *values*: the
+    ``ceil(q*n)``-th smallest (the smallest when ``q*n <= 1``).
+
+    The one percentile rule behind the ledger's digests and
+    ``feam query``."""
+    return values[max(1, math.ceil(q * len(values))) - 1]
+
+
 def latency_digest(values: Sequence[float]) -> dict:
     """Exact order-statistic digest of a latency population.
 
@@ -85,16 +94,12 @@ def latency_digest(values: Sequence[float]) -> dict:
     if not values:
         return {"count": 0, "sum": 0.0, "min": None, "max": None,
                 "mean": None, "p50": None, "p95": None}
-
-    def pct(q: float) -> float:
-        rank = max(1, math.ceil(q * len(values)))
-        return values[rank - 1]
-
     total = float(sum(values))
     return {"count": len(values), "sum": total,
             "min": values[0], "max": values[-1],
             "mean": total / len(values),
-            "p50": pct(0.50), "p95": pct(0.95)}
+            "p50": order_statistic(values, 0.50),
+            "p95": order_statistic(values, 0.95)}
 
 
 class RunLedger:

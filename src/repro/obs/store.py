@@ -28,9 +28,10 @@ Three small pieces:
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from typing import Optional, Sequence
+
+from repro.obs.ledger import order_statistic
 
 _WHERE_RE = re.compile(
     r"^(?P<field>[A-Za-z0-9_.\-]+)\s*"
@@ -102,9 +103,7 @@ class Aggregation:
         if self.fn == "mean":
             return sum(values) / len(values)
         quantile = {"p50": 0.50, "p95": 0.95, "p99": 0.99}[self.fn]
-        # Exact order statistic: the ceil(q*n)-th smallest value.
-        rank = max(1, math.ceil(quantile * len(values)))
-        return values[rank - 1]
+        return order_statistic(values, quantile)
 
 
 def _as_number(value) -> Optional[float]:

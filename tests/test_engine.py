@@ -153,12 +153,6 @@ class TestMatrixShape:
         assert "mr-a" in text
         assert "cache: description" in text
 
-    def test_tuple_specs_are_accepted(self, make_site, compiled_app):
-        engine = EvaluationEngine()
-        result = engine.evaluate_matrix(
-            [("tuple-app", compiled_app.image)], [make_site("mt-a")])
-        assert result.cell("tuple-app", "mt-a") is not None
-
 
 class TestImages:
     @pytest.fixture

@@ -9,7 +9,14 @@ engine's own ``CacheStats``.
 import pytest
 
 from repro import obs
-from repro.core.engine import EngineBinary, EvaluationEngine
+from repro.core.engine import (
+    EngineBinary,
+    EvaluationEngine,
+    compile_test_binaries,
+)
+from repro.corpus.benchmarks import Suite
+from repro.corpus.builder import CorpusConfig
+from repro.evaluation.experiment import ExperimentConfig, run_experiment
 from repro.sites.catalog import build_paper_sites
 from repro.toolchain.compilers import Language
 
@@ -108,6 +115,35 @@ class TestMetricsAgreement:
                 f"engine.cache.{layer}.hits").value == cell_hits
             assert collector.metrics.counter(
                 f"engine.cache.{layer}.misses").value == cell_misses
+
+    def test_refresh_counts_on_the_live_counter_too(self):
+        # refresh_site's re-discovery is a discovery miss in both books.
+        sites = build_paper_sites(7)
+        binaries = compile_test_binaries(sites, 2)
+        engine = EvaluationEngine()
+        with obs.capture() as collector:
+            engine.evaluate_matrix(binaries, sites)
+            engine.refresh_site(sites[0])
+            engine.evaluate_matrix(binaries, sites)
+        stats = engine.stats
+        assert stats.discovery_misses == len(sites) + 1
+        for layer in ("description", "discovery", "evaluation"):
+            for kind in ("hits", "misses"):
+                assert collector.metrics.counter(
+                    f"engine.cache.{layer}.{kind}").value == \
+                    getattr(stats, f"{layer}_{kind}")
+
+    def test_paper_run_publishes_the_matrix_gauges(self, traced_matrix):
+        _, _, _, matrix_collector, _ = traced_matrix
+        matrix_gauges = matrix_collector.metrics.to_dict()["gauges"]
+        with obs.capture() as collector:
+            result = run_experiment(ExperimentConfig(
+                seed=7, corpus=CorpusConfig(target_counts={
+                    Suite.NPB: 4, Suite.SPEC: 4})))
+        gauges = collector.metrics.to_dict()["gauges"]
+        assert set(matrix_gauges) <= set(gauges)
+        assert gauges["matrix.cells.total"] == 2 * len(result.records)
+        assert gauges["matrix.faulted_cells.pct"] == 0.0
 
     def test_cell_histogram_and_utilization_gauge(self, traced_matrix):
         _, _, _, collector, result = traced_matrix
