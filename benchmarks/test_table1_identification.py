@@ -6,7 +6,7 @@ whether a matching MPI implementation was available".
 """
 
 from repro.core.description import identify_mpi_implementation
-from repro.elf import describe_elf
+from repro.elf import parse_elf
 from repro.evaluation.tables import render_table1
 
 
@@ -17,7 +17,8 @@ def test_table1_render():
 
 def test_identification_bench(benchmark, experiment_result):
     corpus = experiment_result.corpus
-    needed_lists = [describe_elf(b.image).needed for b in corpus.binaries]
+    needed_lists = [parse_elf(b.image).dynamic.needed
+                    for b in corpus.binaries]
     expected = [b.stack_spec.kind.value for b in corpus.binaries]
 
     def identify_all():

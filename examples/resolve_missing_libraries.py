@@ -32,8 +32,9 @@ def main() -> None:
     print("source-phase bundle:")
     for record in bundle.libraries:
         status = "copied" if record.copied else "described only"
-        glibc = (f", needs GLIBC_{record.required_glibc}"
-                 if record.required_glibc else "")
+        required = (record.description.required_glibc
+                    if record.description else None)
+        glibc = f", needs GLIBC_{required}" if required else ""
         print(f"  {record.soname:<22} {status}{glibc}")
     print(f"  total: {bundle.copy_bytes / 1e6:.1f} MB\n")
 

@@ -1132,6 +1132,8 @@ def _feam_query(args) -> int:
 def _render_runs_table(shown: list, matched: int, total: int,
                        ledger) -> str:
     """The ``feam runs`` listing (oldest first, newest last)."""
+    from repro.obs.ledger import run_cells
+
     lines = [f"run ledger {ledger.path}: {matched}/{total} run(s) match"]
     if not shown:
         lines.append("(no runs)")
@@ -1140,8 +1142,7 @@ def _render_runs_table(shown: list, matched: int, total: int,
     for run in shown:
         rollup = run.get("rollup") or {}
         outcomes = rollup.get("outcomes") or {}
-        # Bench manifests carry no rollup; their payload counts cells.
-        cells = (rollup or run.get("bench") or {}).get("cells")
+        cells = run_cells(run)
         summary = (f"{outcomes.get('ready', 0)}r/"
                    f"{outcomes.get('unknown', 0)}u/"
                    f"{outcomes.get('no', 0)}n" if outcomes else "-")

@@ -5,7 +5,8 @@ copied to each target site if it is to be used in a target phase"
 (Section V).  This module makes that concrete: a bundle serializes to a
 single gzipped POSIX tar archive containing
 
-* ``MANIFEST.json`` -- the binary description, per-library records,
+* ``MANIFEST.json`` -- the binary description, per-library records
+  (each library's description in the binary's own codec),
   guaranteed-environment description and metadata;
 * ``libs/<soname>`` -- the gathered library copies (genuine ELF bytes);
 * ``hello/<language>`` -- the compiled hello-world probes.
@@ -27,7 +28,9 @@ from repro.core.bundle import HelloPrograms, SourceBundle
 from repro.core.description import BinaryDescription, LibraryRecord
 from repro.core.discovery import EnvironmentDescription
 
-FORMAT_VERSION = 1
+#: Version of the archive layout.  Format 2 describes each library with
+#: the binary's own description codec; format-1 archives are refused.
+FORMAT_VERSION = 2
 
 
 class BundleFormatError(ValueError):
@@ -85,16 +88,8 @@ def _record_to_json(r: LibraryRecord) -> dict:
     return {
         "soname": r.soname,
         "located_path": r.located_path,
-        "file_format": r.file_format,
-        "isa_name": r.isa_name,
-        "bits": r.bits,
-        "embedded_soname": r.embedded_soname,
-        "embedded_version": list(r.embedded_version),
-        "needed": list(r.needed),
-        "version_references": [list(ref) for ref in r.version_references],
-        "version_definitions": list(r.version_definitions),
-        "required_glibc": r.required_glibc,
-        "comment": list(r.comment),
+        "description": (_description_to_json(r.description)
+                        if r.description is not None else None),
         "copied": r.copied,
     }
 
@@ -103,17 +98,8 @@ def _record_from_json(data: dict, image: Optional[bytes]) -> LibraryRecord:
     return LibraryRecord(
         soname=data["soname"],
         located_path=data["located_path"],
-        file_format=data["file_format"],
-        isa_name=data["isa_name"],
-        bits=data["bits"],
-        embedded_soname=data["embedded_soname"],
-        embedded_version=tuple(data["embedded_version"]),
-        needed=tuple(data["needed"]),
-        version_references=tuple(
-            (ref[0], ref[1]) for ref in data["version_references"]),
-        version_definitions=tuple(data["version_definitions"]),
-        required_glibc=data["required_glibc"],
-        comment=tuple(data["comment"]),
+        description=(None if data["description"] is None
+                     else _description_from_json(data["description"])),
         image=image,
     )
 

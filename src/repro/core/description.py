@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Union
 
+from repro.elf.structs import newest_glibc
 from repro.elf.writer import LazyImage
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError
@@ -33,26 +34,13 @@ class DescriptionError(RuntimeError):
     """The binary could not be described by any available method."""
 
 
-def _glibc_key(name: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in name[len("GLIBC_"):].split("."))
-
-
 def required_glibc_from_versions(references: tuple[tuple[str, str], ...],
                                  definitions: tuple[str, ...]) -> Optional[str]:
-    """The newest GLIBC version among version references and definitions.
-
-    This is the paper's *required C library version* computation
-    (Section V.A): the newest version listed under "Version Definitions"
-    and "Version References".  Returns e.g. ``"2.7"``.
+    """The paper's *required C library version* (Section V.A): the newest
+    GLIBC version listed under "Version References" and "Version
+    Definitions" (:func:`~repro.elf.structs.newest_glibc`), e.g. ``"2.7"``.
     """
-    candidates = [v for _file, v in references
-                  if v.startswith("GLIBC_") and v != "GLIBC_PRIVATE"]
-    candidates += [v for v in definitions
-                   if v.startswith("GLIBC_") and v != "GLIBC_PRIVATE"]
-    if not candidates:
-        return None
-    best = max(candidates, key=_glibc_key)
-    return best[len("GLIBC_"):]
+    return newest_glibc([v for _file, v in references] + list(definitions))
 
 
 def identify_mpi_implementation(needed: tuple[str, ...]) -> Optional[str]:
@@ -91,27 +79,19 @@ def _build_hints(comment: tuple[str, ...]) -> tuple[Optional[str], Optional[str]
 
 @dataclasses.dataclass(frozen=True)
 class LibraryRecord:
-    """Description (and optionally a copy) of one required shared library.
+    """One required shared library: where it was found, its description
+    and (source phase only) its copy.
 
-    Each library a binary links against goes "through the same description
-    process as an application binary" (Section V.A); the recursive fields
-    here are what the resolution model's recursive prediction consumes.
+    Each library goes "through the same description process as an
+    application binary" (Section V.A): *description* is the BDC's
+    ``objdump`` description of the located file -- None when the library
+    was not located or ``objdump`` could not describe it -- and is what
+    the resolution model's recursive prediction consumes.
     """
 
     soname: str
     located_path: Optional[str]
-    file_format: Optional[str] = None
-    isa_name: Optional[str] = None
-    bits: Optional[int] = None
-    embedded_soname: Optional[str] = None
-    #: Version embedded in the soname (paper: "extract from it the
-    #: embedded version information"), e.g. (1, 0) for libmpich.so.1.0.
-    embedded_version: tuple[int, ...] = ()
-    needed: tuple[str, ...] = ()
-    version_references: tuple[tuple[str, str], ...] = ()
-    version_definitions: tuple[str, ...] = ()
-    required_glibc: Optional[str] = None
-    comment: tuple[str, ...] = ()
+    description: Optional[BinaryDescription] = None
     #: The gathered copy (source phase only), held by image identity:
     #: the source file's :class:`~repro.elf.writer.LazyImage` when its
     #: reads may bypass the filesystem
@@ -189,7 +169,46 @@ class BinaryDescriptionComponent:
             return self._describe_via_ldd(path)
 
     def _describe_via_objdump(self, path: str) -> BinaryDescription:
-        info: ObjdumpInfo = self.toolbox.objdump_p(path)
+        return self._describe_facts(
+            path, self.toolbox.objdump_p(path), "objdump")
+
+    def _describe_via_ldd(self, path: str) -> BinaryDescription:
+        """Fallback description from ``ldd -v`` when objdump is absent.
+
+        ldd reveals the dependency list and version requirements but not
+        the file format; the ISA fields fall back to the machine's own
+        (ldd only runs binaries for the host ISA).
+        """
+        result = self.toolbox.ldd(path, self.env)
+        if not result.recognised:
+            raise DescriptionError(
+                f"{path}: no objdump and ldd does not recognise the binary")
+        # ldd only runs binaries the host executes, so the binary's format
+        # is the host's primary one -- expressed in the same (objdump)
+        # vocabulary the rest of the model uses.
+        primary = self.toolbox.machine.isa_support[0]
+        isa_name = primary.machine.display_name
+        facts = ObjdumpInfo(
+            file_format=f"elf{primary.bits}-{isa_name}",
+            machine=isa_name,
+            bits=primary.bits,
+            is_dynamic=True,
+            needed=tuple(e.soname for e in result.entries),
+            soname=None,
+            rpath=None,
+            runpath=None,
+            # Only the binary's own version block -- the loaded
+            # libraries' requirements are theirs, not the application's.
+            version_references=result.versions_required_by(path),
+            version_definitions=(),
+        )
+        return self._describe_facts(path, facts, "ldd")
+
+    def _describe_facts(self, path: str, info: ObjdumpInfo,
+                        gathered_via: str) -> BinaryDescription:
+        """The Figure 3 description of *path* from the facts one tool
+        gave: the embedded library version, the required C library, the
+        MPI implementation and the build hints are derived here."""
         comment: tuple[str, ...] = ()
         try:
             comment = self.toolbox.readelf_comment(path)
@@ -216,55 +235,7 @@ class BinaryDescriptionComponent:
             mpi_implementation=identify_mpi_implementation(info.needed),
             build_compiler_hint=compiler_hint,
             build_libc_hint=libc_hint,
-            gathered_via="objdump",
-        )
-
-    def _describe_via_ldd(self, path: str) -> BinaryDescription:
-        """Fallback description from ``ldd -v`` when objdump is absent.
-
-        ldd reveals the dependency list and version requirements but not
-        the file format; the ISA fields fall back to the machine's own
-        (ldd only runs binaries for the host ISA).
-        """
-        result = self.toolbox.ldd(path, self.env)
-        if not result.recognised:
-            raise DescriptionError(
-                f"{path}: no objdump and ldd does not recognise the binary")
-        needed = tuple(e.soname for e in result.entries)
-        # Only the binary's own version block -- the loaded libraries'
-        # requirements are theirs, not the application's.
-        references = result.versions_required_by(path)
-        comment: tuple[str, ...] = ()
-        try:
-            comment = self.toolbox.readelf_comment(path)
-        except ToolUnavailable:
-            pass
-        compiler_hint, libc_hint = _build_hints(comment)
-        # ldd only runs binaries the host executes, so the binary's format
-        # is the host's primary one -- expressed in the same (objdump)
-        # vocabulary the rest of the model uses.
-        machine = self.toolbox.machine
-        primary = machine.isa_support[0]
-        isa_name = primary.machine.display_name
-        bits = primary.bits
-        return BinaryDescription(
-            path=path,
-            file_format=f"elf{bits}-{isa_name}",
-            isa_name=isa_name,
-            bits=bits,
-            is_dynamic=True,
-            is_shared_library=False,
-            soname=None,
-            library_version=(),
-            needed=needed,
-            version_references=references,
-            version_definitions=(),
-            required_glibc=required_glibc_from_versions(references, ()),
-            comment=comment,
-            mpi_implementation=identify_mpi_implementation(needed),
-            build_compiler_hint=compiler_hint,
-            build_libc_hint=libc_hint,
-            gathered_via="ldd",
+            gathered_via=gathered_via,
         )
 
     # -- locating libraries ------------------------------------------------------------
@@ -310,18 +281,19 @@ class BinaryDescriptionComponent:
 
     def describe_library(self, soname: str, path: Optional[str],
                          copy: bool = False) -> LibraryRecord:
-        """Describe one shared library (optionally gathering a copy)."""
+        """Describe one shared library (optionally gathering a copy).
+
+        The library is described as a binary is, by ``objdump``
+        (:meth:`_describe_via_objdump`).  One that ``objdump`` cannot
+        describe is neither described nor copied; it gets no ``ldd``
+        fallback.
+        """
         if path is None:
             return LibraryRecord(soname=soname, located_path=None)
         try:
-            info = self.toolbox.objdump_p(path)
+            description = self._describe_via_objdump(path)
         except (ToolUnavailable, FsError):
             return LibraryRecord(soname=soname, located_path=path)
-        comment: tuple[str, ...] = ()
-        try:
-            comment = self.toolbox.readelf_comment(path)
-        except (ToolUnavailable, FsError):
-            pass
         image: Union[LazyImage, bytes, None] = None
         if copy:
             fs = self.toolbox.machine.fs
@@ -332,23 +304,8 @@ class BinaryDescriptionComponent:
                     image = fs.read(real)
             except FsError:
                 image = None
-        embedded = parse_library_name(info.soname) if info.soname else None
-        return LibraryRecord(
-            soname=soname,
-            located_path=path,
-            file_format=info.file_format,
-            isa_name=info.machine,
-            bits=info.bits,
-            embedded_soname=info.soname,
-            embedded_version=embedded.version if embedded else (),
-            needed=info.needed,
-            version_references=info.version_references,
-            version_definitions=info.version_definitions,
-            required_glibc=required_glibc_from_versions(
-                info.version_references, info.version_definitions),
-            comment=comment,
-            image=image,
-        )
+        return LibraryRecord(soname=soname, located_path=path,
+                             description=description, image=image)
 
     def gather_library_copies(self, description: BinaryDescription,
                               copy_excludes: tuple[str, ...] = ("libc.so.6",),
@@ -375,6 +332,7 @@ class BinaryDescriptionComponent:
             copy = soname not in copy_excludes
             record = self.describe_library(soname, path, copy=copy)
             records[soname] = record
-            queue.extend(dep for dep in record.needed
-                         if dep not in records)
+            if record.description is not None:
+                queue.extend(dep for dep in record.description.needed
+                             if dep not in records)
         return list(records.values())

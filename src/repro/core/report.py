@@ -114,8 +114,9 @@ def render_source_summary(bundle) -> str:
     for record in bundle.libraries:
         status = "copied" if record.copied else (
             "described" if record.located else "NOT FOUND")
-        glibc = f", needs GLIBC_{record.required_glibc}" \
-            if record.required_glibc else ""
+        required = (record.description.required_glibc
+                    if record.description else None)
+        glibc = f", needs GLIBC_{required}" if required else ""
         lines.append(f"  {record.soname}: {status}"
                      f" ({record.located_path or 'no path'}{glibc})")
     return "\n".join(lines) + "\n"

@@ -81,12 +81,6 @@ class ResolutionPlan:
         return "\n".join(lines) + "\n"
 
 
-def _version_tuple(version: Optional[str]) -> tuple[int, ...]:
-    if not version:
-        return ()
-    return tuple(int(p) for p in version.split("."))
-
-
 class ResolutionModel:
     """Recursive copy-usability analysis + staging for one target site."""
 
@@ -119,23 +113,26 @@ class ResolutionModel:
                 record.soname, False,
                 "no copy was gathered at the guaranteed environment",
                 record=record)
+        # Judged on the copy's own description: an undescribed copy has
+        # no ISA, C library requirement or dependency to fail.
+        description = record.description
         # ISA: the copy must execute at the target.
-        if record.isa_name is not None and not self._isa_ok(record):
+        if description is not None and not self._isa_ok(description.isa_name):
             return CopyDecision(
                 record.soname, False,
-                f"copy is {record.isa_name}/{record.bits}-bit; target is "
-                f"{self.environment.isa}", record=record)
+                f"copy is {description.isa_name}/{description.bits}-bit; "
+                f"target is {self.environment.isa}", record=record)
         # C library: the copy's own requirement must be satisfied.
-        required = _version_tuple(record.required_glibc)
+        required = description.required_glibc_tuple if description else ()
         available = self.environment.libc_version_tuple
         if required and available and required > available:
             return CopyDecision(
                 record.soname, False,
-                f"copy requires GLIBC_{record.required_glibc}; target has "
-                f"{self.environment.libc_version}", record=record)
+                f"copy requires GLIBC_{description.required_glibc}; target "
+                f"has {self.environment.libc_version}", record=record)
         # Recursive shared-library requirements of the copy.
         visiting = visiting | {record.soname}
-        for dep in record.needed:
+        for dep in description.needed if description else ():
             if dep in self.config.copy_excludes:
                 continue  # satisfied by the target's own C library
             if self._present_at_target(dep, env):
@@ -156,16 +153,16 @@ class ResolutionModel:
         return CopyDecision(record.soname, True, "copy is usable",
                             record=record)
 
-    def _isa_ok(self, record: LibraryRecord) -> bool:
+    def _isa_ok(self, isa_name: str) -> bool:
         target = self.environment.isa
-        if record.isa_name in (target, None):
+        if isa_name == target:
             return True
         # 64-bit x86 executes 32-bit x86 libraries only for 32-bit
         # binaries; for staging purposes require an exact match except
         # for the x86-64 alias spellings.
         aliases = {"x86_64": {"x86-64", "x86_64"},
                    "i686": {"i386", "i686"}}
-        return record.isa_name in aliases.get(target, {target})
+        return isa_name in aliases.get(target, {target})
 
     def _present_at_target(self, soname: str, env: Environment) -> bool:
         """Presence means *loader-visible* presence.
@@ -275,7 +272,7 @@ class ResolutionModel:
         if not record.copied:
             return
         acc[record.soname] = record
-        for dep in record.needed:
+        for dep in record.description.needed if record.description else ():
             if dep in self.config.copy_excludes:
                 continue
             if self._present_at_target(dep, env):

@@ -35,10 +35,9 @@ class SiteVerdict:
         return self.extended.prediction.reasons
 
     def summary_line(self) -> str:
-        basic_word = ("ready" if self.basic and self.basic.ready else
-                      "no" if self.basic else "--")
-        extended_word = "ready" if self.extended.ready else "no"
-        note = "; ".join(self.reasons) or "ready"
+        basic_word = self.basic.outcome_word if self.basic else "--"
+        extended_word = self.extended.outcome_word
+        note = "; ".join(self.reasons) or extended_word
         return (f"{self.site_name:<12}{basic_word:>8}{extended_word:>10}"
                 f"  {note}")
 

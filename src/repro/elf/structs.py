@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.elf.constants import (
     DynamicTag,
@@ -115,12 +115,15 @@ class SymbolVersion:
     """A dotted version name such as ``GLIBC_2.12`` or ``OMPI_1.4``.
 
     Comparable within the same namespace by numeric components, which is how
-    FEAM computes the *required C library version* of a binary.
+    FEAM computes the *required C library version* of a binary
+    (:func:`newest_glibc`).  A name without numbered components, such as
+    ``GLIBC_PRIVATE``, has no namespace.
     """
 
     name: str
 
-    _PATTERN = re.compile(r"^(?P<ns>[A-Za-z_][A-Za-z0-9_+-]*?)_(?P<ver>[0-9][0-9.]*)$")
+    _PATTERN = re.compile(
+        r"^(?P<ns>[A-Za-z_][A-Za-z0-9_+-]*?)_(?P<ver>[0-9]+(?:\.[0-9]+)*)$")
 
     @property
     def namespace(self) -> Optional[str]:
@@ -134,16 +137,32 @@ class SymbolVersion:
         m = self._PATTERN.match(self.name)
         if not m:
             return ()
-        return tuple(int(part) for part in m.group("ver").split(".") if part)
+        return tuple(int(part) for part in m.group("ver").split("."))
 
     def is_glibc(self) -> bool:
-        """True when this version ref names the GNU C library."""
+        """True when this names a numbered GNU C library version."""
         return self.namespace == "GLIBC"
 
     def __lt__(self, other: "SymbolVersion") -> bool:
         if self.namespace != other.namespace:
             return str(self.name) < str(other.name)
         return self.components < other.components
+
+
+def newest_glibc(names: Iterable[str]) -> Optional[str]:
+    """The newest numbered ``GLIBC_x.y`` version among version *names*,
+    without its prefix (``"2.7"``), or None when there is none.
+
+    The paper's *required C library version* (Section V.A) is this over
+    a binary's ``objdump -p`` "Version References" and "Version
+    Definitions"; over the C library's own definitions it is the
+    library's version.  Names that number no release, such as
+    ``GLIBC_PRIVATE`` and glibc 2.36's ``GLIBC_ABI_DT_RELR``, are
+    skipped.
+    """
+    newest = max((v for v in map(SymbolVersion, names) if v.is_glibc()),
+                 key=lambda v: v.components, default=None)
+    return newest.name[len("GLIBC_"):] if newest is not None else None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -83,6 +83,14 @@ def order_statistic(values: Sequence[float], q: float) -> float:
     return values[max(1, math.ceil(q * len(values))) - 1]
 
 
+def run_cells(run: dict) -> Optional[int]:
+    """How many cells a manifest counts: its rollup's, else its bench
+    payload's (bench manifests carry no rollup), else None.
+
+    The one rule behind ``feam runs`` and ``feam serve``'s ``/runs``."""
+    return (run.get("rollup") or run.get("bench") or {}).get("cells")
+
+
 def latency_digest(values: Sequence[float]) -> dict:
     """Exact order-statistic digest of a latency population.
 

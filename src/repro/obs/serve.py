@@ -279,7 +279,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "count": len(runs),
                 "runs": [{key: run.get(key)
                           for key in ("run_id", "ts", "kind", "seed")}
-                         | {"cells": (run.get("rollup") or {}).get("cells")}
+                         | {"cells": ledger_mod.run_cells(run)}
                          for run in runs],
             }
             self._reply_json(200, payload)

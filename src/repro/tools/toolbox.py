@@ -12,6 +12,7 @@ import posixpath
 from typing import Optional
 
 from repro.elf.reader import ElfError, ElfFile, parse_elf
+from repro.elf.structs import newest_glibc
 from repro.sysmodel.env import Environment
 from repro.sysmodel.fs import FsError
 from repro.sysmodel.library import parse_library_name
@@ -54,36 +55,6 @@ class ObjdumpInfo:
     version_references: tuple[tuple[str, str], ...]
     #: version names from "Version Definitions".
     version_definitions: tuple[str, ...]
-
-    def render(self) -> str:
-        """A realistic rendering of the tool output."""
-        lines = [f"file format {self.file_format}",
-                 f"architecture: {self.machine}", ""]
-        if self.is_dynamic:
-            lines.append("Dynamic Section:")
-            for soname in self.needed:
-                lines.append(f"  NEEDED               {soname}")
-            if self.soname:
-                lines.append(f"  SONAME               {self.soname}")
-            if self.rpath:
-                lines.append(f"  RPATH                {self.rpath}")
-            if self.runpath:
-                lines.append(f"  RUNPATH              {self.runpath}")
-        if self.version_definitions:
-            lines.append("")
-            lines.append("Version definitions:")
-            for i, name in enumerate(self.version_definitions, start=1):
-                lines.append(f"{i} 0x00 {name}")
-        if self.version_references:
-            lines.append("")
-            lines.append("Version References:")
-            current = None
-            for filename, version in self.version_references:
-                if filename != current:
-                    lines.append(f"  required from {filename}:")
-                    current = filename
-                lines.append(f"    0x00 00 02 {version}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -426,28 +397,12 @@ class Toolbox:
     def libc_version_via_api(self, path: str) -> Optional[str]:
         """Fallback: ``gnu_get_libc_version()`` via the C library API.
 
-        Emulated by reading the newest GLIBC_* version definition from the
-        installed library's ELF image.
+        Emulated by reading the newest numbered GLIBC version the
+        installed library's ELF image defines
+        (:func:`~repro.elf.structs.newest_glibc`).
         """
         elf = self._read_elf(path)
-        if elf is None:
-            return None
-        verdefs = _verdef_names(elf)
-
-        def numeric(name: str) -> Optional[tuple[int, ...]]:
-            parts = name[len("GLIBC_"):].split(".")
-            try:
-                return tuple(int(p) for p in parts)
-            except ValueError:
-                # e.g. GLIBC_PRIVATE, GLIBC_ABI_DT_RELR on real glibc.
-                return None
-
-        glibc_defs = [(numeric(v), v) for v in verdefs
-                      if v.startswith("GLIBC_")]
-        glibc_defs = [(key, v) for key, v in glibc_defs if key is not None]
-        if not glibc_defs:
-            return None
-        return max(glibc_defs)[1][len("GLIBC_"):]
+        return newest_glibc(_verdef_names(elf)) if elf is not None else None
 
     # -- wrapper inspection ---------------------------------------------------------------
 

@@ -7,8 +7,11 @@ builds small single-purpose sites quickly.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 
+from repro.elf.structs import newest_glibc
 from repro.mpi.implementations import open_mpi
 from repro.mpi.stack import Interconnect
 from repro.sites.catalog import PAPER_SITE_SPECS, build_paper_sites
@@ -18,6 +21,14 @@ from repro.sysmodel import distro as distros
 from repro.toolchain.compilers import CompilerFamily, intel
 
 TEST_SEED = 987654
+
+
+def required_glibc(elf) -> Optional[str]:
+    """The required C library version of a parsed ELF file: the one
+    GLIBC rule over its version references and definitions."""
+    return newest_glibc(
+        [v.name for req in elf.version_requirements for v in req.versions]
+        + [d.name.name for d in elf.version_definitions])
 
 
 @pytest.fixture(autouse=True)

@@ -90,13 +90,23 @@ class TestRoundTrip:
         assert pack_bundle(bundle) == pack_bundle(bundle)
 
     def test_archive_bytes_are_pinned(self, packed):
-        # Measured when copies were still bytes read from the donor's
-        # filesystem; holding them by image identity must not move a
-        # byte.  The tar stream is pinned because the gzip stream around
-        # it depends on the zlib build.
+        # The copies and probes were measured when copies were still
+        # bytes read from the donor's filesystem, under format 1; holding
+        # them by image identity and format 2's manifest must not move a
+        # byte of them.  The whole tar stream is pinned at format 2; the
+        # tar stream rather than the gzip stream around it, which
+        # depends on the zlib build.
         _bundle, archive = packed
+        members = hashlib.sha256()
+        with tarfile.open(fileobj=io.BytesIO(archive), mode="r:gz") as tar:
+            for member in tar.getmembers():
+                if member.name != "MANIFEST.json":
+                    members.update(member.name.encode() + b"\0")
+                    members.update(tar.extractfile(member).read())
+        assert members.hexdigest() == (
+            "2c97fe1782a5329c78a298c20740a3e1d282566831811c278db3e0431e4bad53")
         assert hashlib.sha256(gzip.decompress(archive)).hexdigest() == (
-            "99de54f893642d77c2f44e9f47cb6497c1baa0000cde46aace886dbbc13ccbf6")
+            "823507855faeed27ce4db9964a02b58414ece67d3b863770fc111449585b7285")
 
     def test_archive_is_real_tar(self, bundle):
         archive = pack_bundle(bundle)
@@ -147,8 +157,28 @@ class TestFormatErrors:
         with pytest.raises(BundleFormatError, match="version"):
             unpack_bundle(_with_manifest(archive, manifest))
 
+    def test_format_1_manifest_is_refused(self, packed):
+        # Format 1 wrote each library in a record codec of its own;
+        # format 2 describes it with the binary's.
+        bundle, archive = packed
+        manifest = _manifest(archive)
+        assert manifest["format_version"] == 2
+        with pytest.raises(BundleFormatError,
+                           match="unsupported bundle format version: 1"):
+            unpack_bundle(_with_manifest(
+                archive, dict(manifest, format_version=1)))
+        described = [entry["description"]
+                     for entry in manifest["libraries"]]
+        assert all(set(d) == set(manifest["description"])
+                   for d in described)
+        restored = unpack_bundle(archive)
+        assert [r.description for r in restored.libraries] == \
+            [r.description for r in bundle.libraries]
+        assert all(r.description is not None
+                   for r in restored.libraries if r.located)
+
     @pytest.mark.parametrize("mutate, match", [
-        (lambda m: {"format_version": 1}, "libraries"),
+        (lambda m: {"format_version": m["format_version"]}, "libraries"),
         (lambda m: dict(m, description={}), "description.*'path'"),
         (lambda m: dict(m, libraries=[{"soname": "x"}]),
          "libraries.*'located_path'"),

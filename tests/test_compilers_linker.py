@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.elf import describe_elf
+from repro.elf import parse_elf
 from repro.elf.constants import ElfMachine
 from repro.toolchain.compilers import (
     Compiler,
@@ -14,6 +14,7 @@ from repro.toolchain.compilers import (
 )
 from repro.toolchain.libc import glibc
 from repro.toolchain.linker import LinkInput, link_program
+from tests.conftest import required_glibc
 
 
 class TestCompilerModels:
@@ -103,8 +104,7 @@ class TestLinker:
 
     def test_image_encodes_requirement(self):
         linked = self._link(libc=glibc("2.12"), glibc_ceiling=(2, 7))
-        info = describe_elf(linked.image)
-        assert info.required_glibc.name == "GLIBC_2.7"
+        assert required_glibc(parse_elf(linked.image)) == "2.7"
 
     def test_mpi_deps_come_first(self):
         from repro.toolchain.compilers import RuntimeDep
@@ -113,29 +113,29 @@ class TestLinker:
 
     def test_comment_carries_compiler_banner(self):
         linked = self._link(compiler=intel("12.0"))
-        info = describe_elf(linked.image)
-        assert any(c.startswith("Intel") for c in info.comment)
+        elf = parse_elf(linked.image)
+        assert any(c.startswith("Intel") for c in elf.comment)
 
     def test_fortran_links_runtime(self):
         linked = self._link(language=Language.FORTRAN)
         assert "libgfortran.so.1" in linked.needed
-        info = describe_elf(linked.image)
-        refs = {v.name for req in info.version_requirements
+        elf = parse_elf(linked.image)
+        refs = {v.name for req in elf.version_requirements
                 for v in req.versions}
         assert "GFORTRAN_1.0" in refs
 
     def test_cxx_links_stdcxx_with_version(self):
         linked = self._link(language=Language.CXX, compiler=gnu("4.4.5"))
         assert "libstdc++.so.6" in linked.needed
-        info = describe_elf(linked.image)
-        refs = {v.name for req in info.version_requirements
+        elf = parse_elf(linked.image)
+        refs = {v.name for req in elf.version_requirements
                 for v in req.versions}
         assert "GLIBCXX_3.4.13" in refs
 
     def test_static_link(self):
         linked = self._link(static=True)
         assert linked.needed == ()
-        assert not describe_elf(linked.image).is_dynamic
+        assert not parse_elf(linked.image).is_dynamic
 
     def test_unsupported_language_raises(self):
         c_only = Compiler(CompilerFamily.GNU, "4.1.2",
@@ -147,8 +147,9 @@ class TestLinker:
         a = self._link(build_tag="siteA/stack1")
         b = self._link(build_tag="siteB/stack1")
         assert a.image != b.image
-        assert describe_elf(a.image).needed == describe_elf(b.image).needed
+        assert parse_elf(a.image).dynamic.needed == \
+            parse_elf(b.image).dynamic.needed
 
     def test_machine_passthrough(self):
         linked = self._link(machine=ElfMachine.PPC64)
-        assert describe_elf(linked.image).machine is ElfMachine.PPC64
+        assert parse_elf(linked.image).header.machine is ElfMachine.PPC64

@@ -153,7 +153,7 @@ class TestCopiesByIdentity:
             fs.fault_hook = None
         by_soname = {r.soname: r for r in armed}
         assert not by_soname["libmpi.so.0"].copied
-        assert by_soname["libmpi.so.0"].file_format is not None
+        assert by_soname["libmpi.so.0"].description is not None
         assert by_soname["libifcore.so.5"].copied
 
 

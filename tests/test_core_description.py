@@ -8,6 +8,7 @@ from repro.core.description import (
     identify_mpi_implementation,
     required_glibc_from_versions,
 )
+from repro.elf import BinarySpec, write_elf
 from repro.toolchain.compilers import Language
 from repro.tools.toolbox import Toolbox
 
@@ -83,10 +84,26 @@ class TestRequiredGlibc:
     def test_private_ignored(self):
         refs = (("libc.so.6", "GLIBC_PRIVATE"),)
         assert required_glibc_from_versions(refs, ()) is None
+        refs += (("libc.so.6", "GLIBC_ABI_DT_RELR"),
+                 ("libc.so.6", "GLIBC_2.34"))
+        assert required_glibc_from_versions(refs, ()) == "2.34"
 
     def test_none_when_no_glibc(self):
         assert required_glibc_from_versions(
             (("libfoo.so.1", "FOO_1.0"),), ()) is None
+
+    def test_simulated_binary_naming_abi_dt_relr(self, paper_sites):
+        """A binary whose references name glibc 2.36's
+        ``GLIBC_ABI_DT_RELR`` is described by its numbered versions."""
+        machine = paper_sites[0].machine.clone("relr-host")
+        machine.fs.write("/home/user/relr-app", write_elf(BinarySpec(
+            needed=("libc.so.6",),
+            version_requirements={"libc.so.6": (
+                "GLIBC_2.3.4", "GLIBC_ABI_DT_RELR", "GLIBC_PRIVATE")})),
+            mode=0o755)
+        description = BinaryDescriptionComponent(Toolbox(machine)).describe(
+            "/home/user/relr-app")
+        assert description.required_glibc == "2.3.4"
 
 
 class TestDescribe:
@@ -152,17 +169,36 @@ class TestLocateAndCopy:
         assert "libopen-pal.so.0" in sonames
 
     def test_copies_are_real_images(self, bdc, app_path):
-        from repro.elf import describe_elf
+        from repro.elf import parse_elf
         records = bdc.gather_library_copies(bdc.describe(app_path))
         record = next(r for r in records if r.soname == "libmpi.so.0")
-        info = describe_elf(record.copy_data())
-        assert info.soname == "libmpi.so.0"
+        assert parse_elf(record.copy_data()).dynamic.soname == "libmpi.so.0"
 
     def test_library_records_carry_glibc_requirement(self, bdc, app_path):
         records = bdc.gather_library_copies(bdc.describe(app_path))
         record = next(r for r in records if r.soname == "libmpi.so.0")
-        assert record.required_glibc is not None
+        assert record.description.required_glibc is not None
 
     def test_describe_library_missing_path(self, bdc):
         record = bdc.describe_library("libghost.so.1", None)
         assert not record.located and not record.copied
+
+
+def test_matrix_bundles_describe_libraries_as_binaries():
+    """Every library a ``feam matrix --extended`` source phase describes
+    carries the description the BDC gives a binary at that path."""
+    from repro.core.engine import compile_test_binaries
+    from repro.core.feam import Feam
+    from repro.sites.catalog import build_paper_sites
+    sites = build_paper_sites(20130101)
+    binaries = compile_test_binaries(sites, 4, feam=Feam())
+    described = 0
+    for site, binary in zip(sites, binaries):
+        bdc = BinaryDescriptionComponent(site.toolbox())
+        for record in binary.bundle.libraries:
+            if record.description is None:
+                assert not record.copied
+                continue
+            assert record.description == bdc.describe(record.located_path)
+            described += 1
+    assert described >= 4 * 5

@@ -99,7 +99,7 @@ class TestCopyUsable:
         bundle = _bundle_for(donor)
         resolver, _ = _resolver(target)
         record = bundle.library("libifcore.so.5")
-        assert "libimf.so" in record.needed
+        assert "libimf.so" in record.description.needed
         decision = resolver.copy_usable(
             record, bundle, target.machine.env.copy())
         assert decision.usable
@@ -108,8 +108,9 @@ class TestCopyUsable:
         import dataclasses
         bundle = _bundle_for(donor)
         record = bundle.library("libifcore.so.5")
-        broken = dataclasses.replace(
-            record, needed=record.needed + ("libnowhere.so.9",))
+        description = record.description
+        broken = dataclasses.replace(record, description=dataclasses.replace(
+            description, needed=description.needed + ("libnowhere.so.9",)))
         resolver, _ = _resolver(target)
         decision = resolver.copy_usable(
             broken, bundle, target.machine.env.copy())

@@ -32,15 +32,14 @@ class TestI686Site:
     def test_site_builds_32bit(self, i686_site):
         fs = i686_site.machine.fs
         assert fs.is_symlink("/lib/libc.so.6")
-        from repro.elf import describe_elf
-        info = describe_elf(fs.read("/lib/libc.so.6"))
-        assert info.bits == 32
+        from repro.elf import parse_elf
+        assert parse_elf(fs.read("/lib/libc.so.6")).header.bits == 32
 
     def test_local_32bit_app_runs(self, i686_site):
         stack = i686_site.find_stack("openmpi-1.4-gnu")
         app = i686_site.compile_mpi_program("app32", Language.C, stack)
-        from repro.elf import describe_elf
-        assert describe_elf(app.image).bits == 32
+        from repro.elf import parse_elf
+        assert parse_elf(app.image).header.bits == 32
         result = i686_site.run_with_retries("app32", app.image, stack)
         assert result.ok
 

@@ -10,7 +10,6 @@ from repro.elf import (
     ElfData,
     ElfMachine,
     ElfType,
-    describe_elf,
     parse_elf,
     write_elf,
 )
@@ -102,25 +101,26 @@ def test_symbols_roundtrip(spec: BinarySpec):
 @settings(max_examples=120, deadline=None)
 @given(specs())
 def test_roundtrip_structure(spec: BinarySpec):
-    info = describe_elf(write_elf(spec))
-    assert info.machine is spec.machine
-    assert info.bits == spec.elf_class.bits
-    assert info.endianness is spec.data
-    assert info.etype is spec.etype
-    assert info.needed == spec.needed
-    assert info.soname == spec.soname
-    assert info.rpath == spec.rpath
+    elf = parse_elf(write_elf(spec))
+    assert elf.header.machine is spec.machine
+    assert elf.header.bits == spec.elf_class.bits
+    assert elf.header.data is spec.data
+    assert elf.header.etype is spec.etype
+    assert elf.dynamic.needed == spec.needed
+    assert elf.dynamic.soname == spec.soname
+    assert elf.dynamic.rpath == spec.rpath
     refs = {}
     for filename, version in (
             (req.filename, v.name)
-            for req in info.version_requirements for v in req.versions):
+            for req in elf.version_requirements for v in req.versions):
         refs.setdefault(filename, []).append(version)
     expected = {f: list(vs) for f, vs in spec.version_requirements.items()
                 if vs}
     assert refs == expected
-    assert info.version_definitions == spec.version_definitions
+    assert tuple(d.name.name for d in elf.version_definitions) == \
+        spec.version_definitions
     # Comments are deduplicated and stripped, never invented.
-    assert set(info.comment) <= {c.strip() for c in spec.comment}
+    assert set(elf.comment) <= {c.strip() for c in spec.comment}
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,8 +10,9 @@ import subprocess
 
 import pytest
 
-from repro.elf import describe_elf, parse_elf, write_elf, BinarySpec
+from repro.elf import parse_elf, write_elf, BinarySpec
 from repro.elf.reader import is_elf
+from tests.conftest import required_glibc
 
 
 def _read_real_binary():
@@ -36,18 +37,17 @@ needs_binutils = pytest.mark.skipif(
 
 @needs_real
 def test_parse_real_binary():
-    info = describe_elf(REAL_DATA)
-    assert info.is_dynamic
-    assert "libc.so.6" in info.needed
-    assert info.bits in (32, 64)
+    elf = parse_elf(REAL_DATA)
+    assert elf.is_dynamic
+    assert "libc.so.6" in elf.dynamic.needed
+    assert elf.header.bits in (32, 64)
 
 
 @needs_real
 def test_real_binary_glibc_requirement():
-    info = describe_elf(REAL_DATA)
-    assert info.required_glibc is not None
-    assert info.required_glibc.is_glibc()
-    assert info.required_glibc.components >= (2,)
+    version = required_glibc(parse_elf(REAL_DATA))
+    assert version is not None
+    assert tuple(map(int, version.split("."))) >= (2,)
 
 
 @needs_real
@@ -60,8 +60,7 @@ def test_needed_matches_real_readelf():
     for line in out.splitlines():
         if "(NEEDED)" in line and "[" in line:
             expected.append(line.split("[", 1)[1].rstrip("]").strip())
-    info = describe_elf(REAL_DATA)
-    assert list(info.needed) == expected
+    assert list(parse_elf(REAL_DATA).dynamic.needed) == expected
 
 
 @needs_real

@@ -9,42 +9,41 @@ from repro.elf import (
     ElfError,
     ElfMachine,
     ElfType,
-    describe_elf,
     parse_elf,
     write_elf,
 )
 from repro.elf.constants import DynamicTag, SectionType
+from tests.conftest import required_glibc
 
 
 def test_minimal_executable_roundtrip():
     spec = BinarySpec(needed=("libc.so.6",))
-    info = describe_elf(write_elf(spec))
-    assert info.needed == ("libc.so.6",)
-    assert info.etype is ElfType.EXEC
-    assert info.bits == 64
-    assert info.machine is ElfMachine.X86_64
-    assert info.is_dynamic
+    elf = parse_elf(write_elf(spec))
+    assert elf.dynamic.needed == ("libc.so.6",)
+    assert elf.header.etype is ElfType.EXEC
+    assert elf.header.bits == 64
+    assert elf.header.machine is ElfMachine.X86_64
+    assert elf.is_dynamic
 
 
 def test_needed_order_preserved():
     needed = ("libmpi.so.0", "libz.so.1", "libm.so.6", "libc.so.6")
-    info = describe_elf(write_elf(BinarySpec(needed=needed)))
-    assert info.needed == needed
+    elf = parse_elf(write_elf(BinarySpec(needed=needed)))
+    assert elf.dynamic.needed == needed
 
 
 def test_soname_and_type_for_shared_library():
     spec = BinarySpec(etype=ElfType.DYN, soname="libfoo.so.3",
                       needed=("libc.so.6",))
-    info = describe_elf(write_elf(spec))
-    assert info.soname == "libfoo.so.3"
-    assert info.is_shared_library
+    elf = parse_elf(write_elf(spec))
+    assert elf.dynamic.soname == "libfoo.so.3"
+    assert elf.is_shared_library
 
 
 def test_pie_executable_is_not_shared_library():
     # ET_DYN without a soname = position-independent executable.
     spec = BinarySpec(etype=ElfType.DYN, needed=("libc.so.6",))
-    info = describe_elf(write_elf(spec))
-    assert not info.is_shared_library
+    assert not parse_elf(write_elf(spec)).is_shared_library
 
 
 def test_version_requirements_roundtrip():
@@ -77,17 +76,17 @@ def test_version_definitions_roundtrip():
 def test_comment_roundtrip_deduplicates():
     spec = BinarySpec(comment=("GCC: (GNU) 4.1.2", "GCC: (GNU) 4.1.2",
                                "Intel(R) Compiler Version 11.1"))
-    info = describe_elf(write_elf(spec))
-    assert info.comment == ("GCC: (GNU) 4.1.2",
+    elf = parse_elf(write_elf(spec))
+    assert elf.comment == ("GCC: (GNU) 4.1.2",
                             "Intel(R) Compiler Version 11.1")
 
 
 def test_rpath_and_runpath():
     spec = BinarySpec(needed=("libc.so.6",), rpath="/opt/app/lib",
                       runpath="/usr/local/app/lib")
-    info = describe_elf(write_elf(spec))
-    assert info.rpath == "/opt/app/lib"
-    assert info.runpath == "/usr/local/app/lib"
+    elf = parse_elf(write_elf(spec))
+    assert elf.dynamic.rpath == "/opt/app/lib"
+    assert elf.dynamic.runpath == "/usr/local/app/lib"
 
 
 @pytest.mark.parametrize("elf_class,data,machine,bits", [
@@ -102,19 +101,18 @@ def test_class_data_machine_combinations(elf_class, data, machine, bits):
     spec = BinarySpec(machine=machine, elf_class=elf_class, data=data,
                       needed=("libc.so.6",),
                       version_requirements={"libc.so.6": ("GLIBC_2.3",)})
-    info = describe_elf(write_elf(spec))
-    assert info.machine is machine
-    assert info.bits == bits
-    assert info.endianness is data
-    assert info.needed == ("libc.so.6",)
-    assert info.required_glibc is not None
-    assert info.required_glibc.name == "GLIBC_2.3"
+    elf = parse_elf(write_elf(spec))
+    assert elf.header.machine is machine
+    assert elf.header.bits == bits
+    assert elf.header.data is data
+    assert elf.dynamic.needed == ("libc.so.6",)
+    assert required_glibc(elf) == "2.3"
 
 
 def test_static_binary_has_no_dynamic_section():
-    info = describe_elf(write_elf(BinarySpec(statically_linked=True)))
-    assert not info.is_dynamic
-    assert info.needed == ()
+    elf = parse_elf(write_elf(BinarySpec(statically_linked=True)))
+    assert not elf.is_dynamic
+    assert elf.dynamic.needed == ()
 
 
 def test_static_with_needed_rejected():
@@ -139,11 +137,11 @@ def test_payload_is_deterministic():
 
 
 def test_payload_seed_changes_bytes_only():
-    a = describe_elf(write_elf(BinarySpec(needed=("libc.so.6",),
-                                          payload_seed="siteA")))
+    a = parse_elf(write_elf(BinarySpec(needed=("libc.so.6",),
+                                       payload_seed="siteA")))
     b_img = write_elf(BinarySpec(needed=("libc.so.6",), payload_seed="siteB"))
-    b = describe_elf(b_img)
-    assert a.needed == b.needed
+    b = parse_elf(b_img)
+    assert a.dynamic.needed == b.dynamic.needed
     assert write_elf(BinarySpec(needed=("libc.so.6",),
                                 payload_seed="siteA")) != b_img
 

@@ -41,10 +41,10 @@ def test_every_reported_migration_has_matching_impl(result):
 def test_mpi_identification_100_percent(result):
     """Section VI.B: 100% accurate at identifying the MPI implementation."""
     from repro.core.description import identify_mpi_implementation
-    from repro.elf import describe_elf
+    from repro.elf import parse_elf
     for binary in result.corpus.binaries:
-        info = describe_elf(binary.image)
-        assert identify_mpi_implementation(info.needed) == \
+        needed = parse_elf(binary.image).dynamic.needed
+        assert identify_mpi_implementation(needed) == \
             binary.stack_spec.kind.value
 
 

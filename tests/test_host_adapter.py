@@ -6,6 +6,7 @@ model against the system's real ``ldd``.
 
 import os
 import platform
+import re
 import shutil
 import subprocess
 
@@ -29,6 +30,39 @@ def _find_real_binary():
 
 
 REAL = _find_real_binary()
+
+
+def _first_elf_naming(version: str):
+    """The first ``/usr/bin`` or ``/usr/lib`` ELF file whose version
+    lists name *version*, or None."""
+    from repro.elf.reader import ElfError, parse_elf
+    needle = version.encode()
+    for top in ("/usr/bin", "/usr/lib"):
+        for directory, dirs, files in os.walk(top):
+            dirs.sort()
+            for name in sorted(files):
+                path = os.path.join(directory, name)
+                if os.path.islink(path) or not os.path.isfile(path):
+                    continue
+                try:
+                    with open(path, "rb") as fh:
+                        data = fh.read(4)
+                        if not is_elf(data):
+                            continue
+                        data += fh.read()
+                    if needle not in data:
+                        continue
+                    elf = parse_elf(data)
+                except (OSError, ElfError):
+                    continue
+                names = {d.name.name for d in elf.version_definitions} | {
+                    v.name for req in elf.version_requirements
+                    for v in req.versions}
+                if version in names:
+                    return path
+    return None
+
+
 needs_elf_host = pytest.mark.skipif(
     REAL is None or platform.system() != "Linux",
     reason="needs a Linux host with ELF binaries")
@@ -191,6 +225,22 @@ class TestHostToolboxAndBdc:
         assert path is not None
         with open(os.path.realpath(path), "rb") as fh:
             assert is_elf(fh.read(4))
+
+    def test_bdc_describes_a_glibc_abi_dt_relr_file(self):
+        """glibc 2.36 names ``GLIBC_ABI_DT_RELR`` in its version lists;
+        the BDC describes such a file by its numbered versions."""
+        from repro.core.description import BinaryDescriptionComponent
+        path = _first_elf_naming("GLIBC_ABI_DT_RELR")
+        if path is None:
+            pytest.skip("no host ELF file names GLIBC_ABI_DT_RELR")
+        description = BinaryDescriptionComponent(host_toolbox()).describe(
+            path)
+        assert description.gathered_via == "objdump"
+        names = set(description.version_definitions) | {
+            version for _file, version in description.version_references}
+        assert "GLIBC_ABI_DT_RELR" in names
+        assert re.fullmatch(r"[0-9]+(\.[0-9]+)*",
+                            description.required_glibc)
 
     def test_edc_discovers_host_libc(self):
         """The EDC's libc discovery works on the real machine (via the

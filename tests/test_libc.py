@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.elf import describe_elf
+from repro.elf import parse_elf
 from repro.sysmodel.fs import VirtualFilesystem
 from repro.toolchain.libc import (
     GLIBC_HISTORY,
@@ -13,6 +13,7 @@ from repro.toolchain.libc import (
     parse_banner,
     version_str,
 )
+from tests.conftest import required_glibc
 
 
 def test_history_is_sorted():
@@ -84,23 +85,23 @@ def test_install_writes_members_and_symlinks():
 def test_installed_libc_elf_contents():
     fs = VirtualFilesystem()
     glibc("2.5").install(fs, "/lib64")
-    info = describe_elf(fs.read("/lib64/libc.so.6"))
-    assert info.soname == "libc.so.6"
-    assert "GLIBC_2.5" in info.version_definitions
-    assert "GLIBC_2.7" not in info.version_definitions
-    assert "GLIBC_PRIVATE" in info.version_definitions
-    assert any("GNU C Library" in c for c in info.comment)
+    elf = parse_elf(fs.read("/lib64/libc.so.6"))
+    definitions = [d.name.name for d in elf.version_definitions]
+    assert elf.dynamic.soname == "libc.so.6"
+    assert "GLIBC_2.5" in definitions
+    assert "GLIBC_2.7" not in definitions
+    assert "GLIBC_PRIVATE" in definitions
+    assert any("GNU C Library" in c for c in elf.comment)
 
 
 def test_installed_member_depends_on_libc():
     fs = VirtualFilesystem()
     glibc("2.12").install(fs, "/lib64")
-    info = describe_elf(fs.read("/lib64/libnsl.so.1"))
-    assert info.needed == ("libc.so.6",)
-    assert info.required_glibc is not None
+    elf = parse_elf(fs.read("/lib64/libnsl.so.1"))
+    assert elf.dynamic.needed == ("libc.so.6",)
     # A glibc member's copy requires its own release level: this is why
     # copies of libnsl from a 2.12 site fail on a 2.5 site.
-    assert info.required_glibc.components == (2, 12)
+    assert required_glibc(elf) == "2.12"
 
 
 @settings(max_examples=60, deadline=None)

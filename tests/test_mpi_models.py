@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.elf import describe_elf
+from repro.elf import parse_elf
 from repro.mpi.implementations import (
     MpiImplementationKind,
     mpich2,
@@ -101,9 +101,9 @@ class TestStackInstall:
     def test_installed_library_is_valid_elf(self, mini_site, installed):
         fs = mini_site.machine.fs
         real = fs.realpath(installed.libdir + "/libmpi.so.0")
-        info = describe_elf(fs.read(real))
-        assert info.soname == "libmpi.so.0"
-        assert "libopen-rte.so.0" in info.needed
+        elf = parse_elf(fs.read(real))
+        assert elf.dynamic.soname == "libmpi.so.0"
+        assert "libopen-rte.so.0" in elf.dynamic.needed
 
     def test_env_additions_include_vendor_compiler(self, installed):
         additions = dict()

@@ -189,6 +189,22 @@ class TestEndpoints:
         assert payload["runs"][1]["kind"] == "chaos"
         assert payload["runs"][1]["cells"] == 10
 
+    def test_runs_endpoint_counts_bench_cells_as_feam_runs_does(
+            self, tmp_path):
+        from repro.__main__ import _render_runs_table
+        from repro.obs.ledger import RunLedger
+
+        ledger = RunLedger(str(tmp_path / "runs"))
+        ledger.record({"run_id": "b-1", "kind": "bench",
+                       "bench": {"cells": 20}})
+        with TelemetryServer(obs.Collector(), port=0,
+                             ledger=ledger) as server:
+            status, body = _get(server.url + "/runs")
+        assert status == 200
+        assert json.loads(body)["runs"][0]["cells"] == 20
+        table = _render_runs_table(ledger.runs(), 1, 1, ledger)
+        assert table.splitlines()[-1].split()[4] == "20"
+
     def test_runs_endpoint_empty_ledger(self, tmp_path):
         from repro.obs.ledger import RunLedger
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.elf import describe_elf
+from repro.elf import parse_elf
 from repro.sysmodel.errors import (
     ExecutionFailure,
     ExecutionResult,
@@ -15,6 +15,7 @@ from repro.toolchain.compilers import gnu, intel, pgi, Language
 from repro.toolchain.installs import CompilerInstall
 from repro.toolchain.libc import glibc
 from repro.toolchain.products import LibraryProduct
+from tests.conftest import required_glibc
 
 
 class TestLibraryProduct:
@@ -31,29 +32,30 @@ class TestLibraryProduct:
         fs = VirtualFilesystem()
         LibraryProduct("liba.so.1", glibc_ceiling=(2, 3, 4)).install(
             fs, "/usr/lib64", glibc("2.12"))
-        info = describe_elf(fs.read("/usr/lib64/liba.so.1"))
-        assert info.required_glibc.name == "GLIBC_2.3.4"
+        elf = parse_elf(fs.read("/usr/lib64/liba.so.1"))
+        assert required_glibc(elf) == "2.3.4"
 
     def test_glibc_requirement_capped_by_site_libc(self):
         fs = VirtualFilesystem()
         LibraryProduct("libb.so.1", glibc_ceiling=(2, 7)).install(
             fs, "/usr/lib64", glibc("2.5"))
-        info = describe_elf(fs.read("/usr/lib64/libb.so.1"))
-        assert info.required_glibc.name == "GLIBC_2.5"
+        elf = parse_elf(fs.read("/usr/lib64/libb.so.1"))
+        assert required_glibc(elf) == "2.5"
 
     def test_verdefs_written(self):
         fs = VirtualFilesystem()
         LibraryProduct("libf.so.3", verdefs=("F_1.0", "F_2.0")).install(
             fs, "/usr/lib64", glibc("2.5"))
-        info = describe_elf(fs.read("/usr/lib64/libf.so.3"))
-        assert info.version_definitions == ("libf.so.3", "F_1.0", "F_2.0")
+        elf = parse_elf(fs.read("/usr/lib64/libf.so.3"))
+        assert tuple(d.name.name for d in elf.version_definitions) == (
+            "libf.so.3", "F_1.0", "F_2.0")
 
     def test_needed_includes_libc(self):
         fs = VirtualFilesystem()
         LibraryProduct("libg.so.1", needed=("libm.so.6",)).install(
             fs, "/usr/lib64", glibc("2.5"))
-        info = describe_elf(fs.read("/usr/lib64/libg.so.1"))
-        assert info.needed == ("libm.so.6", "libc.so.6")
+        elf = parse_elf(fs.read("/usr/lib64/libg.so.1"))
+        assert elf.dynamic.needed == ("libm.so.6", "libc.so.6")
 
     def test_size_is_realistic(self):
         fs = VirtualFilesystem()
@@ -101,8 +103,8 @@ class TestCompilerInstall:
     def test_driver_binaries_carry_banner(self, machine):
         install = CompilerInstall.vendor(pgi("7.2"))
         install.install(machine, glibc("2.12"))
-        info = describe_elf(machine.fs.read("/opt/pgi-7.2/bin/pgcc"))
-        assert any("PGI" in c for c in info.comment)
+        elf = parse_elf(machine.fs.read("/opt/pgi-7.2/bin/pgcc"))
+        assert any("PGI" in c for c in elf.comment)
 
 
 class TestErrorTaxonomy:

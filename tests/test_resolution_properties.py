@@ -14,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bundle import SourceBundle
 from repro.core.config import FeamConfig
-from repro.core.description import BinaryDescription, LibraryRecord
+from repro.core.description import (
+    BinaryDescription,
+    BinaryDescriptionComponent,
+    LibraryRecord,
+)
 from repro.core.discovery import EnvironmentDiscoveryComponent
 from repro.core.resolution import ResolutionModel
 from repro.elf import BinarySpec, write_elf
@@ -34,16 +38,16 @@ def _lib_image(soname: str, needed, glibc_req: str) -> bytes:
         payload_size=48))
 
 
+_SOURCE_BDC = BinaryDescriptionComponent(
+    Toolbox(Machine("res-src", "x86_64", CENTOS_5_6)))
+
+
 def _record(soname: str, needed, glibc_req: str, copied=True) -> LibraryRecord:
-    return LibraryRecord(
-        soname=soname,
-        located_path=f"/somewhere/{soname}",
-        file_format="elf64-x86-64", isa_name="x86-64", bits=64,
-        embedded_soname=soname,
-        needed=tuple(needed) + ("libc.so.6",),
-        version_references=(("libc.so.6", f"GLIBC_{glibc_req}"),),
-        required_glibc=glibc_req,
-        image=_lib_image(soname, needed, glibc_req) if copied else None)
+    """The BDC's record of the library, gathered at a source machine."""
+    path = f"/somewhere/{soname}"
+    _SOURCE_BDC.toolbox.machine.fs.write(
+        path, _lib_image(soname, needed, glibc_req))
+    return _SOURCE_BDC.describe_library(soname, path, copy=copied)
 
 
 @st.composite
@@ -103,11 +107,10 @@ def test_usable_copies_have_satisfiable_chains(records):
         decision = resolver.copy_usable(record, bundle, env)
         if decision.usable:
             assert record.copied
-            assert tuple(int(p) for p in record.required_glibc.split(".")) \
-                <= (2, 5)
+            assert record.description.required_glibc_tuple <= (2, 5)
             # Every dependency is either target-present (libc) or a
             # usable copy itself.
-            for dep in record.needed:
+            for dep in record.description.needed:
                 if dep == "libc.so.6":
                     continue
                 sub = resolver.copy_usable(by_soname[dep], bundle, env)

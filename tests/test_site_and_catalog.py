@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.elf import describe_elf
+from repro.elf import parse_elf
 from repro.mpi.implementations import MpiImplementationKind
 from repro.sites.catalog import PAPER_SITE_SPECS, site_spec
 from repro.toolchain.compilers import Language
@@ -12,8 +12,8 @@ class TestSiteAssembly:
     def test_libc_installed(self, mini_site):
         fs = mini_site.machine.fs
         assert fs.is_symlink("/lib64/libc.so.6")
-        info = describe_elf(fs.read("/lib64/libc.so.6"))
-        assert "GLIBC_2.5" in info.version_definitions
+        elf = parse_elf(fs.read("/lib64/libc.so.6"))
+        assert "GLIBC_2.5" in [d.name.name for d in elf.version_definitions]
 
     def test_system_compiler_runtimes_on_loader_path(self, mini_site):
         assert mini_site.machine.fs.is_file("/usr/lib64/libgcc_s.so.1")

@@ -47,8 +47,8 @@ def test_static_binary_has_no_dynamic_section(static_site):
     linked = static_site.compile_mpi_program("sapp", Language.C, stack,
                                              static=True)
     assert linked.needed == ()
-    from repro.elf import describe_elf
-    assert not describe_elf(linked.image).is_dynamic
+    from repro.elf import parse_elf
+    assert not parse_elf(linked.image).is_dynamic
 
 
 def test_static_binary_migrates_cleanly(static_site, make_site):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.elf.structs import DynamicSymbol, SymbolVersion
+from repro.elf.structs import DynamicSymbol, SymbolVersion, newest_glibc
 from repro.sysmodel import distro as distros
 from repro.sysmodel.fs import VirtualFilesystem
 
@@ -30,6 +30,7 @@ class TestSymbolVersion:
         assert SymbolVersion("GLIBC_2.5").is_glibc()
         assert not SymbolVersion("GLIBCXX_3.4").is_glibc()
         assert not SymbolVersion("GLIBC_PRIVATE").is_glibc()
+        assert not SymbolVersion("GLIBC_ABI_DT_RELR").is_glibc()
 
     def test_ordering_numeric(self):
         assert SymbolVersion("GLIBC_2.9") < SymbolVersion("GLIBC_2.10")
@@ -38,6 +39,12 @@ class TestSymbolVersion:
     def test_ordering_across_namespaces_is_stable(self):
         a, b = SymbolVersion("AAA_1.0"), SymbolVersion("BBB_1.0")
         assert (a < b) != (b < a)
+
+    def test_newest_glibc_counts_numbered_names_only(self):
+        assert newest_glibc(["GLIBC_2.9", "GLIBC_ABI_DT_RELR", "GLIBC_2.10",
+                             "GLIBC_PRIVATE", "GLIBCXX_3.4.21"]) == "2.10"
+        assert newest_glibc(["GLIBC_PRIVATE", "GLIBC_ABI_DT_RELR"]) is None
+        assert newest_glibc([]) is None
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 99), st.integers(0, 99),

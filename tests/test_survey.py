@@ -58,3 +58,29 @@ def test_render(survey_world):
     assert "site" in text and "extended" in text
     for verdict in result.verdicts:
         assert verdict.site_name in text
+
+
+def test_undecided_verdict_reads_unknown():
+    """A target whose C library version could not be discovered gets an
+    optimistic verdict; the survey line says ``unknown``, as the grid
+    does, never ``ready``."""
+    import dataclasses
+
+    from repro.core.feam import Feam
+    from repro.sites.catalog import build_paper_sites
+    by_name = {s.name: s for s in build_paper_sites(20202)}
+    fir, india = by_name["fir"], by_name["india"]
+    stack = fir.find_stack("openmpi-1.4-gnu")
+    app = fir.compile_mpi_program("svapp", Language.C, stack,
+                                  glibc_ceiling=(2, 4))
+    fir.machine.fs.write("/home/user/svapp", app.image, mode=0o755)
+    feam = Feam()
+    tec = feam.engine.tec_for(india)
+    tec.adopt_environment(
+        dataclasses.replace(tec.environment(), libc_version=None))
+    result = survey_sites(fir, "/home/user/svapp", [india],
+                          env=fir.env_with_stack(stack), feam=feam)
+    (verdict,) = result.verdicts
+    assert verdict.extended.outcome_word == "unknown"
+    assert verdict.summary_line().split() == [
+        "india", "unknown", "unknown", "unknown"]
